@@ -1,7 +1,8 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulator substrate: event
- * kernel throughput (schedule/fire and reschedule-heavy), packet pool
+ * kernel throughput (schedule/fire, reschedule-heavy and the simulator's
+ * own queue shape), packet pool
  * versus heap churn, link serialization, vault service, delay-monitor,
  * end-to-end simulation cost, and the parallel sweep engine.
  *
@@ -53,8 +54,9 @@ struct NopEvent : public Event
 /**
  * The pattern the lazy-deletion queue handled worst: a working set of
  * re-armable timers (link sleep timers, core issue events) that get
- * rekeyed over and over without ever firing. The intrusive heap rekeys
- * in place; the old queue accumulated a stale entry per move.
+ * rekeyed over and over without ever firing. Most of the 256 sit in the
+ * far heap and are rekeyed in place; the lazy-deletion queue
+ * accumulated a stale entry per move.
  */
 void
 BM_EventQueueRescheduleHeavy(benchmark::State &state)
@@ -79,6 +81,82 @@ BM_EventQueueRescheduleHeavy(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * kMoves);
 }
 BENCHMARK(BM_EventQueueRescheduleHeavy);
+
+/**
+ * The shape the queue serves in simulation. A long serial mixC run keeps
+ * 48-71 events pending; an insert's median rank is 16, 11% of inserts
+ * tie a pending tick, and 97% of the link sleep timers armed are
+ * cancelled before they fire. Here 48 pipeline events re-arm themselves
+ * on a tick grid, three times in four with a short hop and otherwise a
+ * long one, and on every third firing touch one of 16 far-future sleep
+ * timers: cancel it if armed (31 times in 32), arm it otherwise. The
+ * hop ranges were tuned by counting what the queue sees, which matches
+ * the run above: ~60 pending, median rank 16-18, 11% ties.
+ */
+class SimShape
+{
+  public:
+    static constexpr int kStages = 48;
+    static constexpr int kTimers = 16;
+    /** Tick grid of every delay, so pending ticks collide. */
+    static constexpr Tick kGridPs = 40;
+
+    SimShape() : stages(kStages), timers(kTimers)
+    {
+        for (int i = 0; i < kStages; ++i) {
+            stages[i].shape = this;
+            eq.schedule(&stages[i], (1 + i) * kGridPs);
+        }
+    }
+
+    EventQueue eq;
+
+  private:
+    struct Stage : public Event
+    {
+        SimShape *shape = nullptr;
+        void fire() override { shape->onStage(this); }
+    };
+
+    std::uint64_t
+    draw()
+    {
+        lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+        return lcg >> 33;
+    }
+
+    void
+    onStage(Stage *stage)
+    {
+        const std::uint64_t r = draw();
+        const Tick hop =
+            r % 4 == 0 ? 108 + (r >> 3) % 768 : 12 + (r >> 3) % 96;
+        eq.schedule(stage, eq.now() + hop * kGridPs);
+        if ((r >> 12) % 3 != 0)
+            return;
+        NopEvent &timer = timers[(r >> 14) % kTimers];
+        const Tick far = 2400 + (r >> 18) % 2400;
+        if (!timer.scheduled())
+            eq.schedule(&timer, eq.now() + far * kGridPs);
+        else if ((r >> 26) % 32 != 0)
+            eq.deschedule(&timer);
+    }
+
+    std::vector<Stage> stages;
+    std::vector<NopEvent> timers;
+    std::uint64_t lcg = 0x9e3779b97f4a7c15ULL;
+};
+
+void
+BM_EventQueueSimShape(benchmark::State &state)
+{
+    SimShape shape;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            shape.eq.runUntil(shape.eq.now() + 8000 * SimShape::kGridPs));
+    state.SetItemsProcessed(static_cast<std::int64_t>(shape.eq.fired()));
+}
+BENCHMARK(BM_EventQueueSimShape);
 
 void
 BM_PacketPoolChurn(benchmark::State &state)
@@ -168,6 +246,7 @@ BM_DelayMonitorArrival(benchmark::State &state)
     Tick t = 0;
     for (auto _ : state) {
         m.arrival(t, 5);
+        benchmark::DoNotOptimize(m);
         t += ns(10);
     }
     state.SetItemsProcessed(state.iterations());
@@ -228,8 +307,12 @@ BM_ParallelSweep(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * 4);
 }
-BENCHMARK(BM_ParallelSweep)->Arg(1)->Arg(2)->Arg(4)->Unit(
-    benchmark::kMillisecond);
+BENCHMARK(BM_ParallelSweep)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /** The 16-module four-channel system the partitioned-kernel speedup
  *  is quoted on: mixA's big-study footprint (14 chunks) spread over 4
@@ -277,6 +360,7 @@ BM_PartitionedMultiChannel(benchmark::State &state)
 BENCHMARK(BM_PartitionedMultiChannel)
     ->Arg(1)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /**

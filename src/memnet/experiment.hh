@@ -94,6 +94,17 @@ class Runner
     std::vector<SystemConfig> endCollect();
 
     /**
+     * True between beginCollect() and endCollect(). A bench body that
+     * simulates outside get() skips that work in the collect pass.
+     */
+    bool
+    isCollecting() const
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        return collecting;
+    }
+
+    /**
      * Attach a run journal (nullptr detaches): every freshly executed
      * run is appended and flushed before get() returns it. Cache hits,
      * resumed results, and collect-mode placeholders are not journaled

@@ -1,6 +1,7 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 
 #include "obs/prof.hh"
@@ -52,27 +53,86 @@ throwCancelled(const EventQueue &eq)
 EventQueue::~EventQueue()
 {
     // Events deschedule themselves on destruction, so every pointer
-    // still in the heap here is a live event and safe to touch. Unhook
-    // them all first (their later destruction must not come back to the
-    // dead queue), then reclaim the pending one-shot callables scheduled
-    // via schedule(Tick, F), which are the queue's own.
-    for (const Entry &e : heap)
-        e.ev->_scheduled = false;
-    for (const Entry &e : heap) {
-        if (e.oneShot)
-            delete e.ev;
+    // still queued here is a live event and safe to touch. Unhook them
+    // all first (their later destruction must not come back to the dead
+    // queue), then reclaim the pending one-shot callables scheduled via
+    // schedule(Tick, F), which are the queue's own.
+    const auto forEachQueued = [this](auto &&f) {
+        for (std::size_t i = _head; i < _tail; ++i)
+            f(_near[i].ev);
+        for (const Entry &e : _far)
+            f(e.ev);
+    };
+    forEachQueued([](Event *ev) { ev->_scheduled = false; });
+    forEachQueued([](Event *ev) {
+        if (ev->_oneShot)
+            delete ev;
+    });
+}
+
+void
+EventQueue::insertEdge(const Entry &e)
+{
+    const std::size_t n = nearSize();
+    if (n == 0 || before(e, _near[_tail - 1])) {
+        if (n == kNearCap)
+            pushFar(_near[--_tail]);
+        insertNear(e);
+    } else if (n < kNearCap && (_far.empty() || before(e, _far[0]))) {
+        if (_tail == kNearBuf)
+            recentre();
+        e.ev->_slot = kNearSlot;
+        _near[_tail++] = e;
+    } else {
+        pushFar(e);
+    }
+}
+
+void
+EventQueue::refile(Event *ev, Tick old)
+{
+    if (ev->_slot == kNearSlot)
+        removeNear(ev, old);
+    else
+        removeFar(ev->_slot);
+    insert(ev);
+}
+
+void
+EventQueue::recentre()
+{
+    const std::size_t n = nearSize();
+    const std::size_t head = (kNearBuf - n) / 2;
+    std::memmove(_near.data() + head, _near.data() + _head,
+                 n * sizeof(Entry));
+    _head = head;
+    _tail = head + n;
+}
+
+void
+EventQueue::refillNear()
+{
+    // The heap pops in key order, so the batch lands sorted.
+    const std::size_t n = std::min(kNearCap, _far.size());
+    _head = (kNearBuf - n) / 2;
+    _tail = _head;
+    for (std::size_t i = 0; i < n; ++i) {
+        const Entry e = _far[0];
+        removeFar(0);
+        e.ev->_slot = kNearSlot;
+        _near[_tail++] = e;
     }
 }
 
 void
 EventQueue::dispatchFront()
 {
-    Event *ev = heap.front().ev;
+    Event *ev = _near[_head].ev;
     memnet_assert(ev->_when >= _now, "time went backwards");
 
     // Depth histogram: sample pending() as the dispatch finds it.
     const std::size_t bucket = std::min<std::size_t>(
-        std::bit_width(heap.size()), kDepthBuckets - 1);
+        std::bit_width(pending()), kDepthBuckets - 1);
     ++_depthHist[bucket];
 
     // Close every dispatch-rate window the queue jumped over. A
@@ -99,7 +159,8 @@ EventQueue::dispatchFront()
     // Capture the parent component before fire(), which may reschedule
     // the event and restamp its key.
     const Tick sched = ev->_schedTick;
-    removeAt(0);
+    if (++_head == _tail)
+        refillNear();
     _now = ev->_when;
     ev->_scheduled = false;
     ++_fired;
@@ -118,11 +179,11 @@ EventQueue::runUntil(Tick limit)
     // common case) pays one null test per dispatch, nothing more.
     const std::atomic<bool> *cancel = cancelFlag();
     std::uint64_t n = 0;
-    while (!heap.empty()) {
+    while (_head != _tail) {
         if (cancel && (n & kCancelPollMask) == 0 &&
             cancel->load(std::memory_order_relaxed))
             throwCancelled(*this);
-        if (heap.front().ev->_when > limit)
+        if (_near[_head].when > limit)
             break;
         dispatchFront();
         ++n;
@@ -142,11 +203,11 @@ EventQueue::runUntilBefore(Tick limit)
     // runs observe a watchdog cancellation within one window.
     const std::atomic<bool> *cancel = cancelFlag();
     std::uint64_t n = 0;
-    while (!heap.empty()) {
+    while (_head != _tail) {
         if (cancel && (n & kCancelPollMask) == 0 &&
             cancel->load(std::memory_order_relaxed))
             throwCancelled(*this);
-        if (heap.front().ev->_when >= limit)
+        if (_near[_head].when >= limit)
             break;
         dispatchFront();
         ++n;
@@ -157,7 +218,7 @@ EventQueue::runUntilBefore(Tick limit)
 void
 EventQueue::fireFront()
 {
-    memnet_assert(!heap.empty(), "fireFront on an empty queue");
+    memnet_assert(_head != _tail, "fireFront on an empty queue");
     dispatchFront();
 }
 

@@ -252,100 +252,173 @@ struct RecordingEvent : public Event
 /** One scheduled entry mirrored outside the queue. */
 struct RefEntry
 {
-    Tick when;
-    std::uint64_t seq;
+    EventKey key;
     int id;
 };
 
+/** One input of the reference-model stress test. */
+struct StressCase
+{
+    const char *name;
+    int events;
+    int ops;
+    /** Every delay is a multiple of this; a coarse grid makes many
+     *  events share a tick. */
+    Tick grid;
+    /** Schedule delays are grid * U[0, maxSteps]. */
+    int maxSteps;
+    /** Every 40 ops the queue runs grid * U[0, runSteps] ahead. */
+    int runSteps;
+    /**
+     * Every timerEvery-th event is a far-future timer (0: none): armed
+     * at 20-40 times maxSteps ahead, and nine times in ten cancelled
+     * rather than moved when picked while armed.
+     */
+    int timerEvery;
+    /**
+     * One schedule in remoteEvery goes through scheduleWithKey with a
+     * partition-message key (0: none): arbitrary sched and parent, ctr
+     * tagged with EventKey::kRemoteCtrBit.
+     */
+    int remoteEvery;
+    /**
+     * Depth the run must reach. The deep inputs exist to overflow the
+     * queue's 128-entry near window into its far heap.
+     */
+    std::size_t minPeak;
+};
+
 /**
- * Drives the indexed heap through a long random mix of schedule /
- * deschedule / reschedule / runUntil and checks the exact firing order
- * against a brute-force model that replays the documented contract:
- * earlier tick first, FIFO (by consumed sequence number) within a tick.
+ * Drives the queue through a long random mix of schedule /
+ * scheduleWithKey / deschedule / reschedule / runUntil / runUntilBefore
+ * and checks the exact firing order, and the front key, against a
+ * brute-force model that sorts by the documented EventKey order. The
+ * inputs cover the simulator's shallow queue, a queue several times
+ * deeper than the near window, a coarse tick grid where many events
+ * share a tick, a population of far-future sleep timers that are mostly
+ * cancelled, and partition messages carrying foreign keys.
  */
 TEST(EventQueueStress, RandomOpsMatchReferenceModel)
 {
-    constexpr int kEvents = 48;
-    constexpr int kOps = 5000;
-
-    EventQueue eq;
-    std::vector<int> log;
-    std::vector<RecordingEvent> events(kEvents);
-    for (int i = 0; i < kEvents; ++i) {
-        events[i].log = &log;
-        events[i].id = i;
-    }
-
-    std::vector<RefEntry> model;
-    std::uint64_t seq = 0; // mirrors the queue's sequence counter
-    std::vector<int> expected;
-
-    std::mt19937 rng(20170205); // fixed: the run must be reproducible
-    const auto delta = [&rng] {
-        return ns(std::uniform_int_distribution<int>(0, 400)(rng));
+    const StressCase cases[] = {
+        {"shallow", 48, 5000, ns(1), 400, 400, 0, 0, 0},
+        {"deep", 512, 30000, ns(1), 1000, 50, 0, 0, 256},
+        {"coarse-ticks", 256, 20000, ns(100), 8, 8, 0, 0, 129},
+        {"sleep-timers", 512, 30000, ns(1), 400, 400, 2, 0, 129},
+        {"remote-keys", 256, 20000, ns(10), 40, 40, 0, 3, 0},
     };
-    const auto modelFind = [&model](int id) {
-        return std::find_if(model.begin(), model.end(),
-                            [id](const RefEntry &e) {
-                                return e.id == id;
-                            });
-    };
-
-    for (int op = 0; op < kOps; ++op) {
-        RecordingEvent &ev =
-            events[std::uniform_int_distribution<int>(
-                0, kEvents - 1)(rng)];
-        const int action =
-            std::uniform_int_distribution<int>(0, 9)(rng);
-        if (!ev.scheduled()) {
-            const Tick when = eq.now() + delta();
-            eq.schedule(&ev, when);
-            model.push_back({when, seq++, ev.id});
-        } else if (action < 2) {
-            eq.deschedule(&ev);
-            model.erase(modelFind(ev.id));
-        } else if (action < 8) {
-            const Tick when = eq.now() + delta();
-            eq.reschedule(&ev, when);
-            RefEntry &e = *modelFind(ev.id);
-            e.when = when;
-            e.seq = seq++;
+    for (const StressCase &c : cases) {
+        SCOPED_TRACE(c.name);
+        EventQueue eq;
+        std::vector<int> log;
+        std::vector<RecordingEvent> events(c.events);
+        for (int i = 0; i < c.events; ++i) {
+            events[i].log = &log;
+            events[i].id = i;
         }
 
-        if (op % 40 == 39) {
-            const Tick limit = eq.now() + delta();
-            // Everything due by the limit fires in (when, seq) order.
-            std::vector<RefEntry> due;
-            for (const RefEntry &e : model) {
-                if (e.when <= limit)
-                    due.push_back(e);
-            }
-            std::sort(due.begin(), due.end(),
-                      [](const RefEntry &a, const RefEntry &b) {
-                          return a.when != b.when ? a.when < b.when
-                                                  : a.seq < b.seq;
-                      });
-            for (const RefEntry &e : due) {
-                expected.push_back(e.id);
-                model.erase(modelFind(e.id));
-            }
-            eq.runUntil(limit);
-            ASSERT_EQ(log, expected) << "diverged at op " << op;
-            ASSERT_EQ(eq.pending(), model.size());
-        }
-    }
+        std::vector<RefEntry> model;
+        std::uint64_t seq = 0; // mirrors the queue's sequence counter
+        std::uint64_t remoteCtr = 0;
+        std::vector<int> expected;
+        std::size_t peak = 0;
 
-    // Drain: everything left fires in model order.
-    std::sort(model.begin(), model.end(),
-              [](const RefEntry &a, const RefEntry &b) {
-                  return a.when != b.when ? a.when < b.when
-                                          : a.seq < b.seq;
-              });
-    for (const RefEntry &e : model)
-        expected.push_back(e.id);
-    eq.run();
-    EXPECT_EQ(log, expected);
-    EXPECT_EQ(eq.pending(), 0u);
+        std::mt19937 rng(20170205); // fixed: the run must be reproducible
+        const auto uniform = [&rng](int lo, int hi) {
+            return std::uniform_int_distribution<int>(lo, hi)(rng);
+        };
+        const auto delay = [&](int id) {
+            if (c.timerEvery != 0 && id % c.timerEvery == 0)
+                return c.grid * uniform(20 * c.maxSteps, 40 * c.maxSteps);
+            return c.grid * uniform(0, c.maxSteps);
+        };
+        const auto modelFind = [&model](int id) {
+            return std::find_if(model.begin(), model.end(),
+                                [id](const RefEntry &e) {
+                                    return e.id == id;
+                                });
+        };
+        const auto byKey = [](const RefEntry &a, const RefEntry &b) {
+            return a.key < b.key;
+        };
+        const auto localKey = [&](Tick when) {
+            return EventKey{when, eq.now(), kTickInvalid, seq++};
+        };
+
+        for (int op = 0; op < c.ops; ++op) {
+            RecordingEvent &ev = events[uniform(0, c.events - 1)];
+            const int action = uniform(0, 9);
+            const bool timer = c.timerEvery != 0 && ev.id % c.timerEvery == 0;
+            if (!ev.scheduled()) {
+                const Tick when = eq.now() + delay(ev.id);
+                if (c.remoteEvery != 0 && op % c.remoteEvery == 0) {
+                    const Tick sched = c.grid * uniform(0, 4) +
+                                       eq.now() - std::min(eq.now(), ns(40));
+                    const Tick parent = std::max(
+                        kTickInvalid, sched - c.grid * uniform(0, 2) - 1);
+                    const EventKey key{when, sched, parent,
+                                       EventKey::kRemoteCtrBit |
+                                           remoteCtr++};
+                    eq.scheduleWithKey(&ev, key);
+                    model.push_back({key, ev.id});
+                } else {
+                    eq.schedule(&ev, when);
+                    model.push_back({localKey(when), ev.id});
+                }
+            } else if (action < (timer ? 9 : 2)) {
+                eq.deschedule(&ev);
+                model.erase(modelFind(ev.id));
+            } else if (action < 8 || timer) {
+                const Tick when = eq.now() + delay(ev.id);
+                eq.reschedule(&ev, when);
+                modelFind(ev.id)->key = localKey(when);
+            }
+            peak = std::max(peak, model.size());
+
+            if (op % 40 == 39) {
+                // Alternate the inclusive serial limit with the
+                // partitioned kernel's exclusive one.
+                const bool before = op % 80 == 79;
+                const Tick limit = eq.now() + c.grid * uniform(0, c.runSteps);
+                std::vector<RefEntry> due;
+                for (const RefEntry &e : model) {
+                    if (before ? e.key.when < limit : e.key.when <= limit)
+                        due.push_back(e);
+                }
+                std::sort(due.begin(), due.end(), byKey);
+                for (const RefEntry &e : due) {
+                    expected.push_back(e.id);
+                    model.erase(modelFind(e.id));
+                }
+                if (before)
+                    eq.runUntilBefore(limit);
+                else
+                    eq.runUntil(limit);
+                ASSERT_EQ(log, expected) << "diverged at op " << op;
+                ASSERT_EQ(eq.pending(), model.size());
+                if (!model.empty()) {
+                    const EventKey front =
+                        std::min_element(model.begin(), model.end(), byKey)
+                            ->key;
+                    const EventKey got = eq.frontKey();
+                    ASSERT_EQ(got.when, front.when);
+                    ASSERT_EQ(got.sched, front.sched);
+                    ASSERT_EQ(got.parent, front.parent);
+                    ASSERT_EQ(got.ctr, front.ctr);
+                }
+            }
+        }
+        EXPECT_EQ(eq.peakPending(), peak);
+        EXPECT_GE(peak, c.minPeak);
+
+        // Drain: everything left fires in model order.
+        std::sort(model.begin(), model.end(), byKey);
+        for (const RefEntry &e : model)
+            expected.push_back(e.id);
+        eq.run();
+        EXPECT_EQ(log, expected);
+        EXPECT_EQ(eq.pending(), 0u);
+    }
 }
 
 TEST(EventQueueStress, DestructorReleasesPendingOneShots)
