@@ -1,11 +1,12 @@
 #include "memnet/journal.hh"
 
 #include <array>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
+#include <bit>
+#include <charconv>
+#include <cstring>
 #include <set>
-#include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "memnet/experiment.hh"
 #include "memnet/parallel.hh"
@@ -15,774 +16,774 @@
 namespace memnet
 {
 
+namespace
+{
+
+/**
+ * Slicing-by-8 tables for the reflected IEEE 802.3 / zlib polynomial:
+ * kCrcTables[0] is the classic bytewise table, kCrcTables[k][b] is the
+ * CRC of byte b followed by k zero bytes.
+ */
+constexpr auto kCrcTables = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+        t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < t.size(); ++k)
+        for (std::uint32_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    return t;
+}();
+
+constexpr char kHexDigits[] = "0123456789abcdef";
+
+/** Write glibc's "%a" spelling of @p v at @p o; returns the end. */
+char *
+writeHexDouble(char *o, double v)
+{
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    const unsigned biased = static_cast<unsigned>(bits >> 52) & 0x7FFu;
+    std::uint64_t mant = bits & ((std::uint64_t{1} << 52) - 1);
+    if (bits >> 63)
+        *o++ = '-';
+    if (biased == 0x7FF) {
+        std::memcpy(o, mant ? "nan" : "inf", 3);
+        return o + 3;
+    }
+    // Subnormals print as 0x0.<fraction>p-1022, zero as 0x0p+0.
+    const int exp = biased ? static_cast<int>(biased) - 1023
+                           : (mant ? -1022 : 0);
+    *o++ = '0';
+    *o++ = 'x';
+    *o++ = biased ? '1' : '0';
+    if (mant) {
+        int digits = 13;
+        for (; (mant & 0xFu) == 0; mant >>= 4)
+            --digits;
+        *o++ = '.';
+        for (int i = digits - 1; i >= 0; --i, mant >>= 4)
+            o[i] = kHexDigits[mant & 0xFu];
+        o += digits;
+    }
+    *o++ = 'p';
+    *o++ = exp < 0 ? '-' : '+';
+    return std::to_chars(o, o + 4, exp < 0 ? -exp : exp).ptr;
+}
+
+/** Longest writeHexDouble() output: "-0x1.fffffffffffffp-1022". */
+constexpr std::size_t kHexDoubleMax = 24;
+
+/** Canonical decimal, exactly as std::to_chars writes it. */
+template <typename T>
+bool
+parseDecimal(std::string_view s, T *out)
+{
+    const std::size_t sign = !s.empty() && s[0] == '-';
+    if (s.size() == sign || s[sign] < '0' || s[sign] > '9' ||
+        (s[sign] == '0' && s.size() > 1))
+        return false;
+    const auto res = std::from_chars(s.data(), s.data() + s.size(), *out);
+    return res.ec == std::errc() && res.ptr == s.data() + s.size();
+}
+
+/* ----------------------------------------------------------------- *
+ * The field list. One function per journaled struct names each member
+ * once, in the order every writer since the first journal has used; a
+ * Writer visitor appends it, a Reader visitor consumes it. Every
+ * scalar is a JSON string (decimal integers, hex-float doubles), so
+ * nothing is squeezed through a double. optional() marks the groups
+ * later writers inserted; see docs/ROBUSTNESS.md for their history.
+ * ----------------------------------------------------------------- */
+
+/** A LatencyPercentiles object (also the energy congestion sketches). */
+template <class V, class P>
+void
+sketch(V &v, std::string_view k, P &p)
+{
+    v.object(k, [&] {
+        v.num("samples", p.samples);
+        v.num("sum_ps", p.sumPs);
+        v.num("p50_ps", p.p50Ps);
+        v.num("p90_ps", p.p90Ps);
+        v.num("p99_ps", p.p99Ps);
+        v.num("p999_ps", p.p999Ps);
+        v.num("max_ps", p.maxPs);
+    });
+}
+
+template <class V, class C>
+void
+configFields(V &v, C &c)
+{
+    v.str("workload", c.workload);
+    v.enumeration("topology", c.topology, TopologyKind::DdrxLike);
+    v.enumeration("size_class", c.sizeClass, SizeClass::Big);
+    v.enumeration("mechanism", c.mechanism, BwMechanism::Dvfs);
+    v.boolean("roo", c.roo);
+    v.num("roo_wakeup_ps", c.rooWakeupPs);
+    v.enumeration("io_attribution", c.ioAttribution,
+                  IoAttribution::PerLink);
+    v.hex("link_flit_error_rate", c.linkFlitErrorRate);
+    v.num("watchdog_timeout_ps", c.watchdogTimeoutPs);
+    v.enumeration("policy", c.policy, Policy::StaticTaper);
+    v.hex("alpha_pct", c.alphaPct);
+    v.num("epoch_len", c.epochLen);
+    v.object("aware", [&] {
+        v.num("isp_iterations", c.aware.ispIterations);
+        v.boolean("congestion_discount", c.aware.congestionDiscount);
+        v.boolean("wake_coordination", c.aware.wakeCoordination);
+        v.boolean("grant_pool", c.aware.grantPool);
+    });
+    v.boolean("interleave_pages", c.interleavePages);
+    v.num("warmup", c.warmup);
+    v.num("measure", c.measure);
+    v.num("seed", c.seed);
+    v.num("cores", c.cores);
+    v.num("max_reads_per_core", c.maxReadsPerCore);
+    v.num("max_writes_per_core", c.maxWritesPerCore);
+    v.optional([&] {
+        v.num("partitions", c.partitions);
+        v.partitionSync("partition_sync", c.partitionSync);
+        v.num("lax_window_ps", c.laxWindowPs);
+    });
+    v.object("faults", [&] {
+        v.num("flap_mean_period_ps", c.faults.flapMeanPeriodPs);
+        v.num("flap_window_ps", c.faults.flapWindowPs);
+        v.list("events", c.faults.events, [&](auto &f) {
+            v.object({}, [&] {
+                v.enumeration("kind", f.kind, FaultKind::ErrorBurst);
+                v.num("at", f.at);
+                v.num("link", f.link);
+                v.num("duration_ps", f.durationPs);
+                v.num("surviving_lanes", f.survivingLanes);
+                v.hex("flit_error_rate", f.flitErrorRate);
+            });
+        });
+    });
+}
+
+template <class V, class R>
+void
+resultFields(V &v, R &r)
+{
+    v.num("num_modules", r.numModules);
+    v.object("per_hmc_w", [&] {
+        v.hex("idle_io", r.perHmc.idleIoW);
+        v.hex("active_io", r.perHmc.activeIoW);
+        v.hex("logic_leak", r.perHmc.logicLeakW);
+        v.hex("logic_dyn", r.perHmc.logicDynW);
+        v.hex("dram_leak", r.perHmc.dramLeakW);
+        v.hex("dram_dyn", r.perHmc.dramDynW);
+    });
+    v.hex("total_network_w", r.totalNetworkPowerW);
+    v.hex("idle_io_frac", r.idleIoFrac);
+    v.hex("reads_per_sec", r.readsPerSec);
+    v.hex("avg_read_latency_ns", r.avgReadLatencyNs);
+    v.hex("channel_util", r.channelUtil);
+    v.hex("avg_link_util", r.avgLinkUtil);
+    v.hex("avg_modules_traversed", r.avgModulesTraversed);
+    v.num("completed_reads", r.completedReads);
+    v.num("violations", r.violations);
+    v.num("events_fired", r.eventsFired);
+    v.object("reliability", [&] {
+        v.num("retries", r.reliability.retries);
+        v.num("replays", r.reliability.replays);
+        v.num("retrains", r.reliability.retrains);
+        v.hex("retrain_s", r.reliability.retrainSeconds);
+        v.hex("degraded_s", r.reliability.degradedSeconds);
+        v.num("fault_events", r.reliability.faultEvents);
+    });
+    auto &lat = r.latency;
+    v.optional([&] {
+        v.object("latency", [&] {
+            v.boolean("enabled", lat.enabled);
+            v.hex("wake_stall_s", lat.wakeStallSeconds);
+            v.hex("retrain_stall_s", lat.retrainStallSeconds);
+            v.num("queue_peak", lat.queuePeak);
+            sketch(v, "end_to_end", lat.endToEnd);
+            sketch(v, "queue", lat.queue);
+            sketch(v, "wake_stall", lat.wakeStall);
+            sketch(v, "retrain_stall", lat.retrainStall);
+            sketch(v, "serialization", lat.serialization);
+            sketch(v, "dram", lat.dram);
+        });
+    });
+    auto &ea = r.energy.attribution;
+    v.optional([&] {
+        v.object("energy", [&] {
+            v.boolean("enabled", r.energy.enabled);
+            v.hex("tx_j", ea.txJ);
+            v.hex("retrain_j", ea.retrainJ);
+            v.array("idle_mode_j", ea.idleModeJ.size(),
+                    [&](std::size_t i) { v.hex({}, ea.idleModeJ[i]); });
+            v.hex("sleep_j", ea.sleepJ);
+            v.hex("wake_j", ea.wakeJ);
+            v.hex("serdes_leak_j", ea.serdesLeakJ);
+            v.hex("router_j", ea.routerJ);
+            v.hex("dram_leak_j", ea.dramLeakJ);
+            v.hex("dram_dyn_j", ea.dramDynJ);
+            v.hex("idle_io_j", ea.idleIoJ);
+            v.hex("active_io_j", ea.activeIoJ);
+            sketch(v, "utilization_ppm", r.energy.utilization);
+            sketch(v, "occupancy", r.energy.occupancy);
+        });
+    });
+    // Row-major [util bucket][lane mode] flattening of the 5x4 matrix.
+    v.array("link_hours", kUtilBuckets * kLaneModes, [&](std::size_t i) {
+        v.hex({}, r.linkHours[i / kLaneModes][i % kLaneModes]);
+    });
+    // profPhases are host wall-clock data, excluded from every
+    // equivalence check and deliberately not journaled: a resumed
+    // result has none, exactly like an unprofiled run.
+    v.object("profile", [&] {
+        v.num("events_fired", r.profile.eventsFired);
+        v.num("events_scheduled", r.profile.eventsScheduled);
+        v.hex("wall_s", r.profile.wallSeconds);
+        v.hex("sim_s", r.profile.simSeconds);
+        v.num("packets_issued", r.profile.packetsIssued);
+        v.num("packet_heap_allocs", r.profile.packetHeapAllocs);
+        v.num("audit_checks_run", r.profile.auditChecksRun);
+        v.num("events_descheduled", r.profile.eventsDescheduled);
+        v.num("peak_queue_depth", r.profile.peakQueueDepth);
+        v.num("dispatch_window_ps", r.profile.dispatchWindowPs);
+        v.list("dispatch_windows", r.profile.dispatchWindows,
+               [&](auto &n) { v.num({}, n); });
+    });
+    v.list("modules", r.modules, [&](auto &m) {
+        v.object({}, [&] {
+            v.num("id", m.id);
+            v.boolean("high_radix", m.highRadix);
+            v.num("hop_distance", m.hopDistance);
+            v.num("dram_accesses", m.dramAccesses);
+            v.num("flits_routed", m.flitsRouted);
+            v.hex("request_link_util", m.requestLinkUtil);
+            v.hex("response_link_util", m.responseLinkUtil);
+            v.hex("request_link_power_frac", m.requestLinkPowerFrac);
+            v.hex("response_link_power_frac", m.responseLinkPowerFrac);
+        });
+    });
+}
+
+/**
+ * A visitor that appends the fields as compact JSON to one string. An
+ * empty key is an array cell.
+ */
+class Writer
+{
+  public:
+    explicit Writer(std::string &out) : out(out) {}
+
+    void
+    str(std::string_view k, std::string_view s)
+    {
+        key(k);
+        out += '"';
+        obs::appendJsonEscaped(out, s);
+        out += '"';
+    }
+
+    void
+    boolean(std::string_view k, bool b)
+    {
+        key(k);
+        out += b ? "true" : "false";
+    }
+
+    template <typename T>
+    void
+    num(std::string_view k, T v)
+    {
+        char buf[24];
+        quoted(k, std::string_view(buf, std::to_chars(buf, buf + 24, v).ptr));
+    }
+
+    void
+    hex(std::string_view k, double v)
+    {
+        char buf[kHexDoubleMax];
+        quoted(k, std::string_view(buf, writeHexDouble(buf, v)));
+    }
+
+    template <typename E>
+    void
+    enumeration(std::string_view k, E e, E)
+    {
+        num(k, static_cast<int>(e));
+    }
+
+    void
+    partitionSync(std::string_view k, PartitionSync s)
+    {
+        str(k, partitionSyncName(s));
+    }
+
+    template <typename Fn>
+    void
+    object(std::string_view k, Fn fn)
+    {
+        key(k);
+        out += '{';
+        fn();
+        out += '}';
+    }
+
+    template <typename Fn>
+    void optional(Fn fn) { fn(); }
+
+    template <typename Fn>
+    void
+    array(std::string_view k, std::size_t n, Fn cell)
+    {
+        key(k);
+        out += '[';
+        for (std::size_t i = 0; i < n; ++i)
+            cell(i);
+        out += ']';
+    }
+
+    template <typename T, typename Fn>
+    void
+    list(std::string_view k, const std::vector<T> &items, Fn fn)
+    {
+        array(k, items.size(), [&](std::size_t i) { fn(items[i]); });
+    }
+
+  private:
+    void
+    key(std::string_view k)
+    {
+        // A comma unless this opens a container or the document.
+        const char last = out.empty() ? '{' : out.back();
+        if (last != '{' && last != '[' && last != ':')
+            out += ',';
+        if (!k.empty())
+            ((out += '"') += k) += "\":";
+    }
+
+    void
+    quoted(std::string_view k, std::string_view v)
+    {
+        key(k);
+        ((out += '"') += v) += '"';
+    }
+
+    std::string &out;
+};
+
+/**
+ * A visitor that consumes exactly what Writer produces, in order, from
+ * a view of the payload: no DOM, no whitespace, no reordering. The
+ * first failure is kept as a path-tagged message ("config.faults.
+ * events[0].kind: missing") and turns every later call into a no-op.
+ */
+class Reader
+{
+  public:
+    explicit Reader(std::string_view text)
+        : p(text.data()), end(text.data() + text.size())
+    {
+    }
+
+    std::string err;
+
+    bool ok() const { return err.empty(); }
+
+    void
+    str(std::string_view k, std::string &s)
+    {
+        if (member(k) && !string(&s))
+            fail(k, "not a string");
+    }
+
+    void
+    boolean(std::string_view k, bool &b)
+    {
+        if (!member(k))
+            return;
+        if (literal("true"))
+            b = true;
+        else if (literal("false"))
+            b = false;
+        else
+            fail(k, "not a bool");
+    }
+
+    template <typename T>
+    void
+    num(std::string_view k, T &v)
+    {
+        using Wide = std::conditional_t<std::is_signed_v<T>, std::int64_t,
+                                        std::uint64_t>;
+        std::string_view s;
+        Wide w = 0;
+        if (!member(k) || !quoted(k, &s))
+            return;
+        if (!parseDecimal(s, &w))
+            fail(k, k.empty() ? "bad u64"
+                              : (std::is_signed_v<T> ? "not an i64: '"
+                                                     : "not a u64: '") +
+                                    std::string(s) + "'");
+        else if (!std::in_range<T>(w))
+            fail(k, "out of int range");
+        else
+            v = static_cast<T>(w);
+    }
+
+    void
+    hex(std::string_view k, double &v)
+    {
+        std::string_view s;
+        if (!member(k))
+            return;
+        if (!quoted(k, &s) || !parseHexDouble(s, &v))
+            fail(k, k.empty() ? "bad hex-float cell"
+                              : "not a hex-float: '" + std::string(s) + "'");
+    }
+
+    /** An enum written as its integer value; @p last bounds it. */
+    template <typename E>
+    void
+    enumeration(std::string_view k, E &e, E last)
+    {
+        int v = -1;
+        num(k, v);
+        if (live() && (v < 0 || v > static_cast<int>(last)))
+            fail(k, "out of range: " + std::to_string(v));
+        else if (live())
+            e = static_cast<E>(v);
+    }
+
+    void
+    partitionSync(std::string_view k, PartitionSync &s)
+    {
+        std::string name;
+        str(k, name);
+        if (live() && !parsePartitionSync(name, &s))
+            fail(k, "unknown mode");
+    }
+
+    template <typename Fn>
+    void
+    object(std::string_view k, Fn fn)
+    {
+        if (member(k))
+            nest(k, '{', "not an object", fn);
+    }
+
+    /**
+     * A group of members older journals lack. Absent (the next key is
+     * not the group's first), it is skipped and keeps its defaults.
+     */
+    template <typename Fn>
+    void
+    optional(Fn fn)
+    {
+        probing = live();
+        fn();
+        probing = skipping = false;
+    }
+
+    /** Exactly @p n cells. */
+    template <typename Fn>
+    void
+    array(std::string_view k, std::size_t n, Fn cell)
+    {
+        const std::string shape = std::string(n == 8 ? "not an " : "not a ") +
+                                  std::to_string(n) + "-element array";
+        std::size_t i = 0;
+        if (member(k))
+            nest(k, '[', shape, [&] {
+                for (; live() && !take(']'); ++i)
+                    i < n ? cell(i) : fail({}, shape);
+                if (live() && i != n)
+                    fail({}, shape);
+            });
+    }
+
+    template <typename T, typename Fn>
+    void
+    list(std::string_view k, std::vector<T> &items, Fn fn)
+    {
+        if (!member(k))
+            return;
+        items.clear();
+        nest(k, '[', "not an array", [&] {
+            while (live() && !take(']')) {
+                T item;
+                // Elements that are objects carry their index in paths.
+                if constexpr (std::is_class_v<T>)
+                    scoped("[" + std::to_string(items.size()) + "]",
+                           [&] { fn(item); });
+                else
+                    fn(item);
+                items.push_back(std::move(item));
+            }
+        });
+    }
+
+    /** The whole payload is one object. */
+    template <typename Fn>
+    void
+    document(Fn fn)
+    {
+        nest({}, '{', "not an object", fn);
+        if (live() && p != end)
+            fail({}, "trailing content after the record");
+    }
+
+    /** Read @p fn's members with @p name prefixed to error paths. */
+    template <typename Fn>
+    void scoped(std::string_view name, Fn fn) { nest(name, 0, {}, fn); }
+
+  private:
+    bool live() const { return ok() && !skipping; }
+
+    void
+    fail(std::string_view k, const std::string &what)
+    {
+        if (!ok())
+            return;
+        std::string at = path;
+        if (!k.empty())
+            (at += at.empty() ? "" : ".") += k;
+        err = (at.empty() ? "record" : at) + ": " + what;
+    }
+
+    /**
+     * Extend error paths by @p name while @p fn reads. With an @p open
+     * byte ('{' or '['), @p fn reads the container's members; an array
+     * reader consumes its own ']'.
+     */
+    template <typename Fn>
+    void
+    nest(std::string_view name, char open, std::string_view notOpen,
+         Fn fn)
+    {
+        const std::size_t mark = path.size();
+        if (!path.empty() && !name.empty() && name[0] != '[')
+            path += '.';
+        path += name;
+        if (!open) {
+            fn();
+        } else if (!take(open)) {
+            fail({}, std::string(notOpen));
+        } else {
+            fn();
+            if (open == '{' && live() && !take('}'))
+                fail({}, p == end ? "truncated" : "unexpected member");
+        }
+        path.resize(mark);
+    }
+
+    bool take(char c) { return literal(std::string_view(&c, 1)); }
+
+    bool
+    literal(std::string_view lit)
+    {
+        if (!std::string_view(p, end - p).starts_with(lit))
+            return false;
+        p += lit.size();
+        return true;
+    }
+
+    /** Consume `,"k":` (no comma first in a container, no key in cells). */
+    bool
+    member(std::string_view k)
+    {
+        if (!live())
+            return false;
+        const char *q = p;
+        if (p[-1] != '{' && p[-1] != '[' && (q == end || *q++ != ','))
+            return missing(k);
+        if (!k.empty()) {
+            if (static_cast<std::size_t>(end - q) < k.size() + 3 ||
+                q[0] != '"' || std::memcmp(q + 1, k.data(), k.size()) ||
+                q[k.size() + 1] != '"' || q[k.size() + 2] != ':')
+                return missing(k);
+            q += k.size() + 3;
+        }
+        p = q;
+        probing = false;
+        return true;
+    }
+
+    bool
+    missing(std::string_view k)
+    {
+        if (probing)
+            skipping = true;
+        else
+            fail(k, k.empty() ? "expected ',' or ']'" : "missing");
+        probing = false;
+        return false;
+    }
+
+    /** A string with no escapes (every number is one). */
+    bool
+    quoted(std::string_view k, std::string_view *s)
+    {
+        const char *close = p == end || *p != '"'
+                                ? nullptr
+                                : static_cast<const char *>(
+                                      std::memchr(p + 1, '"', end - p - 1));
+        if (!close) {
+            fail(k, "not a string");
+            return false;
+        }
+        *s = std::string_view(p + 1, close - p - 1);
+        p = close + 1;
+        return true;
+    }
+
+    /** A JSON string escaped exactly as obs::jsonEscape() writes it. */
+    bool
+    string(std::string *out)
+    {
+        const std::size_t n =
+            obs::json::parseString(std::string_view(p, end - p), out);
+        if (n == 0 || obs::jsonEscape(*out) != std::string_view(p + 1, n - 2))
+            return false;
+        p += n;
+        return true;
+    }
+
+    const char *p;
+    const char *end;
+    /** Where the member being read sits ("config.faults.events[0]"). */
+    std::string path;
+    /** Inside optional() before its first member matched. */
+    bool probing = false;
+    /** Inside an optional() group found absent. */
+    bool skipping = false;
+};
+
+/** Fixed framing around the checksummed record payload. */
+constexpr std::string_view kFrameHead = "{\"journal_version\":1,\"crc32\":\"";
+constexpr std::string_view kFrameMid = "\",\"record\":";
+constexpr std::size_t kCrcHexLen = 8;
+
+void
+writeCrcHex(char *o, std::uint32_t crc)
+{
+    for (int i = kCrcHexLen - 1; i >= 0; --i, crc >>= 4)
+        o[i] = kHexDigits[crc & 0xFu];
+}
+
+} // namespace
+
 std::uint32_t
 crc32(const void *data, std::size_t n)
 {
-    // IEEE 802.3 / zlib polynomial (reflected), table built on first
-    // use so the library carries no third-party dependency.
-    static const auto table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
-            t[i] = c;
-        }
-        return t;
-    }();
+    const auto &t = kCrcTables;
     std::uint32_t crc = 0xFFFFFFFFu;
     const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < n; ++i)
-        crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+    if constexpr (std::endian::native == std::endian::little) {
+        for (; n >= 8; n -= 8, p += 8) {
+            std::uint32_t lo = 0, hi = 0;
+            std::memcpy(&lo, p, 4);
+            std::memcpy(&hi, p + 4, 4);
+            lo ^= crc;
+            crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+                  t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+                  t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+                  t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+        }
+    }
+    for (; n > 0; --n, ++p)
+        crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
     return crc ^ 0xFFFFFFFFu;
 }
 
 std::string
 hexDouble(double v)
 {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%a", v);
-    return buf;
+    char buf[kHexDoubleMax];
+    return std::string(buf, writeHexDouble(buf, v));
 }
 
 bool
-parseHexDouble(const std::string &s, double *out)
+parseHexDouble(std::string_view s, double *out)
 {
-    if (s.empty())
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end != s.c_str() + s.size() || errno == ERANGE)
-        return false;
-    *out = v;
-    return true;
-}
-
-namespace
-{
-
-using obs::JsonWriter;
-using obs::json::Value;
-
-/* ----------------------------------------------------------------- *
- * Writing: every scalar as a string (decimal integers, hex-float
- * doubles) so nothing is squeezed through a double-backed JSON DOM.
- * ----------------------------------------------------------------- */
-
-void
-numField(JsonWriter &w, const std::string &k, std::uint64_t v)
-{
-    w.field(k, std::to_string(v));
-}
-
-void
-numField(JsonWriter &w, const std::string &k, std::int64_t v)
-{
-    w.field(k, std::to_string(v));
-}
-
-void
-intField(JsonWriter &w, const std::string &k, int v)
-{
-    numField(w, k, static_cast<std::int64_t>(v));
-}
-
-void
-hexField(JsonWriter &w, const std::string &k, double v)
-{
-    w.field(k, hexDouble(v));
-}
-
-void
-writeConfig(JsonWriter &w, const SystemConfig &c)
-{
-    w.beginObject();
-    w.field("workload", c.workload);
-    intField(w, "topology", static_cast<int>(c.topology));
-    intField(w, "size_class", static_cast<int>(c.sizeClass));
-    intField(w, "mechanism", static_cast<int>(c.mechanism));
-    w.field("roo", c.roo);
-    numField(w, "roo_wakeup_ps", static_cast<std::int64_t>(c.rooWakeupPs));
-    intField(w, "io_attribution", static_cast<int>(c.ioAttribution));
-    hexField(w, "link_flit_error_rate", c.linkFlitErrorRate);
-    numField(w, "watchdog_timeout_ps",
-             static_cast<std::int64_t>(c.watchdogTimeoutPs));
-    intField(w, "policy", static_cast<int>(c.policy));
-    hexField(w, "alpha_pct", c.alphaPct);
-    numField(w, "epoch_len", static_cast<std::int64_t>(c.epochLen));
-    w.key("aware");
-    w.beginObject();
-    intField(w, "isp_iterations", c.aware.ispIterations);
-    w.field("congestion_discount", c.aware.congestionDiscount);
-    w.field("wake_coordination", c.aware.wakeCoordination);
-    w.field("grant_pool", c.aware.grantPool);
-    w.endObject();
-    w.field("interleave_pages", c.interleavePages);
-    numField(w, "warmup", static_cast<std::int64_t>(c.warmup));
-    numField(w, "measure", static_cast<std::int64_t>(c.measure));
-    numField(w, "seed", c.seed);
-    intField(w, "cores", c.cores);
-    intField(w, "max_reads_per_core", c.maxReadsPerCore);
-    intField(w, "max_writes_per_core", c.maxWritesPerCore);
-    intField(w, "partitions", c.partitions);
-    w.field("partition_sync", partitionSyncName(c.partitionSync));
-    numField(w, "lax_window_ps",
-             static_cast<std::int64_t>(c.laxWindowPs));
-    w.key("faults");
-    w.beginObject();
-    numField(w, "flap_mean_period_ps",
-             static_cast<std::int64_t>(c.faults.flapMeanPeriodPs));
-    numField(w, "flap_window_ps",
-             static_cast<std::int64_t>(c.faults.flapWindowPs));
-    w.key("events");
-    w.beginArray();
-    for (const FaultSpec &f : c.faults.events) {
-        w.beginObject();
-        intField(w, "kind", static_cast<int>(f.kind));
-        numField(w, "at", static_cast<std::int64_t>(f.at));
-        intField(w, "link", f.link);
-        numField(w, "duration_ps", static_cast<std::int64_t>(f.durationPs));
-        intField(w, "surviving_lanes", f.survivingLanes);
-        hexField(w, "flit_error_rate", f.flitErrorRate);
-        w.endObject();
+    std::uint64_t bits = 0;
+    if (!s.empty() && s[0] == '-') {
+        bits = std::uint64_t{1} << 63;
+        s.remove_prefix(1);
     }
-    w.endArray();
-    w.endObject();
-    w.endObject();
-}
-
-void
-writeResult(JsonWriter &w, const RunResult &r)
-{
-    w.beginObject();
-    intField(w, "num_modules", r.numModules);
-    w.key("per_hmc_w");
-    w.beginObject();
-    hexField(w, "idle_io", r.perHmc.idleIoW);
-    hexField(w, "active_io", r.perHmc.activeIoW);
-    hexField(w, "logic_leak", r.perHmc.logicLeakW);
-    hexField(w, "logic_dyn", r.perHmc.logicDynW);
-    hexField(w, "dram_leak", r.perHmc.dramLeakW);
-    hexField(w, "dram_dyn", r.perHmc.dramDynW);
-    w.endObject();
-    hexField(w, "total_network_w", r.totalNetworkPowerW);
-    hexField(w, "idle_io_frac", r.idleIoFrac);
-    hexField(w, "reads_per_sec", r.readsPerSec);
-    hexField(w, "avg_read_latency_ns", r.avgReadLatencyNs);
-    hexField(w, "channel_util", r.channelUtil);
-    hexField(w, "avg_link_util", r.avgLinkUtil);
-    hexField(w, "avg_modules_traversed", r.avgModulesTraversed);
-    numField(w, "completed_reads", r.completedReads);
-    numField(w, "violations", r.violations);
-    numField(w, "events_fired", r.eventsFired);
-    w.key("reliability");
-    w.beginObject();
-    numField(w, "retries", r.reliability.retries);
-    numField(w, "replays", r.reliability.replays);
-    numField(w, "retrains", r.reliability.retrains);
-    hexField(w, "retrain_s", r.reliability.retrainSeconds);
-    hexField(w, "degraded_s", r.reliability.degradedSeconds);
-    numField(w, "fault_events", r.reliability.faultEvents);
-    w.endObject();
-    w.key("latency");
-    w.beginObject();
-    w.field("enabled", r.latency.enabled);
-    hexField(w, "wake_stall_s", r.latency.wakeStallSeconds);
-    hexField(w, "retrain_stall_s", r.latency.retrainStallSeconds);
-    numField(w, "queue_peak", r.latency.queuePeak);
-    const auto latComponent = [&](const char *name,
-                                  const LatencyPercentiles &lp) {
-        w.key(name);
-        w.beginObject();
-        numField(w, "samples", lp.samples);
-        numField(w, "sum_ps", lp.sumPs);
-        numField(w, "p50_ps", lp.p50Ps);
-        numField(w, "p90_ps", lp.p90Ps);
-        numField(w, "p99_ps", lp.p99Ps);
-        numField(w, "p999_ps", lp.p999Ps);
-        numField(w, "max_ps", lp.maxPs);
-        w.endObject();
-    };
-    latComponent("end_to_end", r.latency.endToEnd);
-    latComponent("queue", r.latency.queue);
-    latComponent("wake_stall", r.latency.wakeStall);
-    latComponent("retrain_stall", r.latency.retrainStall);
-    latComponent("serialization", r.latency.serialization);
-    latComponent("dram", r.latency.dram);
-    w.endObject();
-    // Energy observatory: the attribution ledger as hex-floats so a
-    // resumed result is bit-identical to the live one, plus the
-    // congestion-sketch summaries (integer; latComponent's generic
-    // sum/quantile fields, units are ppm / packets here).
-    w.key("energy");
-    w.beginObject();
-    w.field("enabled", r.energy.enabled);
-    const EnergyAttribution &ea = r.energy.attribution;
-    hexField(w, "tx_j", ea.txJ);
-    hexField(w, "retrain_j", ea.retrainJ);
-    w.key("idle_mode_j");
-    w.beginArray();
-    for (double jv : ea.idleModeJ)
-        w.value(hexDouble(jv));
-    w.endArray();
-    hexField(w, "sleep_j", ea.sleepJ);
-    hexField(w, "wake_j", ea.wakeJ);
-    hexField(w, "serdes_leak_j", ea.serdesLeakJ);
-    hexField(w, "router_j", ea.routerJ);
-    hexField(w, "dram_leak_j", ea.dramLeakJ);
-    hexField(w, "dram_dyn_j", ea.dramDynJ);
-    hexField(w, "idle_io_j", ea.idleIoJ);
-    hexField(w, "active_io_j", ea.activeIoJ);
-    latComponent("utilization_ppm", r.energy.utilization);
-    latComponent("occupancy", r.energy.occupancy);
-    w.endObject();
-    // Row-major [util bucket][lane mode] flattening of the 5x4 matrix.
-    w.key("link_hours");
-    w.beginArray();
-    for (const auto &bucket : r.linkHours)
-        for (double v : bucket)
-            w.value(hexDouble(v));
-    w.endArray();
-    w.key("profile");
-    w.beginObject();
-    numField(w, "events_fired", r.profile.eventsFired);
-    numField(w, "events_scheduled", r.profile.eventsScheduled);
-    hexField(w, "wall_s", r.profile.wallSeconds);
-    hexField(w, "sim_s", r.profile.simSeconds);
-    numField(w, "packets_issued", r.profile.packetsIssued);
-    numField(w, "packet_heap_allocs", r.profile.packetHeapAllocs);
-    numField(w, "audit_checks_run", r.profile.auditChecksRun);
-    numField(w, "events_descheduled", r.profile.eventsDescheduled);
-    numField(w, "peak_queue_depth", r.profile.peakQueueDepth);
-    numField(w, "dispatch_window_ps",
-             static_cast<std::int64_t>(r.profile.dispatchWindowPs));
-    w.key("dispatch_windows");
-    w.beginArray();
-    for (std::uint64_t v : r.profile.dispatchWindows)
-        w.value(std::to_string(v));
-    w.endArray();
-    // profPhases are host wall-clock data, excluded from every
-    // equivalence check (audit::diffRunResults, diff_runs.py), and
-    // deliberately not journaled: a resumed result has none, exactly
-    // like an unprofiled run.
-    w.endObject();
-    w.key("modules");
-    w.beginArray();
-    for (const ModuleDetail &m : r.modules) {
-        w.beginObject();
-        intField(w, "id", m.id);
-        w.field("high_radix", m.highRadix);
-        intField(w, "hop_distance", m.hopDistance);
-        numField(w, "dram_accesses", m.dramAccesses);
-        numField(w, "flits_routed", m.flitsRouted);
-        hexField(w, "request_link_util", m.requestLinkUtil);
-        hexField(w, "response_link_util", m.responseLinkUtil);
-        hexField(w, "request_link_power_frac", m.requestLinkPowerFrac);
-        hexField(w, "response_link_power_frac", m.responseLinkPowerFrac);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-}
-
-/* ----------------------------------------------------------------- *
- * Reading: typed accessors over the DOM with path-tagged errors.
- * ----------------------------------------------------------------- */
-
-struct Reader
-{
-    std::string err;
-
-    bool
-    fail(const std::string &path, const std::string &what)
-    {
-        if (err.empty())
-            err = path + ": " + what;
-        return false;
-    }
-
-    const Value *
-    member(const Value &obj, const std::string &path, const char *k)
-    {
-        const Value *v = obj.find(k);
-        if (!v)
-            fail(path + "." + k, "missing");
-        return v;
-    }
-
-    bool
-    getString(const Value &obj, const std::string &path, const char *k,
-              std::string *out)
-    {
-        const Value *v = member(obj, path, k);
-        if (!v)
-            return false;
-        if (!v->isString())
-            return fail(path + "." + k, "not a string");
-        *out = v->string;
+    if (s == "inf" || s == "nan") {
+        bits |= s == "inf" ? 0x7FF0000000000000u : 0x7FF8000000000000u;
+        *out = std::bit_cast<double>(bits);
         return true;
     }
-
-    bool
-    getBool(const Value &obj, const std::string &path, const char *k,
-            bool *out)
-    {
-        const Value *v = member(obj, path, k);
-        if (!v)
-            return false;
-        if (v->kind != Value::Kind::Bool)
-            return fail(path + "." + k, "not a bool");
-        *out = v->boolean;
-        return true;
-    }
-
-    bool
-    getU64(const Value &obj, const std::string &path, const char *k,
-           std::uint64_t *out)
-    {
-        std::string s;
-        if (!getString(obj, path, k, &s))
-            return false;
-        errno = 0;
-        char *end = nullptr;
-        const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-        if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE ||
-            s[0] == '-')
-            return fail(path + "." + k, "not a u64: '" + s + "'");
-        *out = v;
-        return true;
-    }
-
-    bool
-    getI64(const Value &obj, const std::string &path, const char *k,
-           std::int64_t *out)
-    {
-        std::string s;
-        if (!getString(obj, path, k, &s))
-            return false;
-        errno = 0;
-        char *end = nullptr;
-        const std::int64_t v = std::strtoll(s.c_str(), &end, 10);
-        if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE)
-            return fail(path + "." + k, "not an i64: '" + s + "'");
-        *out = v;
-        return true;
-    }
-
-    bool
-    getInt(const Value &obj, const std::string &path, const char *k,
-           int *out)
-    {
-        std::int64_t v = 0;
-        if (!getI64(obj, path, k, &v))
-            return false;
-        if (v < INT32_MIN || v > INT32_MAX)
-            return fail(path + "." + k, "out of int range");
-        *out = static_cast<int>(v);
-        return true;
-    }
-
-    bool
-    getHex(const Value &obj, const std::string &path, const char *k,
-           double *out)
-    {
-        std::string s;
-        if (!getString(obj, path, k, &s))
-            return false;
-        if (!parseHexDouble(s, out))
-            return fail(path + "." + k, "not a hex-float: '" + s + "'");
-        return true;
-    }
-};
-
-bool
-readConfig(Reader &rd, const Value &v, SystemConfig *c)
-{
-    const std::string p = "config";
-    if (!v.isObject())
-        return rd.fail(p, "not an object");
-    int topology = 0, sizeClass = 0, mechanism = 0, ioAttr = 0,
-        policy = 0;
-    bool ok = rd.getString(v, p, "workload", &c->workload) &&
-              rd.getInt(v, p, "topology", &topology) &&
-              rd.getInt(v, p, "size_class", &sizeClass) &&
-              rd.getInt(v, p, "mechanism", &mechanism) &&
-              rd.getBool(v, p, "roo", &c->roo) &&
-              rd.getI64(v, p, "roo_wakeup_ps", &c->rooWakeupPs) &&
-              rd.getInt(v, p, "io_attribution", &ioAttr) &&
-              rd.getHex(v, p, "link_flit_error_rate",
-                        &c->linkFlitErrorRate) &&
-              rd.getI64(v, p, "watchdog_timeout_ps",
-                        &c->watchdogTimeoutPs) &&
-              rd.getInt(v, p, "policy", &policy) &&
-              rd.getHex(v, p, "alpha_pct", &c->alphaPct) &&
-              rd.getI64(v, p, "epoch_len", &c->epochLen) &&
-              rd.getBool(v, p, "interleave_pages", &c->interleavePages) &&
-              rd.getI64(v, p, "warmup", &c->warmup) &&
-              rd.getI64(v, p, "measure", &c->measure) &&
-              rd.getU64(v, p, "seed", &c->seed) &&
-              rd.getInt(v, p, "cores", &c->cores) &&
-              rd.getInt(v, p, "max_reads_per_core", &c->maxReadsPerCore) &&
-              rd.getInt(v, p, "max_writes_per_core",
-                        &c->maxWritesPerCore);
-    if (!ok)
+    if (s.size() < 3 || s[0] != '0' || s[1] != 'x' ||
+        (s[2] != '0' && s[2] != '1'))
         return false;
-    c->topology = static_cast<TopologyKind>(topology);
-    c->sizeClass = static_cast<SizeClass>(sizeClass);
-    c->mechanism = static_cast<BwMechanism>(mechanism);
-    c->ioAttribution = static_cast<IoAttribution>(ioAttr);
-    c->policy = static_cast<Policy>(policy);
-
-    // Partition fields postdate the v1 journal schema: absent members
-    // keep the SystemConfig defaults (serial kernel), so old journals
-    // load unchanged. Probe with find() — member() would record a
-    // sticky "missing" error for perfectly valid v1 records.
-    if (v.find("partitions") &&
-        !rd.getInt(v, p, "partitions", &c->partitions))
-        return false;
-    if (v.find("partition_sync")) {
-        std::string sync;
-        if (!rd.getString(v, p, "partition_sync", &sync))
-            return false;
-        if (!parsePartitionSync(sync, &c->partitionSync))
-            return rd.fail(p + ".partition_sync", "unknown mode");
-    }
-    if (v.find("lax_window_ps") &&
-        !rd.getI64(v, p, "lax_window_ps", &c->laxWindowPs))
-        return false;
-
-    const Value *aware = rd.member(v, p, "aware");
-    if (!aware)
-        return false;
-    if (!aware->isObject())
-        return rd.fail(p + ".aware", "not an object");
-    if (!(rd.getInt(*aware, p + ".aware", "isp_iterations",
-                    &c->aware.ispIterations) &&
-          rd.getBool(*aware, p + ".aware", "congestion_discount",
-                     &c->aware.congestionDiscount) &&
-          rd.getBool(*aware, p + ".aware", "wake_coordination",
-                     &c->aware.wakeCoordination) &&
-          rd.getBool(*aware, p + ".aware", "grant_pool",
-                     &c->aware.grantPool)))
-        return false;
-
-    const Value *faults = rd.member(v, p, "faults");
-    if (!faults)
-        return false;
-    if (!faults->isObject())
-        return rd.fail(p + ".faults", "not an object");
-    if (!(rd.getI64(*faults, p + ".faults", "flap_mean_period_ps",
-                    &c->faults.flapMeanPeriodPs) &&
-          rd.getI64(*faults, p + ".faults", "flap_window_ps",
-                    &c->faults.flapWindowPs)))
-        return false;
-    const Value *events = rd.member(*faults, p + ".faults", "events");
-    if (!events)
-        return false;
-    if (!events->isArray())
-        return rd.fail(p + ".faults.events", "not an array");
-    c->faults.events.clear();
-    for (std::size_t i = 0; i < events->array.size(); ++i) {
-        std::ostringstream ep;
-        ep << p << ".faults.events[" << i << "]";
-        const Value &e = events->array[i];
-        if (!e.isObject())
-            return rd.fail(ep.str(), "not an object");
-        FaultSpec f;
-        int kind = 0;
-        if (!(rd.getInt(e, ep.str(), "kind", &kind) &&
-              rd.getI64(e, ep.str(), "at", &f.at) &&
-              rd.getInt(e, ep.str(), "link", &f.link) &&
-              rd.getI64(e, ep.str(), "duration_ps", &f.durationPs) &&
-              rd.getInt(e, ep.str(), "surviving_lanes",
-                        &f.survivingLanes) &&
-              rd.getHex(e, ep.str(), "flit_error_rate",
-                        &f.flitErrorRate)))
-            return false;
-        f.kind = static_cast<FaultKind>(kind);
-        c->faults.events.push_back(f);
-    }
-    return true;
-}
-
-bool
-readResult(Reader &rd, const Value &v, RunResult *r)
-{
-    const std::string p = "result";
-    if (!v.isObject())
-        return rd.fail(p, "not an object");
-    if (!rd.getInt(v, p, "num_modules", &r->numModules))
-        return false;
-
-    const Value *hmc = rd.member(v, p, "per_hmc_w");
-    if (!hmc)
-        return false;
-    const std::string hp = p + ".per_hmc_w";
-    if (!(rd.getHex(*hmc, hp, "idle_io", &r->perHmc.idleIoW) &&
-          rd.getHex(*hmc, hp, "active_io", &r->perHmc.activeIoW) &&
-          rd.getHex(*hmc, hp, "logic_leak", &r->perHmc.logicLeakW) &&
-          rd.getHex(*hmc, hp, "logic_dyn", &r->perHmc.logicDynW) &&
-          rd.getHex(*hmc, hp, "dram_leak", &r->perHmc.dramLeakW) &&
-          rd.getHex(*hmc, hp, "dram_dyn", &r->perHmc.dramDynW)))
-        return false;
-
-    if (!(rd.getHex(v, p, "total_network_w", &r->totalNetworkPowerW) &&
-          rd.getHex(v, p, "idle_io_frac", &r->idleIoFrac) &&
-          rd.getHex(v, p, "reads_per_sec", &r->readsPerSec) &&
-          rd.getHex(v, p, "avg_read_latency_ns", &r->avgReadLatencyNs) &&
-          rd.getHex(v, p, "channel_util", &r->channelUtil) &&
-          rd.getHex(v, p, "avg_link_util", &r->avgLinkUtil) &&
-          rd.getHex(v, p, "avg_modules_traversed",
-                    &r->avgModulesTraversed) &&
-          rd.getU64(v, p, "completed_reads", &r->completedReads) &&
-          rd.getU64(v, p, "violations", &r->violations) &&
-          rd.getU64(v, p, "events_fired", &r->eventsFired)))
-        return false;
-
-    const Value *rel = rd.member(v, p, "reliability");
-    if (!rel)
-        return false;
-    const std::string rp = p + ".reliability";
-    if (!(rd.getU64(*rel, rp, "retries", &r->reliability.retries) &&
-          rd.getU64(*rel, rp, "replays", &r->reliability.replays) &&
-          rd.getU64(*rel, rp, "retrains", &r->reliability.retrains) &&
-          rd.getHex(*rel, rp, "retrain_s",
-                    &r->reliability.retrainSeconds) &&
-          rd.getHex(*rel, rp, "degraded_s",
-                    &r->reliability.degradedSeconds) &&
-          rd.getU64(*rel, rp, "fault_events",
-                    &r->reliability.faultEvents)))
-        return false;
-
-    // Optional: journals written before the latency observatory lack
-    // this object; they deserialize with latency disabled (the resumed
-    // result then simply reports no latency data, like a --no-lat-obs
-    // run) instead of being rejected wholesale.
-    if (const Value *lat = v.find("latency")) {
-        const std::string lp = p + ".latency";
-        if (!lat->isObject())
-            return rd.fail(lp, "not an object");
-        if (!(rd.getBool(*lat, lp, "enabled", &r->latency.enabled) &&
-              rd.getHex(*lat, lp, "wake_stall_s",
-                        &r->latency.wakeStallSeconds) &&
-              rd.getHex(*lat, lp, "retrain_stall_s",
-                        &r->latency.retrainStallSeconds) &&
-              rd.getU64(*lat, lp, "queue_peak", &r->latency.queuePeak)))
-            return false;
-        const auto latComponent = [&](const char *name,
-                                      LatencyPercentiles *out) {
-            const Value *c = rd.member(*lat, lp, name);
-            if (!c)
+    const bool normal = s[2] == '1';
+    s.remove_prefix(3);
+    std::uint64_t mant = 0;
+    if (!s.empty() && s[0] == '.') {
+        int digits = 0;
+        for (s.remove_prefix(1); !s.empty(); s.remove_prefix(1)) {
+            const auto *d = static_cast<const char *>(
+                std::memchr(kHexDigits, s[0], 16));
+            if (!d)
+                break;
+            if (++digits > 13)
                 return false;
-            const std::string cp = lp + "." + name;
-            if (!c->isObject())
-                return rd.fail(cp, "not an object");
-            return rd.getU64(*c, cp, "samples", &out->samples) &&
-                   rd.getU64(*c, cp, "sum_ps", &out->sumPs) &&
-                   rd.getU64(*c, cp, "p50_ps", &out->p50Ps) &&
-                   rd.getU64(*c, cp, "p90_ps", &out->p90Ps) &&
-                   rd.getU64(*c, cp, "p99_ps", &out->p99Ps) &&
-                   rd.getU64(*c, cp, "p999_ps", &out->p999Ps) &&
-                   rd.getU64(*c, cp, "max_ps", &out->maxPs);
-        };
-        if (!(latComponent("end_to_end", &r->latency.endToEnd) &&
-              latComponent("queue", &r->latency.queue) &&
-              latComponent("wake_stall", &r->latency.wakeStall) &&
-              latComponent("retrain_stall", &r->latency.retrainStall) &&
-              latComponent("serialization", &r->latency.serialization) &&
-              latComponent("dram", &r->latency.dram)))
-            return false;
-    }
-
-    // Optional like "latency": older journals lack the energy object
-    // and deserialize with the energy summary disabled.
-    if (const Value *en = v.find("energy")) {
-        const std::string ep = p + ".energy";
-        if (!en->isObject())
-            return rd.fail(ep, "not an object");
-        EnergyAttribution &ea = r->energy.attribution;
-        if (!(rd.getBool(*en, ep, "enabled", &r->energy.enabled) &&
-              rd.getHex(*en, ep, "tx_j", &ea.txJ) &&
-              rd.getHex(*en, ep, "retrain_j", &ea.retrainJ) &&
-              rd.getHex(*en, ep, "sleep_j", &ea.sleepJ) &&
-              rd.getHex(*en, ep, "wake_j", &ea.wakeJ) &&
-              rd.getHex(*en, ep, "serdes_leak_j", &ea.serdesLeakJ) &&
-              rd.getHex(*en, ep, "router_j", &ea.routerJ) &&
-              rd.getHex(*en, ep, "dram_leak_j", &ea.dramLeakJ) &&
-              rd.getHex(*en, ep, "dram_dyn_j", &ea.dramDynJ) &&
-              rd.getHex(*en, ep, "idle_io_j", &ea.idleIoJ) &&
-              rd.getHex(*en, ep, "active_io_j", &ea.activeIoJ)))
-            return false;
-        const Value *modes = rd.member(*en, ep, "idle_mode_j");
-        if (!modes)
-            return false;
-        if (!modes->isArray() ||
-            modes->array.size() != ea.idleModeJ.size())
-            return rd.fail(ep + ".idle_mode_j",
-                           "not an 8-element array");
-        for (std::size_t i = 0; i < ea.idleModeJ.size(); ++i) {
-            const Value &cell = modes->array[i];
-            if (!cell.isString() ||
-                !parseHexDouble(cell.string, &ea.idleModeJ[i]))
-                return rd.fail(ep + ".idle_mode_j",
-                               "bad hex-float cell");
+            mant = mant << 4 | static_cast<unsigned>(d - kHexDigits);
         }
-        const auto energySketch = [&](const char *name,
-                                      LatencyPercentiles *out) {
-            const Value *c = rd.member(*en, ep, name);
-            if (!c)
-                return false;
-            const std::string cp = ep + "." + name;
-            if (!c->isObject())
-                return rd.fail(cp, "not an object");
-            return rd.getU64(*c, cp, "samples", &out->samples) &&
-                   rd.getU64(*c, cp, "sum_ps", &out->sumPs) &&
-                   rd.getU64(*c, cp, "p50_ps", &out->p50Ps) &&
-                   rd.getU64(*c, cp, "p90_ps", &out->p90Ps) &&
-                   rd.getU64(*c, cp, "p99_ps", &out->p99Ps) &&
-                   rd.getU64(*c, cp, "p999_ps", &out->p999Ps) &&
-                   rd.getU64(*c, cp, "max_ps", &out->maxPs);
-        };
-        if (!(energySketch("utilization_ppm", &r->energy.utilization) &&
-              energySketch("occupancy", &r->energy.occupancy)))
+        // A written fraction has no trailing zero digit.
+        if ((mant & 0xFu) == 0)
             return false;
+        mant <<= 4 * (13 - digits);
     }
-
-    const Value *lh = rd.member(v, p, "link_hours");
-    if (!lh)
+    if (s.size() < 3 || s[0] != 'p' || (s[1] != '+' && s[1] != '-') ||
+        s[2] == '-')
         return false;
-    if (!lh->isArray() ||
-        lh->array.size() !=
-            static_cast<std::size_t>(kUtilBuckets * kLaneModes))
-        return rd.fail(p + ".link_hours", "not a 20-element array");
-    for (int b = 0; b < kUtilBuckets; ++b) {
-        for (int l = 0; l < kLaneModes; ++l) {
-            const Value &cell = lh->array[b * kLaneModes + l];
-            if (!cell.isString() ||
-                !parseHexDouble(cell.string, &r->linkHours[b][l]))
-                return rd.fail(p + ".link_hours", "bad hex-float cell");
-        }
-    }
-
-    const Value *prof = rd.member(v, p, "profile");
-    if (!prof)
+    const bool negative = s[1] == '-';
+    int exp = 0;
+    if (!parseDecimal(s.substr(2), &exp) || (negative && exp == 0))
         return false;
-    const std::string pp = p + ".profile";
-    if (!(rd.getU64(*prof, pp, "events_fired",
-                    &r->profile.eventsFired) &&
-          rd.getU64(*prof, pp, "events_scheduled",
-                    &r->profile.eventsScheduled) &&
-          rd.getHex(*prof, pp, "wall_s", &r->profile.wallSeconds) &&
-          rd.getHex(*prof, pp, "sim_s", &r->profile.simSeconds) &&
-          rd.getU64(*prof, pp, "packets_issued",
-                    &r->profile.packetsIssued) &&
-          rd.getU64(*prof, pp, "packet_heap_allocs",
-                    &r->profile.packetHeapAllocs) &&
-          rd.getU64(*prof, pp, "audit_checks_run",
-                    &r->profile.auditChecksRun) &&
-          rd.getU64(*prof, pp, "events_descheduled",
-                    &r->profile.eventsDescheduled) &&
-          rd.getU64(*prof, pp, "peak_queue_depth",
-                    &r->profile.peakQueueDepth) &&
-          rd.getI64(*prof, pp, "dispatch_window_ps",
-                    &r->profile.dispatchWindowPs)))
-        return false;
-    const Value *windows = rd.member(*prof, pp, "dispatch_windows");
-    if (!windows)
-        return false;
-    if (!windows->isArray())
-        return rd.fail(pp + ".dispatch_windows", "not an array");
-    r->profile.dispatchWindows.clear();
-    for (const Value &wv : windows->array) {
-        errno = 0;
-        char *end = nullptr;
-        if (!wv.isString())
-            return rd.fail(pp + ".dispatch_windows", "not a string");
-        const std::uint64_t n =
-            std::strtoull(wv.string.c_str(), &end, 10);
-        if (wv.string.empty() ||
-            end != wv.string.c_str() + wv.string.size() ||
-            errno == ERANGE)
-            return rd.fail(pp + ".dispatch_windows", "bad u64");
-        r->profile.dispatchWindows.push_back(n);
-    }
-
-    const Value *mods = rd.member(v, p, "modules");
-    if (!mods)
-        return false;
-    if (!mods->isArray())
-        return rd.fail(p + ".modules", "not an array");
-    r->modules.clear();
-    for (std::size_t i = 0; i < mods->array.size(); ++i) {
-        std::ostringstream mp;
-        mp << p << ".modules[" << i << "]";
-        const Value &mv = mods->array[i];
-        if (!mv.isObject())
-            return rd.fail(mp.str(), "not an object");
-        ModuleDetail m;
-        if (!(rd.getInt(mv, mp.str(), "id", &m.id) &&
-              rd.getBool(mv, mp.str(), "high_radix", &m.highRadix) &&
-              rd.getInt(mv, mp.str(), "hop_distance", &m.hopDistance) &&
-              rd.getU64(mv, mp.str(), "dram_accesses",
-                        &m.dramAccesses) &&
-              rd.getU64(mv, mp.str(), "flits_routed", &m.flitsRouted) &&
-              rd.getHex(mv, mp.str(), "request_link_util",
-                        &m.requestLinkUtil) &&
-              rd.getHex(mv, mp.str(), "response_link_util",
-                        &m.responseLinkUtil) &&
-              rd.getHex(mv, mp.str(), "request_link_power_frac",
-                        &m.requestLinkPowerFrac) &&
-              rd.getHex(mv, mp.str(), "response_link_power_frac",
-                        &m.responseLinkPowerFrac)))
+    if (negative)
+        exp = -exp;
+    if (normal) {
+        if (exp < -1022 || exp > 1023)
             return false;
-        r->modules.push_back(m);
+        bits |= static_cast<std::uint64_t>(exp + 1023) << 52 | mant;
+    } else if (exp != (mant ? -1022 : 0)) {
+        return false;
+    } else {
+        bits |= mant;
     }
+    *out = std::bit_cast<double>(bits);
     return true;
 }
-
-/** Fixed framing around the checksummed record payload. */
-const char kFrameHead[] = "{\"journal_version\":1,\"crc32\":\"";
-const char kFrameMid[] = "\",\"record\":";
-constexpr std::size_t kCrcHexLen = 8;
-
-std::string
-crcHex(std::uint32_t crc)
-{
-    char buf[kCrcHexLen + 1];
-    std::snprintf(buf, sizeof(buf), "%08x", crc);
-    return buf;
-}
-
-} // namespace
 
 std::string
 journalRecordLine(const std::string &key, const RunResult &r)
 {
-    std::ostringstream payload;
-    {
-        JsonWriter w(payload);
-        w.beginObject();
-        w.field("key", key);
-        w.key("config");
-        writeConfig(w, r.config);
-        w.key("result");
-        writeResult(w, r);
-        w.endObject();
-    }
-    const std::string body = payload.str();
     std::string line;
-    line.reserve(body.size() + 64);
+    line.reserve(4096 + 320 * r.modules.size());
     line += kFrameHead;
-    line += crcHex(crc32(body.data(), body.size()));
+    line.append(kCrcHexLen, '0');
     line += kFrameMid;
-    line += body;
+    const std::size_t payloadOff = line.size();
+    Writer w(line);
+    w.object({}, [&] {
+        w.str("key", key);
+        w.object("config", [&] { configFields(w, r.config); });
+        w.object("result", [&] { resultFields(w, r); });
+    });
+    writeCrcHex(line.data() + kFrameHead.size(),
+                crc32(line.data() + payloadOff, line.size() - payloadOff));
     line += "}\n";
     return line;
 }
 
 bool
-parseJournalLine(const std::string &line, std::string *key,
+parseJournalLine(std::string_view line, std::string *key,
                  RunResult *result, std::string *err)
 {
     const auto fail = [err](const std::string &what) {
@@ -791,54 +792,46 @@ parseJournalLine(const std::string &line, std::string *key,
         return false;
     };
 
-    std::string text = line;
-    if (!text.empty() && text.back() == '\n')
-        text.pop_back();
+    if (!line.empty() && line.back() == '\n')
+        line.remove_suffix(1);
 
     // Framing: fixed head, 8 hex digits, fixed mid, payload, '}'.
-    const std::size_t headLen = sizeof(kFrameHead) - 1;
-    const std::size_t midLen = sizeof(kFrameMid) - 1;
-    if (text.size() < headLen + kCrcHexLen + midLen + 1 ||
-        text.compare(0, headLen, kFrameHead) != 0 ||
-        text.compare(headLen + kCrcHexLen, midLen, kFrameMid) != 0 ||
-        text.back() != '}')
+    const std::size_t payloadOff =
+        kFrameHead.size() + kCrcHexLen + kFrameMid.size();
+    if (line.size() < payloadOff + 1 || !line.starts_with(kFrameHead) ||
+        line.substr(kFrameHead.size() + kCrcHexLen, kFrameMid.size()) !=
+            kFrameMid ||
+        line.back() != '}')
         return fail("bad framing (torn or foreign line)");
-    const std::string recordedCrc = text.substr(headLen, kCrcHexLen);
-    const std::size_t payloadOff = headLen + kCrcHexLen + midLen;
-    const std::string payload =
-        text.substr(payloadOff, text.size() - payloadOff - 1);
+    const std::string_view payload =
+        line.substr(payloadOff, line.size() - payloadOff - 1);
 
-    if (crcHex(crc32(payload.data(), payload.size())) != recordedCrc)
+    char crc[kCrcHexLen];
+    writeCrcHex(crc, crc32(payload.data(), payload.size()));
+    if (line.substr(kFrameHead.size(), kCrcHexLen) !=
+        std::string_view(crc, kCrcHexLen))
         return fail("checksum mismatch (torn or corrupt record)");
 
-    Value record;
-    std::string jsonErr;
-    if (!obs::json::parse(payload, &record, &jsonErr))
-        return fail("JSON error: " + jsonErr);
-
-    Reader rd;
+    Reader rd(payload);
     std::string recordedKey;
-    if (!rd.getString(record, "record", "key", &recordedKey)) {
-        return fail(rd.err);
-    }
-    const Value *cfg = record.find("config");
-    const Value *res = record.find("result");
-    if (!cfg || !res)
-        return fail("record.config/result: missing");
-
     RunResult out;
-    if (!readConfig(rd, *cfg, &out.config) ||
-        !readResult(rd, *res, &out))
+    rd.document([&] {
+        rd.scoped("record", [&] { rd.str("key", recordedKey); });
+        rd.object("config", [&] { configFields(rd, out.config); });
+        rd.object("result", [&] { resultFields(rd, out); });
+    });
+    if (!rd.ok())
         return fail(rd.err);
 
     // The recorded key must reproduce from the deserialized config:
     // catches silent format drift (a field added to Runner::key but
     // not the journal) before it poisons a resumed sweep.
-    if (Runner::key(out.config) != recordedKey)
+    const std::string recomputed = Runner::key(out.config);
+    if (recomputed != recordedKey)
         return fail("key mismatch: recorded '" + recordedKey +
-                    "' vs recomputed '" + Runner::key(out.config) + "'");
+                    "' vs recomputed '" + recomputed + "'");
 
-    *key = recordedKey;
+    *key = std::move(recordedKey);
     *result = std::move(out);
     return true;
 }
@@ -870,10 +863,7 @@ loadJournal(const std::string &path,
             continue;
         }
         ++local.records;
-        auto [it, inserted] = out->insert_or_assign(std::move(key),
-                                                    std::move(r));
-        (void)it;
-        if (!inserted)
+        if (!out->insert_or_assign(std::move(key), std::move(r)).second)
             ++local.duplicates;
     }
     local.loaded = local.records - local.duplicates;
@@ -921,7 +911,7 @@ RunJournal::append(const std::string &key, const RunResult &r)
     std::lock_guard<std::mutex> lock(mu);
     if (!os.is_open())
         return;
-    os << line;
+    os.write(line.data(), static_cast<std::streamsize>(line.size()));
     // One flush per record: a killed sweep loses at most the line that
     // was mid-write, which loadJournal() detects and skips.
     os.flush();
@@ -938,7 +928,7 @@ writeFailureManifest(std::ostream &os, const std::string &source,
                      const std::string &policy, double configTimeoutSec,
                      const std::vector<RunFailure> &failures)
 {
-    JsonWriter w(os);
+    obs::JsonWriter w(os);
     w.beginObject();
     w.field("schema_version",
             static_cast<std::int64_t>(kFailureManifestVersion));
@@ -959,8 +949,11 @@ writeFailureManifest(std::ostream &os, const std::string &source,
         w.field("timeout", f.timeout);
         w.field("wall_s", f.wallSeconds);
         w.field("error", f.message);
+        std::string config;
+        Writer cw(config);
+        cw.object({}, [&] { configFields(cw, f.config); });
         w.key("config");
-        writeConfig(w, f.config);
+        w.raw(config);
         w.endObject();
     }
     w.endArray();

@@ -19,8 +19,14 @@
  * shortest-decimal printers are safe in theory, but any consumer that
  * re-serializes can destroy them; 64-bit counters exceed the 2^53
  * exactness window of a double-backed DOM). The journal therefore
- * encodes every scalar as a string — doubles in C99 hex-float ("%a",
- * bit-exact by construction, parsed with strtod), integers in decimal.
+ * encodes every scalar as a string — doubles in C99 hex-float (glibc's
+ * "%a" spelling, bit-exact by construction), integers in decimal.
+ *
+ * One field list in journal.cc drives both directions: the writer
+ * appends the members in a fixed order, and the reader consumes them
+ * in that order with no DOM. Accepted input is exactly what the writer
+ * produces, plus the older shapes that lack groups later versions
+ * inserted (see docs/ROBUSTNESS.md for the member order and grammar).
  * A resumed sweep's final bench JSON is byte-identical to the same
  * sweep run uninterrupted (enforced by tests/test_journal.cc and the
  * crash-resume CI job via scripts/diff_runs.py).
@@ -46,6 +52,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "memnet/config.hh"
@@ -62,13 +69,18 @@ constexpr int kJournalVersion = 1;
 std::uint32_t crc32(const void *data, std::size_t n);
 
 /**
- * Bit-exact double encoding for journal records: C99 hex-float via
- * "%a" ("0x1.91eb851eb851fp+1"; "inf"/"nan" pass through strtod too).
+ * Bit-exact double encoding for journal records: the bytes glibc's
+ * snprintf("%a") writes ("0x1.91eb851eb851fp+1", "-0x0p+0",
+ * "0x0.0000000000001p-1022", "inf", "-nan"), built without snprintf.
  */
 std::string hexDouble(double v);
 
-/** Inverse of hexDouble(); false when @p s is not a full hex-float. */
-bool parseHexDouble(const std::string &s, double *out);
+/**
+ * Inverse of hexDouble(). Accepts exactly the spellings hexDouble()
+ * produces (a NaN reads back as the quiet NaN of its sign); false for
+ * anything else, including other valid C hex-floats such as "0x1p1".
+ */
+bool parseHexDouble(std::string_view s, double *out);
 
 /** Serialize one completed run as a self-checking journal line. */
 std::string journalRecordLine(const std::string &key, const RunResult &r);
@@ -76,11 +88,11 @@ std::string journalRecordLine(const std::string &key, const RunResult &r);
 /**
  * Parse and verify one journal line.
  * @return false (with @p err set) on any damage: bad framing, checksum
- *         mismatch, JSON error, missing/mistyped member, or a config
- *         whose recomputed Runner key no longer matches the recorded
- *         one (format drift).
+ *         mismatch, malformed JSON, a missing, misplaced, mistyped or
+ *         out-of-range member, or a config whose recomputed Runner key
+ *         no longer matches the recorded one (format drift).
  */
-bool parseJournalLine(const std::string &line, std::string *key,
+bool parseJournalLine(std::string_view line, std::string *key,
                       RunResult *result, std::string *err);
 
 /** What loadJournal() found, for the resume progress message. */

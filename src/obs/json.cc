@@ -1,6 +1,8 @@
 #include "obs/json.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -12,38 +14,59 @@ namespace memnet
 namespace obs
 {
 
+namespace
+{
+
+/** The escape jsonEscape() writes for @p c, or nullptr for none. */
+const char *
+shortEscape(unsigned char c)
+{
+    switch (c) {
+      case '"':
+        return "\\\"";
+      case '\\':
+        return "\\\\";
+      case '\n':
+        return "\\n";
+      case '\r':
+        return "\\r";
+      case '\t':
+        return "\\t";
+      default:
+        return nullptr;
+    }
+}
+
+bool
+needsEscape(unsigned char c)
+{
+    return c < 0x20 || c == '"' || c == '\\';
+}
+
+} // namespace
+
+void
+appendJsonEscaped(std::string &out, std::string_view s)
+{
+    for (unsigned char c : s) {
+        if (!needsEscape(c)) {
+            out += static_cast<char>(c);
+        } else if (const char *e = shortEscape(c)) {
+            out += e;
+        } else {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x", c);
+            out += buf;
+        }
+    }
+}
+
 std::string
-jsonEscape(const std::string &s)
+jsonEscape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size());
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
+    appendJsonEscaped(out, s);
     return out;
 }
 
@@ -63,6 +86,17 @@ JsonWriter::noteValue()
 {
     if (!hasMember.empty())
         hasMember.back() = true;
+}
+
+void
+JsonWriter::quoted(std::string_view s)
+{
+    // Keys and most values need no escaping: skip the temporary.
+    if (std::none_of(s.begin(), s.end(),
+                     [](unsigned char c) { return needsEscape(c); }))
+        os << '"' << s << '"';
+    else
+        os << '"' << jsonEscape(s) << '"';
 }
 
 void
@@ -100,12 +134,13 @@ JsonWriter::endArray()
 }
 
 void
-JsonWriter::key(const std::string &k)
+JsonWriter::key(std::string_view k)
 {
     memnet_assert(!pendingKey, "two keys in a row");
     if (!hasMember.empty() && hasMember.back())
         os << ',';
-    os << '"' << jsonEscape(k) << "\":";
+    quoted(k);
+    os << ':';
     pendingKey = true;
 }
 
@@ -116,9 +151,11 @@ JsonWriter::value(double v)
     if (!std::isfinite(v)) {
         os << "null";
     } else {
+        // General format at precision 17 is "%.17g" byte for byte.
         char buf[40];
-        std::snprintf(buf, sizeof buf, "%.17g", v);
-        os << buf;
+        const auto res = std::to_chars(buf, buf + sizeof buf, v,
+                                       std::chars_format::general, 17);
+        os.write(buf, res.ptr - buf);
     }
     noteValue();
 }
@@ -127,7 +164,8 @@ void
 JsonWriter::value(std::int64_t v)
 {
     separate();
-    os << v;
+    char buf[24];
+    os.write(buf, std::to_chars(buf, buf + sizeof buf, v).ptr - buf);
     noteValue();
 }
 
@@ -135,7 +173,8 @@ void
 JsonWriter::value(std::uint64_t v)
 {
     separate();
-    os << v;
+    char buf[24];
+    os.write(buf, std::to_chars(buf, buf + sizeof buf, v).ptr - buf);
     noteValue();
 }
 
@@ -151,14 +190,16 @@ void
 JsonWriter::value(const std::string &v)
 {
     separate();
-    os << '"' << jsonEscape(v) << '"';
+    quoted(v);
     noteValue();
 }
 
 void
 JsonWriter::value(const char *v)
 {
-    value(std::string(v));
+    separate();
+    quoted(v);
+    noteValue();
 }
 
 void
@@ -166,6 +207,14 @@ JsonWriter::null()
 {
     separate();
     os << "null";
+    noteValue();
+}
+
+void
+JsonWriter::raw(std::string_view json)
+{
+    separate();
+    os << json;
     noteValue();
 }
 
@@ -408,6 +457,14 @@ parse(const std::string &text, Value *out, std::string *err)
     if (!ok && err)
         *err = ps.err;
     return ok;
+}
+
+std::size_t
+parseString(std::string_view text, std::string *out)
+{
+    Parser ps{text.data(), text.data() + text.size(), {}};
+    return ps.parseString(out) ? static_cast<std::size_t>(ps.p - text.data())
+                               : 0;
 }
 
 } // namespace json

@@ -19,6 +19,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace memnet
@@ -27,13 +28,16 @@ namespace obs
 {
 
 /** Escape @p s for inclusion in a JSON string literal (no quotes). */
-std::string jsonEscape(const std::string &s);
+std::string jsonEscape(std::string_view s);
+
+/** Append @p s to @p out escaped exactly as jsonEscape() spells it. */
+void appendJsonEscaped(std::string &out, std::string_view s);
 
 /**
  * Streaming JSON emitter. The caller provides the structure via
  * begin/end calls; the writer tracks nesting to place commas. Doubles
- * are written with round-trip precision; non-finite values become null
- * (JSON has no NaN/Inf).
+ * are written with round-trip precision (the bytes of "%.17g");
+ * non-finite values become null (JSON has no NaN/Inf).
  */
 class JsonWriter
 {
@@ -49,7 +53,7 @@ class JsonWriter
     void endArray();
 
     /** Emit an object key; the next value/begin call is its value. */
-    void key(const std::string &k);
+    void key(std::string_view k);
 
     void value(double v);
     void value(std::int64_t v);
@@ -59,10 +63,13 @@ class JsonWriter
     void value(const char *v);
     void null();
 
+    /** Emit @p json, one already-serialized JSON value, verbatim. */
+    void raw(std::string_view json);
+
     /** key(k) + value(v) in one call. */
     template <typename T>
     void
-    field(const std::string &k, T v)
+    field(std::string_view k, T v)
     {
         key(k);
         value(v);
@@ -73,6 +80,8 @@ class JsonWriter
     void separate();
     /** A value was emitted into the current container. */
     void noteValue();
+    /** Write @p s as a quoted JSON string. */
+    void quoted(std::string_view s);
 
     std::ostream &os;
     /** One entry per open container: has it seen a member yet? */
@@ -129,6 +138,12 @@ struct Value
  * @return true on success.
  */
 bool parse(const std::string &text, Value *out, std::string *err = nullptr);
+
+/**
+ * Parse the JSON string literal at the start of @p text into @p out.
+ * @return the literal's length in bytes, quotes included; 0 on error.
+ */
+std::size_t parseString(std::string_view text, std::string *out);
 
 } // namespace json
 

@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -104,6 +108,68 @@ TEST(ObsJson, NonFiniteDoublesBecomeNull)
     ASSERT_EQ(v.array.size(), 2u);
     EXPECT_EQ(v.array[0].kind, Value::Kind::Null);
     EXPECT_EQ(v.array[1].kind, Value::Kind::Null);
+}
+
+/** What the writer's bytes are specified as: printf formatting. */
+std::string
+printfNumber(const char *fmt, double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, fmt, v);
+    return buf;
+}
+
+TEST(ObsJson, WriterBytesMatchPrintfOnRandomValues)
+{
+    std::mt19937_64 rng(1016);
+    std::ostringstream os;
+    std::string expected;
+    {
+        obs::JsonWriter w(os);
+        w.beginArray();
+        for (int i = 0; i < 400'000; ++i) {
+            expected += i ? "," : "[";
+            std::uint64_t bits = rng();
+            if (i % 3 == 0) // small exponents: the fixed-notation range
+                bits = (bits & 0x800FFFFFFFFFFFFFu) |
+                       (std::uint64_t{1023 - 30 + bits % 60} << 52);
+            double d;
+            std::memcpy(&d, &bits, sizeof d);
+            if (i % 5 == 0)
+                d = static_cast<double>(static_cast<std::int64_t>(bits) >>
+                                        (bits % 64)); // integral values
+            w.value(d);
+            expected += std::isfinite(d) ? printfNumber("%.17g", d) : "null";
+            const auto n = static_cast<std::int64_t>(rng());
+            w.value(n);
+            (expected += ',') += std::to_string(n);
+            w.value(static_cast<std::uint64_t>(n));
+            (expected += ',') += std::to_string(static_cast<std::uint64_t>(n));
+        }
+        w.endArray();
+        expected += "]";
+    }
+    EXPECT_EQ(os.str(), expected);
+}
+
+TEST(ObsJson, KeysAndStringsEscapeExactlyAsJsonEscape)
+{
+    std::mt19937_64 rng(3);
+    for (int i = 0; i < 2000; ++i) {
+        std::string s(rng() % 12, ' ');
+        for (char &c : s)
+            c = static_cast<char>(rng() % 2 ? 'a' + rng() % 26 : rng() % 128);
+        std::ostringstream os;
+        obs::JsonWriter w(os);
+        w.beginObject();
+        w.field(s, s);
+        w.endObject();
+        const std::string q = '"' + obs::jsonEscape(s) + '"';
+        ASSERT_EQ(os.str(), '{' + q + ':' + q + '}');
+        std::string back;
+        ASSERT_EQ(obs::json::parseString(q, &back), q.size());
+        ASSERT_EQ(back, s);
+    }
 }
 
 TEST(ObsJson, ParserRejectsMalformedInput)
