@@ -29,23 +29,16 @@ namespace bench
 {
 
 /**
- * Sweep-wide partitioned-kernel selection, installed by BenchIo from
- * --partitions/--partition-sync/--lax-window-ns and applied by
- * makeConfig so every cell of a bench sweep shards the same way.
- * Defaults match SystemConfig (serial kernel).
+ * Sweep-wide event-kernel partition count, installed by BenchIo from
+ * --partitions and applied by makeConfig so every cell of a bench
+ * sweep shards the same way. The default matches SystemConfig (serial
+ * kernel).
  */
-struct PartitionOpts
+inline int &
+sweepPartitions()
 {
-    int partitions = 1;
-    PartitionSync sync = PartitionSync::Barrier;
-    Tick laxWindowPs = us(10);
-};
-
-inline PartitionOpts &
-partitionOpts()
-{
-    static PartitionOpts opts;
-    return opts;
+    static int partitions = 1;
+    return partitions;
 }
 
 /**
@@ -61,11 +54,6 @@ partitionOpts()
  *   --partitions <n>   shard every run across n event-queue
  *                      partitions (1 = serial kernel; see
  *                      docs/PERFORMANCE.md)
- *   --partition-sync <barrier|lax>
- *                      barrier (deterministic, serial-identical) or
- *                      lax (fast screening)
- *   --lax-window-ns <t>
- *                      lax-mode window length
  *
  * Crash-safety flags (docs/ROBUSTNESS.md):
  *
@@ -137,30 +125,11 @@ class BenchIo
             } else if (arg == "--failure-manifest" && i + 1 < argc) {
                 manifestPath = argv[++i];
             } else if (arg == "--partitions" && i + 1 < argc) {
-                partitionOpts().partitions = std::atoi(argv[++i]);
-                if (partitionOpts().partitions < 1) {
+                sweepPartitions() = std::atoi(argv[++i]);
+                if (sweepPartitions() < 1) {
                     std::fprintf(stderr,
                                  "%s: --partitions must be >= 1\n",
                                  argv[0]);
-                    std::exit(2);
-                }
-            } else if (arg == "--partition-sync" && i + 1 < argc) {
-                if (!parsePartitionSync(argv[++i],
-                                        &partitionOpts().sync)) {
-                    std::fprintf(stderr,
-                                 "%s: --partition-sync must be "
-                                 "'barrier' or 'lax' (got '%s')\n",
-                                 argv[0], argv[i]);
-                    std::exit(2);
-                }
-            } else if (arg == "--lax-window-ns" && i + 1 < argc) {
-                partitionOpts().laxWindowPs =
-                    ns(std::atol(argv[++i]));
-                if (partitionOpts().laxWindowPs <= 0) {
-                    std::fprintf(
-                        stderr,
-                        "%s: --lax-window-ns must be positive\n",
-                        argv[0]);
                     std::exit(2);
                 }
             } else {
@@ -172,9 +141,7 @@ class BenchIo
                     "[--failure-policy <abort|isolate>] "
                     "[--config-timeout <seconds>] "
                     "[--failure-manifest <path>] "
-                    "[--partitions <n>] "
-                    "[--partition-sync <barrier|lax>] "
-                    "[--lax-window-ns <t>]\n",
+                    "[--partitions <n>]\n",
                     argv[0]);
                 std::exit(2);
             }
@@ -351,9 +318,7 @@ makeConfig(const std::string &workload, TopologyKind topo,
     // Three epochs of measurement keep the full sweep tractable on one
     // core; MEMNET_SIM_US raises fidelity when desired.
     cfg.measure = us(300);
-    cfg.partitions = partitionOpts().partitions;
-    cfg.partitionSync = partitionOpts().sync;
-    cfg.laxWindowPs = partitionOpts().laxWindowPs;
+    cfg.partitions = sweepPartitions();
     return cfg;
 }
 

@@ -10,7 +10,7 @@
  * consolidation argument in Section VII-A.
  *
  * Takes the shared bench flags (bench_common.hh), so `--partitions N`
- * and `--partition-sync` shard every run. Each cell is one
+ * shards every run. Each cell is one
  * runMultiChannel() call rather than a Runner lookup, so `--jobs`,
  * `--journal`, `--resume` and `--json` have no runs to act on.
  */

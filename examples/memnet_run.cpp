@@ -22,19 +22,10 @@
  *                          (0 = all hardware threads)    [1]
  *   --fer <p>              flit error rate (CRC retry)   [0]
  *   --audit                run the invariant auditor     [Debug: always]
- *   --no-lat-obs           disable the latency observatory (per-access
- *                          decomposition + percentile sketches); purely
- *                          observational either way       [on]
- *   --no-energy-obs        disable the energy observatory (per-joule
- *                          attribution + congestion sketches); purely
- *                          observational either way       [on]
  *   --report <list>        summary,power,modules,links   [summary]
  *   --partitions <n>       shard the run across n event-queue
- *                          partitions (1 = serial kernel; see
- *                          docs/PERFORMANCE.md)           [1]
- *   --partition-sync <m>   barrier (deterministic, serial-identical)
- *                          or lax (fast screening)       [barrier]
- *   --lax-window-ns <t>    lax-mode window length         [10000]
+ *                          partitions, bit-identical to the serial
+ *                          kernel (docs/PERFORMANCE.md)   [1]
  *   --profile <path>       host-side profiler dump; ".json" gets the
  *                          phase tree, anything else FlameGraph
  *                          collapsed stacks (docs/PERFORMANCE.md)
@@ -55,8 +46,11 @@
  * a per-seed summary table plus the mean replaces the single-run
  * report.
  *
- * Observability outputs (see docs/OBSERVABILITY.md; all off by default
- * and guaranteed not to change the simulation):
+ * Every run records the latency and energy observatories (per-access
+ * latency decomposition, per-joule attribution); they reach the
+ * summary, the stats dumps and the journal. Observability outputs
+ * (see docs/OBSERVABILITY.md; all off by default and guaranteed not to
+ * change the simulation):
  *   --stats-json <path>    named stats dump (JSON)
  *   --stats-csv <path>     named stats dump (CSV)
  *   --epoch-jsonl <path>   per-epoch time-series (JSON Lines)
@@ -296,21 +290,10 @@ main(int argc, char **argv)
             cfg.interleavePages = true;
         } else if (a == "--audit") {
             cfg.audit = true;
-        } else if (a == "--no-lat-obs") {
-            cfg.latencyObs = false;
-        } else if (a == "--no-energy-obs") {
-            cfg.energyObs = false;
         } else if (a == "--partitions") {
             cfg.partitions = std::atoi(need(i).c_str());
             if (cfg.partitions < 1)
                 usage("--partitions must be >= 1");
-        } else if (a == "--partition-sync") {
-            if (!parsePartitionSync(need(i), &cfg.partitionSync))
-                usage("--partition-sync must be 'barrier' or 'lax'");
-        } else if (a == "--lax-window-ns") {
-            cfg.laxWindowPs = ns(std::atol(need(i).c_str()));
-            if (cfg.laxWindowPs <= 0)
-                usage("--lax-window-ns must be positive");
         } else if (a == "--report") {
             report = need(i);
         } else if (a == "--profile") {

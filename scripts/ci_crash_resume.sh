@@ -15,9 +15,9 @@
 #   4. Schema-validate the journal, then force watchdog kills with a
 #      microscopic --config-timeout under --failure-policy isolate
 #      and schema-validate the failure manifest it writes.
-#   5. Journal a partitioned-kernel sweep (--partitions 2, barrier
-#      sync) and resume a *serial* sweep from it: deterministic
-#      partitioned runs share the serial config key, so every record
+#   5. Journal a partitioned-kernel sweep (--partitions 2) and resume
+#      a *serial* sweep from it: partitioned runs are bit-identical to
+#      serial and share the serial config key, so every record
 #      must load and the results must be bit-identical (only kernel-
 #      layout profile counters may differ).
 set -euo pipefail
@@ -125,7 +125,7 @@ echo "== leg 5: partitioned kernel journals interchangeably =="
 # the simulation, so a partitioned-vs-serial diff must skip them (the
 # same gate audit::diffRunResults applies in-process).
 KERNEL_IGNORE="(wall|per_s|per_sec|_rate|elapsed|prof|events_\
-|peak_queue_depth|dispatch_window|partition|lax_sync|barrier)"
+|peak_queue_depth|dispatch_window|partition|barrier)"
 "$BENCH" --partitions 2 --journal "$OUT/part.jsonl" \
     --json "$OUT/part.json" >"$OUT/part.log" 2>&1
 python3 scripts/diff_runs.py "$OUT/reference.json" "$OUT/part.json" \

@@ -106,8 +106,8 @@ def report_stats_json(doc, out):
     energy, missing = stats_json_to_energy(doc)
     if energy is None:
         sys.stderr.write(
-            "energy_report: %s missing — was the run made with "
-            "--no-energy-obs?\n" % missing)
+            "energy_report: %s missing — the dump predates the energy "
+            "observatory\n" % missing)
         return 1
     out.write("energy attribution\n")
     render_table(energy, out)
@@ -132,10 +132,10 @@ def report_bench_json(doc, out, top):
             return 1
         if not en.get("enabled", True):
             sys.stderr.write(
-                "energy_report: run %r was made with the energy "
-                "observatory disabled (--no-energy-obs); re-run "
-                "without it to collect attribution\n"
-                % run.get("key", "?"))
+                "energy_report: run %r has no energy data: its record "
+                "was loaded from a journal written before the energy "
+                "observatory existed; re-run it without --resume to "
+                "collect attribution\n" % run.get("key", "?"))
             return 1
         runs.append((run.get("key", "?"), en))
 

@@ -78,8 +78,8 @@ def report_stats_json(doc, out):
             key = "net.lat.%s.%s" % (comp, field)
             if key not in doc:
                 sys.stderr.write(
-                    "latency_report: %s missing — was the run made "
-                    "with --no-lat-obs?\n" % key)
+                    "latency_report: %s missing — the dump predates "
+                    "the latency observatory\n" % key)
                 return 1
             c[field] = doc[key]
         latency[comp] = c
@@ -120,9 +120,10 @@ def report_bench_json(doc, out, top):
             return 1
         if not lat.get("enabled", True):
             sys.stderr.write(
-                "latency_report: run %r was made with the latency "
-                "observatory disabled (--no-lat-obs); re-run without "
-                "it to collect sketches\n" % run.get("key", "?"))
+                "latency_report: run %r has no latency data: its record "
+                "was loaded from a journal written before the latency "
+                "observatory existed; re-run it without --resume to "
+                "collect sketches\n" % run.get("key", "?"))
             return 1
         runs.append((run.get("key", "?"), lat))
 

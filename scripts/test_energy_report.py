@@ -3,7 +3,8 @@
 
 Run directly or via ctest (test_energy_report). Covers both input
 modes (bench --json and --stats-json), the --top cutoff, and the
-clear-diagnostic paths for disabled observatories and old schemas.
+clear-diagnostic paths for runs without energy data (records resumed
+from journals older than the observatory) and old schemas.
 """
 
 import contextlib
@@ -106,13 +107,13 @@ class ReportTest(unittest.TestCase):
                      for c in er.CAUSES)
         self.assertAlmostEqual(shares, 100.0, places=6)
 
-    def test_disabled_observatory_is_clear_error_not_traceback(self):
+    def test_pre_observatory_record_is_clear_error_not_traceback(self):
         doc = bench_doc(enabled=False)
         for run in doc["runs"]:
             del run["result"]["energy"]["attribution_j"]
         rc, out, err = self.run_main(self.write(doc))
         self.assertEqual(rc, 1)
-        self.assertIn("--no-energy-obs", err)
+        self.assertIn("written before the energy observatory", err)
         self.assertNotIn("Traceback", err)
 
     def test_missing_energy_object_is_clear_error(self):
@@ -157,7 +158,7 @@ class ReportTest(unittest.TestCase):
         doc["net.lat.end_to_end.samples"] = 40  # unrelated scope stays
         rc, out, err = self.run_main(self.write(doc))
         self.assertEqual(rc, 1)
-        self.assertIn("--no-energy-obs", err)
+        self.assertIn("predates the energy observatory", err)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 """Unit tests for latency_report.py (stdlib unittest only).
 
 Run directly or via ctest (test_latency_report). The key regression
-guarded here: feeding the report a dump made with --no-lat-obs must
-produce a clear one-line diagnostic and exit code 1, never a KeyError
-traceback.
+guarded here: feeding the report a run without latency data (a record
+resumed from a journal older than the observatory, or a stats dump
+predating it) must produce a clear one-line diagnostic and exit code
+1, never a KeyError traceback.
 """
 
 import contextlib
@@ -89,16 +90,16 @@ class ReportTest(unittest.TestCase):
         self.assertIn("end_to_end", out)
         self.assertIn("stall attribution", out)
 
-    def test_disabled_observatory_is_clear_error_not_traceback(self):
+    def test_pre_observatory_record_is_clear_error_not_traceback(self):
         doc = bench_doc(enabled=False)
-        # Disabled runs still carry zeroed sketches; blank them too so
-        # a regression back to KeyError is caught either way.
+        # Such runs still carry zeroed sketches; blank them too so a
+        # regression back to KeyError is caught either way.
         for run in doc["runs"]:
             for comp in lr.COMPONENTS:
                 del run["result"]["latency"][comp]
         rc, out, err = self.run_main(self.write(doc))
         self.assertEqual(rc, 1)
-        self.assertIn("--no-lat-obs", err)
+        self.assertIn("written before the latency observatory", err)
         self.assertNotIn("Traceback", err)
 
     def test_missing_latency_object_is_clear_error(self):
@@ -129,13 +130,13 @@ class ReportTest(unittest.TestCase):
 
     def test_stats_json_without_observatory_is_clear_error(self):
         doc = stats_doc()
-        # A --no-lat-obs --stats-json dump simply lacks the net.lat.*
+        # A dump predating the observatory simply lacks the net.lat.*
         # scope; everything else is still present.
         for key in [k for k in doc if k.startswith("net.lat.")]:
             del doc[key]
         rc, out, err = self.run_main(self.write(doc))
         self.assertEqual(rc, 1)
-        self.assertIn("--no-lat-obs", err)
+        self.assertIn("predates the latency observatory", err)
 
     def test_bad_json_is_clear_error(self):
         path = os.path.join(self.dir.name, "broken.json")

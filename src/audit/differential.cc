@@ -58,6 +58,19 @@ diffPower(Differ &d, const std::string &prefix, const PowerBreakdown &a,
     d.field(prefix + ".dramDynW", a.dramDynW, b.dramDynW);
 }
 
+void
+diffPercentiles(Differ &d, const std::string &prefix,
+                const LatencyPercentiles &a, const LatencyPercentiles &b)
+{
+    d.field(prefix + ".samples", a.samples, b.samples);
+    d.field(prefix + ".sumPs", a.sumPs, b.sumPs);
+    d.field(prefix + ".p50Ps", a.p50Ps, b.p50Ps);
+    d.field(prefix + ".p90Ps", a.p90Ps, b.p90Ps);
+    d.field(prefix + ".p99Ps", a.p99Ps, b.p99Ps);
+    d.field(prefix + ".p999Ps", a.p999Ps, b.p999Ps);
+    d.field(prefix + ".maxPs", a.maxPs, b.maxPs);
+}
+
 } // namespace
 
 std::vector<DiffEntry>
@@ -129,12 +142,46 @@ diffRunResults(const RunResult &a, const RunResult &b,
     d.field("reliability.faultEvents", a.reliability.faultEvents,
             b.reliability.faultEvents);
 
-    // RunResult::latency and RunResult::energy are deliberately NOT
-    // compared: an observatory may legitimately be enabled on one side
-    // only (the differential guarantee is that *everything above*
-    // stays bit-identical — test_differential
-    // LatencyObservatoryOnEqualsOff / EnergyObservatoryOnEqualsOff),
-    // the same exclusion rule as wallSeconds/profPhases.
+    // An observatory is absent only from records loaded from journals
+    // written before it existed; there is nothing to compare then.
+    if (a.latency.enabled && b.latency.enabled) {
+        const LatencyBreakdown &la = a.latency;
+        const LatencyBreakdown &lb = b.latency;
+        diffPercentiles(d, "latency.endToEnd", la.endToEnd, lb.endToEnd);
+        diffPercentiles(d, "latency.queue", la.queue, lb.queue);
+        diffPercentiles(d, "latency.wakeStall", la.wakeStall, lb.wakeStall);
+        diffPercentiles(d, "latency.retrainStall", la.retrainStall,
+                        lb.retrainStall);
+        diffPercentiles(d, "latency.serialization", la.serialization,
+                        lb.serialization);
+        diffPercentiles(d, "latency.dram", la.dram, lb.dram);
+        d.field("latency.wakeStallSeconds", la.wakeStallSeconds,
+                lb.wakeStallSeconds);
+        d.field("latency.retrainStallSeconds", la.retrainStallSeconds,
+                lb.retrainStallSeconds);
+        d.field("latency.queuePeak", la.queuePeak, lb.queuePeak);
+    }
+    if (a.energy.enabled && b.energy.enabled) {
+        const EnergyAttribution &ea = a.energy.attribution;
+        const EnergyAttribution &eb = b.energy.attribution;
+        d.field("energy.txJ", ea.txJ, eb.txJ);
+        d.field("energy.retrainJ", ea.retrainJ, eb.retrainJ);
+        for (std::size_t i = 0; i < ea.idleModeJ.size(); ++i)
+            d.field("energy.idleModeJ[" + std::to_string(i) + "]",
+                    ea.idleModeJ[i], eb.idleModeJ[i]);
+        d.field("energy.sleepJ", ea.sleepJ, eb.sleepJ);
+        d.field("energy.wakeJ", ea.wakeJ, eb.wakeJ);
+        d.field("energy.serdesLeakJ", ea.serdesLeakJ, eb.serdesLeakJ);
+        d.field("energy.routerJ", ea.routerJ, eb.routerJ);
+        d.field("energy.dramLeakJ", ea.dramLeakJ, eb.dramLeakJ);
+        d.field("energy.dramDynJ", ea.dramDynJ, eb.dramDynJ);
+        d.field("energy.idleIoJ", ea.idleIoJ, eb.idleIoJ);
+        d.field("energy.activeIoJ", ea.activeIoJ, eb.activeIoJ);
+        diffPercentiles(d, "energy.utilization", a.energy.utilization,
+                        b.energy.utilization);
+        diffPercentiles(d, "energy.occupancy", a.energy.occupancy,
+                        b.energy.occupancy);
+    }
 
     for (int u = 0; u < kUtilBuckets; ++u) {
         for (int l = 0; l < kLaneModes; ++l) {

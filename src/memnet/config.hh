@@ -20,7 +20,6 @@
 #include "obs/quantile_sketch.hh"
 #include "power/power_breakdown.hh"
 #include "sim/fault.hh"
-#include "sim/partition.hh"
 #include "sim/types.hh"
 
 namespace memnet
@@ -116,24 +115,14 @@ struct SystemConfig
     /**
      * Event-kernel partitions (sim/partition.hh). 1 = the classic
      * serial kernel. >1 shards the run by channel onto worker threads
-     * synchronized with conservative lookahead: partition 0 runs the
-     * processor, the remaining partitions run the channel networks. A
+     * synchronized with conservative lookahead, bit-identical to the
+     * serial kernel: partition 0 runs the processor, the remaining
+     * partitions run the channel networks. A
      * single-channel run has exactly one channel to offload, so any
      * value >1 behaves as 2; multi-channel runs use up to one
      * partition per channel.
      */
     int partitions = 1;
-
-    /**
-     * Synchronization mode for partitioned runs. Barrier (the default)
-     * is bit-identical to the serial kernel and is what differential
-     * tests and journal resume rely on; Lax trades that equivalence
-     * (while staying run-to-run deterministic) for fewer barriers.
-     */
-    PartitionSync partitionSync = PartitionSync::Barrier;
-
-    /** Lax-mode window length (ignored under Barrier sync). */
-    Tick laxWindowPs = us(10);
 
     int cores = 16;
     int maxReadsPerCore = 12;
@@ -153,27 +142,6 @@ struct SystemConfig
      * is never part of Runner's memoization key.
      */
     bool audit = false;
-
-    /**
-     * Record the latency observatory (per-access decomposition into
-     * QuantileSketches, RunResult::latency, net.lat.* stats). On by
-     * default: recording is passive — packets are stamped either way
-     * and the sketches never schedule events — so simulated results are
-     * bit-identical on vs. off (test_differential) and, like obs and
-     * audit, this is never part of Runner's memoization key.
-     */
-    bool latencyObs = true;
-
-    /**
-     * Record the energy observatory (per-joule attribution ledger,
-     * congestion sketches, RunResult::energy, net.energy.* stats). On
-     * by default: the attribution counters are always stamped — they
-     * ARE the simulator's energy ledger — and the switch only gates the
-     * occupancy sketches and summaries, so simulated results are
-     * bit-identical on vs. off (test_differential) and, like
-     * latencyObs, this is never part of Runner's memoization key.
-     */
-    bool energyObs = true;
 
     /** Bytes of address space served by one module. */
     std::uint64_t
@@ -265,8 +233,6 @@ struct RunProfile
 
     /** Event-kernel partitions the run executed on (1 = serial). */
     int partitions = 1;
-    /** True when a partitioned run used Lax (non-bit-identical) sync. */
-    bool laxSync = false;
     /** Per-partition kernel statistics (empty for serial runs). */
     std::vector<PartitionLane> partitionLanes;
 
@@ -348,14 +314,16 @@ struct RunResult
     /**
      * Latency observatory: per-component percentiles over completed
      * reads of the measurement window plus network-wide stall totals
-     * ({enabled=false, all zero} when cfg.latencyObs is off).
+     * ({enabled=false, all zero} only in records loaded from journals
+     * written before the observatory existed).
      */
     LatencyBreakdown latency;
 
     /**
      * Energy observatory: the exact per-cause attribution ledger plus
-     * congestion-sketch percentiles ({enabled=false, all zero} when
-     * cfg.energyObs is off).
+     * congestion-sketch percentiles ({enabled=false, all zero} only in
+     * records loaded from journals written before the observatory
+     * existed).
      */
     EnergySummary energy;
 

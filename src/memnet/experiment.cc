@@ -99,16 +99,9 @@ Runner::key(const SystemConfig &cfg)
         k.push_back(',');
         num(f.flitErrorRate);
     }
-    // Deterministic (barrier) partitioned runs are bit-identical to
-    // serial, so they intentionally share the serial key: a journaled
-    // serial sweep resumes a partitioned one and vice versa. Only lax
-    // mode changes simulated results, so only it extends the key.
-    if (cfg.partitions > 1 && cfg.partitionSync == PartitionSync::Lax) {
-        k += "|lax:";
-        num(cfg.partitions);
-        k.push_back(',');
-        num(cfg.laxWindowPs);
-    }
+    // Partitioned runs are bit-identical to serial, so cfg.partitions
+    // is intentionally not in the key: a journaled serial sweep resumes
+    // a partitioned one and vice versa.
     return k;
 }
 

@@ -146,8 +146,11 @@ configFields(V &v, C &c)
     v.num("max_writes_per_core", c.maxWritesPerCore);
     v.optional([&] {
         v.num("partitions", c.partitions);
-        v.partitionSync("partition_sync", c.partitionSync);
-        v.num("lax_window_ps", c.laxWindowPs);
+        // Kept so journals interchange with older builds, where these
+        // members selected a second sync mode; any other value is
+        // rejected, since only this one is still simulated.
+        v.constant("partition_sync", "barrier");
+        v.constant("lax_window_ps", "10000000");
     });
     v.object("faults", [&] {
         v.num("flap_mean_period_ps", c.faults.flapMeanPeriodPs);
@@ -314,11 +317,7 @@ class Writer
         num(k, static_cast<int>(e));
     }
 
-    void
-    partitionSync(std::string_view k, PartitionSync s)
-    {
-        str(k, partitionSyncName(s));
-    }
+    void constant(std::string_view k, std::string_view lit) { quoted(k, lit); }
 
     template <typename Fn>
     void
@@ -456,13 +455,14 @@ class Reader
             e = static_cast<E>(v);
     }
 
+    /** A member whose only accepted value is the string @p lit. */
     void
-    partitionSync(std::string_view k, PartitionSync &s)
+    constant(std::string_view k, std::string_view lit)
     {
-        std::string name;
-        str(k, name);
-        if (live() && !parsePartitionSync(name, &s))
-            fail(k, "unknown mode");
+        std::string_view s;
+        if (member(k) && quoted(k, &s) && s != lit)
+            fail(k, "unsupported value '" + std::string(s) +
+                        "' (only '" + std::string(lit) + "' is simulated)");
     }
 
     template <typename Fn>

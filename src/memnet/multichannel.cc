@@ -164,8 +164,6 @@ runMultiChannel(const MultiChannelConfig &mcfg)
         nets.push_back(std::make_unique<Network>(
             queueOf(c), topo, dram, cfg.mechanism, roo, pm, amap,
             errors));
-        nets.back()->setLatencyObservatory(cfg.latencyObs);
-        nets.back()->setEnergyObservatory(cfg.energyObs);
         net_ptrs.push_back(nets.back().get());
     }
 
@@ -202,8 +200,7 @@ runMultiChannel(const MultiChannelConfig &mcfg)
                     ch.applyAtHost(m);
                 else
                     ch.applyAtChannel(m);
-            },
-            cfg.partitionSync, cfg.laxWindowPs);
+            });
         for (int c = 0; c < mcfg.channels; ++c) {
             chans.push_back(std::make_unique<PartitionedChannel>(
                 procEq, *net_ptrs[c], c, rankOf(c),
@@ -286,12 +283,9 @@ runMultiChannel(const MultiChannelConfig &mcfg)
             auditors.push_back(
                 std::make_unique<audit::Auditor>(*nets[c]));
             // The packet census reads processor state from channel 0's
-            // epoch events; in a partitioned run that is only safe (and
-            // deterministic) at Barrier merged tick-steps, where every
-            // worker is parked at the same tick.
-            if (c == 0 &&
-                (!partitioned ||
-                 cfg.partitionSync == PartitionSync::Barrier))
+            // epoch events; in a partitioned run those fire in merged
+            // tick-steps, where every worker is parked at the same tick.
+            if (c == 0)
                 auditors.back()->setProcessor(&proc);
             auditors.back()->attach(
                 c < static_cast<int>(mgrs.size()) ? mgrs[c].get()
@@ -344,35 +338,31 @@ runMultiChannel(const MultiChannelConfig &mcfg)
     r.readsPerSec =
         static_cast<double>(proc.completedReads()) / secs;
 
-    if (cfg.latencyObs) {
-        // Exact cross-channel merge of the component sketches, plus the
-        // stall-attribution totals summed over every channel's links.
-        obs::LatencySketches merged;
-        for (auto &n : nets)
-            merged.merge(n->latencySketches());
-        r.latency = summarizeLatency(merged);
-        for (auto &n : nets) {
-            const LatencyBreakdown b = n->latencySummary();
-            r.latency.wakeStallSeconds += b.wakeStallSeconds;
-            r.latency.retrainStallSeconds += b.retrainStallSeconds;
-            if (b.queuePeak > r.latency.queuePeak)
-                r.latency.queuePeak = b.queuePeak;
-        }
+    // Exact cross-channel merge of the component sketches, plus the
+    // stall-attribution totals summed over every channel's links.
+    obs::LatencySketches merged;
+    for (auto &n : nets)
+        merged.merge(n->latencySketches());
+    r.latency = summarizeLatency(merged);
+    for (auto &n : nets) {
+        const LatencyBreakdown b = n->latencySummary();
+        r.latency.wakeStallSeconds += b.wakeStallSeconds;
+        r.latency.retrainStallSeconds += b.retrainStallSeconds;
+        if (b.queuePeak > r.latency.queuePeak)
+            r.latency.queuePeak = b.queuePeak;
     }
 
-    if (cfg.energyObs) {
-        // Exact cross-channel merge: the attribution ledger adds
-        // field-wise in channel order, the congestion sketches merge
-        // bucket-wise — both lossless, so the multi-channel summary is
-        // bit-identical to a whole-system ledger.
-        EnergyAttribution a;
-        obs::EnergySketches sk;
-        for (auto &n : nets) {
-            a += n->energyAttribution(end);
-            sk.merge(n->collectEnergySketches(end));
-        }
-        r.energy = summarizeEnergy(a, sk);
+    // Exact cross-channel merge: the attribution ledger adds
+    // field-wise in channel order, the congestion sketches merge
+    // bucket-wise — both lossless, so the multi-channel summary is
+    // bit-identical to a whole-system ledger.
+    EnergyAttribution a;
+    obs::EnergySketches sk;
+    for (auto &n : nets) {
+        a += n->energyAttribution(end);
+        sk.merge(n->collectEnergySketches(end));
     }
+    r.energy = summarizeEnergy(a, sk);
     return r;
 }
 

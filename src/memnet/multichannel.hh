@@ -93,15 +93,13 @@ struct MultiChannelResult
     /**
      * Latency observatory over all channels: the per-channel sketches
      * are exactly mergeable, so these percentiles describe the union of
-     * every channel's completed reads ({enabled=false} when
-     * cfg.base.latencyObs is off).
+     * every channel's completed reads.
      */
     LatencyBreakdown latency;
     /**
      * Energy observatory over all channels: the attribution ledger adds
      * field-wise in channel order and the congestion sketches merge
-     * exactly, so this equals a whole-system ledger bit-identically
-     * ({enabled=false} when cfg.base.energyObs is off).
+     * exactly, so this equals a whole-system ledger bit-identically.
      */
     EnergySummary energy;
 };

@@ -118,9 +118,9 @@ printRunSummary(const RunResult &r)
                                                us(1)));
         }
         if (p.partitions > 1) {
-            std::printf("  partitions: %d (%s sync); events/s and "
-                        "queue stats above aggregate all lanes\n",
-                        p.partitions, p.laxSync ? "lax" : "barrier");
+            std::printf("  partitions: %d; events/s and queue stats "
+                        "above aggregate all lanes\n",
+                        p.partitions);
             for (std::size_t i = 0; i < p.partitionLanes.size(); ++i) {
                 const PartitionLane &l = p.partitionLanes[i];
                 std::printf("    lane %zu: %llu events, peak depth "
@@ -376,8 +376,8 @@ writeRunResultJson(obs::JsonWriter &w, const RunResult &r)
 
     // schema_version 4: energy observatory. The attribution joules are
     // exact simulation-determined doubles (bench_compare treats them as
-    // exact counters); enabled=false with all-zero fields when the
-    // observatory is off.
+    // exact counters); enabled=false with all-zero fields only for a
+    // record resumed from a journal older than the observatory.
     w.key("energy");
     w.beginObject();
     w.field("enabled", r.energy.enabled);
@@ -440,7 +440,6 @@ writeRunResultJson(obs::JsonWriter &w, const RunResult &r)
     w.endArray();
     w.field("partitions",
             static_cast<std::uint64_t>(r.profile.partitions));
-    w.field("lax_sync", r.profile.laxSync);
     // barrier_wait_ns is wall-clock, like wall_s: comparison tools
     // must not treat it as simulation-determined.
     w.key("partition_lanes");

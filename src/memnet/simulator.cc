@@ -173,8 +173,7 @@ class SimulatorImpl
                         chan->applyAtHost(m);
                     else
                         chan->applyAtChannel(m);
-                },
-                cfg.partitionSync, cfg.laxWindowPs);
+                });
             chan = std::make_unique<PartitionedChannel>(
                 procEq, net, 0, 1, runner->mail());
             target = &chan->outbox();
@@ -234,17 +233,6 @@ class SimulatorImpl
         if (mgr)
             mgr->start(0);
 
-        // Latency observatory: passive like obs/audit (packets are
-        // stamped either way; the switch only gates sketch recording),
-        // so enabling it never changes simulated results. Set before
-        // the hub so net.lat.* stats register when active.
-        net.setLatencyObservatory(cfg.latencyObs);
-
-        // Energy observatory: same contract — the attribution counters
-        // are the energy ledger itself, always stamped; the switch only
-        // materializes congestion sketches and gates the summaries.
-        net.setEnergyObservatory(cfg.energyObs);
-
         // Observability: all hooks are passive callbacks from existing
         // events, so an instrumented run is bit-identical to a bare one;
         // with nothing requested no hub is constructed at all.
@@ -267,13 +255,10 @@ class SimulatorImpl
         if (audit::enabledFor(cfg.audit)) {
             auditor = std::make_unique<audit::Auditor>(net);
             // The packet census reads processor state from the channel
-            // partition's epoch events. Under Barrier sync those fire
-            // during merged tick-steps — every worker parked, so the
-            // read is race-free and deterministic. Lax windows offer no
-            // such point, so the census is skipped there.
-            if (!partitioned ||
-                cfg.partitionSync == PartitionSync::Barrier)
-                auditor->setProcessor(&proc);
+            // partition's epoch events. Those fire during merged
+            // tick-steps — every worker parked, so the read is
+            // race-free and deterministic.
+            auditor->setProcessor(&proc);
             auditor->attach(mgr.get());
         }
 
@@ -348,8 +333,6 @@ class SimulatorImpl
                 r.profile.dispatchWindows[i] += cw[i];
 
             r.profile.partitions = runner->partitions();
-            r.profile.laxSync =
-                runner->syncMode() == PartitionSync::Lax;
             const std::vector<PartitionLaneStats> &ls =
                 runner->laneStats();
             for (int p = 0; p < runner->partitions(); ++p) {

@@ -10,7 +10,7 @@
  * (sim/partition.hh) the constant delay is the processor partition's
  * conservative lookahead, and the channel-side mirror of this FIFO
  * replays the same (push, due) sequence from handed-off messages so
- * deterministic mode stays bit-identical to the serial kernel.
+ * partitioned runs stay bit-identical to the serial kernel.
  */
 
 #ifndef MEMNET_NET_BOUNDARY_HH

@@ -81,6 +81,7 @@ Link::resetStats()
 {
     accrue(eq.now());
     stats_ = LinkStats{};
+    occupancy_.reset();
 }
 
 void
@@ -106,8 +107,7 @@ void
 Link::noteQueueDepth(Tick now)
 {
     const std::uint64_t depth = queued();
-    if (occSketch_)
-        occSketch_->record(depth);
+    occupancy_.record(depth);
     if (depth > stats_.queuePeak) {
         stats_.queuePeak = depth;
         if (trace_)

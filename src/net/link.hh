@@ -327,14 +327,12 @@ class Link
     void setTraceSink(PowerTraceSink *t) { trace_ = t; }
 
     /**
-     * Attach a Network-owned occupancy sketch (energy observatory):
-     * every waiting-queue push records the post-push depth. Null (the
-     * default) disables recording; the sketch is purely passive, so
-     * simulated results are identical with and without one. A link's
+     * Waiting-queue occupancy since resetStats() (energy observatory):
+     * every push records the post-push depth. Purely passive. A link's
      * events all run on its home partition, so partitioned recording
      * is race-free.
      */
-    void setOccupancySketch(obs::QuantileSketch *s) { occSketch_ = s; }
+    const obs::QuantileSketch &occupancy() const { return occupancy_; }
 
     // -- Latency observatory (monotonic stall accumulators) ----------------
 
@@ -390,8 +388,6 @@ class Link
     const LinkType type_;
     const int module_;
     PowerTraceSink *trace_ = nullptr;
-    /** Occupancy sketch (energy observatory); null when disabled. */
-    obs::QuantileSketch *occSketch_ = nullptr;
     /** Serialization span start, valid only while trace_ is attached. */
     Tick txStart_ = 0;
     /** Sleep span start, valid only while trace_ is attached. */
@@ -463,6 +459,9 @@ class Link
     MemberEvent<Link, &Link::onWakeDone> wakeEvent{this};
     MemberEvent<Link, &Link::onRetrainDone> retrainEvent{this};
     MemberEvent<Link, &Link::onCheckpoint> checkpointEvent{this};
+
+    /** Last: its 15 KB of buckets would split the hot members above. */
+    obs::QuantileSketch occupancy_;
 };
 
 } // namespace memnet

@@ -146,8 +146,6 @@ Network::recordLatency(const Packet &pkt, Tick now)
 LatencyBreakdown
 Network::latencySummary() const
 {
-    if (!latObs_)
-        return LatencyBreakdown{};
     LatencyBreakdown b = summarizeLatency(lat_);
     for (const auto &l : reqLinks) {
         b.wakeStallSeconds += l->stats().wakeStallSeconds;
@@ -169,8 +167,6 @@ Network::resetStats()
 {
     measureStart = eq.now();
     lat_.reset();
-    for (auto &s : occ_)
-        s.reset();
     hops.reset();
     for (auto &l : reqLinks)
         l->resetStats();
@@ -202,28 +198,6 @@ Network::collectEnergy(Tick now)
     return e;
 }
 
-void
-Network::setEnergyObservatory(bool on)
-{
-    energyObs_ = on;
-    if (on) {
-        // Sized exactly once: links keep raw pointers into the vector,
-        // so it must never reallocate afterwards.
-        occ_.assign(2 * static_cast<std::size_t>(numModules()),
-                    obs::QuantileSketch{});
-        const int n = numModules();
-        for (int i = 0; i < n; ++i) {
-            reqLinks[i]->setOccupancySketch(&occ_[i]);
-            respLinks[i]->setOccupancySketch(
-                &occ_[static_cast<std::size_t>(n) + i]);
-        }
-    } else {
-        for (auto *l : allLinks())
-            l->setOccupancySketch(nullptr);
-        occ_.clear();
-    }
-}
-
 EnergyAttribution
 Network::energyAttribution(Tick now)
 {
@@ -252,9 +226,8 @@ Network::collectEnergySketches(Tick now)
         const double u = l->utilization(secs);
         out.utilization.record(static_cast<std::uint64_t>(
             std::llround((u > 0.0 ? u : 0.0) * 1e6)));
+        out.occupancy.merge(l->occupancy());
     }
-    for (const auto &s : occ_)
-        out.occupancy.merge(s);
     return out;
 }
 
@@ -270,8 +243,6 @@ Network::moduleEnergy(int m, Tick now) const
 EnergySummary
 Network::energySummary(Tick now)
 {
-    if (!energyObs_)
-        return EnergySummary{};
     return summarizeEnergy(energyAttribution(now),
                            collectEnergySketches(now));
 }

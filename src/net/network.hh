@@ -182,8 +182,7 @@ class Network : public TrafficTarget, public FaultTarget
     void
     completeRead(Packet *pkt, Tick now)
     {
-        if (latObs_)
-            recordLatency(*pkt, now);
+        recordLatency(*pkt, now);
         if (trace_)
             trace_->packetLife(*pkt, pkt->issued, now);
         host_->readCompleted(pkt, now);
@@ -201,53 +200,34 @@ class Network : public TrafficTarget, public FaultTarget
 
     // -- Latency observatory -----------------------------------------------
 
-    /**
-     * Enable/disable latency recording. Purely passive: packets are
-     * stamped either way (integer stores on pool-owned storage), the
-     * switch only gates the sketch updates at completion, so simulated
-     * results are bit-identical on vs. off (test_differential).
-     */
-    void setLatencyObservatory(bool on) { latObs_ = on; }
-    bool latencyEnabled() const { return latObs_; }
-
     /** Component sketches over completed reads since resetStats(). */
     const obs::LatencySketches &latencySketches() const { return lat_; }
 
     /**
      * Summarize the sketches plus per-link stall attribution into a
-     * RunResult-ready breakdown ({enabled=false} when disabled).
+     * RunResult-ready breakdown.
      */
     LatencyBreakdown latencySummary() const;
 
     // -- Energy observatory ------------------------------------------------
 
     /**
-     * Enable/disable energy recording. The attribution counters are
-     * always stamped (they ARE the energy ledger); the switch only
-     * materializes the per-link occupancy sketches and gates the
-     * summaries, so simulated results are bit-identical on vs. off
-     * (test_differential).
-     */
-    void setEnergyObservatory(bool on);
-    bool energyEnabled() const { return energyObs_; }
-
-    /**
      * The exact attribution ledger over [reset, now]: link cause
      * buckets, module cause terms, and the coarse idle/active anchors.
      * Accumulated by the same arithmetic as collectEnergy, so the
      * anchors match the EnergyBreakdown bit-identically (the runtime
-     * auditor enforces this). Always available, observatory on or off.
+     * auditor enforces this).
      */
     EnergyAttribution energyAttribution(Tick now);
 
     /**
      * Congestion sketches: one utilization sample per link (ppm of
-     * full bandwidth over the window) plus the merged waiting-queue
-     * occupancy distribution. Empty when the observatory is off.
+     * full bandwidth over the window) plus the waiting-queue occupancy
+     * distribution merged over every link.
      */
     obs::EnergySketches collectEnergySketches(Tick now);
 
-    /** RunResult-ready summary ({enabled=false} when disabled). */
+    /** RunResult-ready summary of the ledger and the sketches. */
     EnergySummary energySummary(Tick now);
 
     /**
@@ -296,16 +276,8 @@ class Network : public TrafficTarget, public FaultTarget
     /** Decompose a completed read into the component sketches. */
     void recordLatency(const Packet &pkt, Tick now);
 
-    bool latObs_ = false;
-    bool energyObs_ = false;
     bool writeHandoff_ = false;
     obs::LatencySketches lat_;
-    /**
-     * Per-link occupancy sketches (request links first, ids match),
-     * materialized by setEnergyObservatory(true). Sized once — links
-     * hold raw pointers into the vector.
-     */
-    std::vector<obs::QuantileSketch> occ_;
 
     Average hops;
     Tick measureStart = 0;

@@ -7,14 +7,12 @@
  * picosecond of an access go"; this one answers "where did each joule
  * go" — which component (link I/O, SerDes/logic, router, DRAM), which
  * power state, and why (traffic vs. static floor vs. sleep/wake/retrain
- * transitions). It follows the same pattern:
+ * transitions). Like the latency observatory it is always on:
  *
  *  - the underlying counters (LinkStats cause buckets, module activity
- *    counters) are always stamped — they ARE the simulator's energy
- *    ledger, not a parallel one;
- *  - `SystemConfig::energyObs` only gates the congestion sketches and
- *    the summaries, so obs-on vs. obs-off runs are bit-identical
- *    (test_differential) and the flag stays out of the Runner memo key;
+ *    counters) are the simulator's energy ledger, not a parallel one;
+ *  - the congestion sketches are passive — recording never schedules
+ *    an event — so they cannot change simulated results;
  *  - rollups are fixed-footprint: one EnergyAttribution per scope
  *    (link -> module -> channel -> system) regardless of fabric size,
  *    plus two QuantileSketches for the per-link utilization/occupancy
@@ -53,9 +51,9 @@ namespace obs
  * Congestion telemetry sketches. Utilization holds one sample per link
  * per collection (parts-per-million of full bandwidth over the measure
  * window); occupancy holds the waiting-queue depth at every enqueue,
- * recorded by the link into a Network-owned per-link sketch (a link's
- * events all run on its home partition, so partitioned recording is
- * race-free and bit-identical to serial).
+ * recorded by each link into its own sketch (a link's events all run
+ * on its home partition, so partitioned recording is race-free and
+ * bit-identical to serial).
  */
 struct EnergySketches
 {
@@ -187,9 +185,9 @@ struct EnergyAttribution
 
 /**
  * RunResult's energy decomposition: the attribution ledger plus
- * percentile summaries of the congestion sketches. Deterministic, but
- * excluded from audit::diffRunResults like the latency breakdown
- * because the observatory may legitimately be off on one side.
+ * percentile summaries of the congestion sketches. Deterministic.
+ * enabled is false only in records loaded from journals written before
+ * the observatory existed.
  */
 struct EnergySummary
 {
@@ -221,8 +219,8 @@ class StatsRegistry;
 
 /**
  * Register the net.energy.* stat scopes (system-level cause rollups
- * plus the congestion-sketch percentiles). Caller gates on
- * Network::energyEnabled(); values are materialized at dump time.
+ * plus the congestion-sketch percentiles). Values are materialized at
+ * dump time.
  * Implemented in energy_observatory.cc (obs library).
  */
 void registerEnergyStats(StatsRegistry &reg, Network &net);

@@ -70,16 +70,13 @@ ObsHub::onEpoch(PowerManager &pm, Tick now)
         rec->onEpoch(pm, now);
     if (trace) {
         trace->epochMarker(now, pm.epochs());
-        if (net.energyEnabled()) {
-            const EnergyAttribution a = net.energyAttribution(now);
-            const double secs = toSeconds(now - lastEnergyTick);
-            trace->energyCounters(
-                now, renderEnergyCounterArgs(a, lastEnergy,
-                                             secs > 0.0 ? 1.0 / secs
-                                                        : 0.0));
-            lastEnergy = a;
-            lastEnergyTick = now;
-        }
+        const EnergyAttribution a = net.energyAttribution(now);
+        const double secs = toSeconds(now - lastEnergyTick);
+        trace->energyCounters(
+            now, renderEnergyCounterArgs(a, lastEnergy,
+                                         secs > 0.0 ? 1.0 / secs : 0.0));
+        lastEnergy = a;
+        lastEnergyTick = now;
     }
 }
 
@@ -205,49 +202,43 @@ ObsHub::registerStats()
     // Latency observatory: per-component percentile stats over the
     // completed reads since reset. Integer picoseconds, deterministic;
     // empty sketches answer 0 with samples == 0.
-    if (net.latencyEnabled()) {
-        struct LatComponent
-        {
-            const char *name;
-            const QuantileSketch *sketch;
-        };
-        const LatComponent comps[] = {
-            {"end_to_end", &net.latencySketches().endToEnd},
-            {"queue", &net.latencySketches().queue},
-            {"wake_stall", &net.latencySketches().wakeStall},
-            {"retrain_stall", &net.latencySketches().retrainStall},
-            {"serialization", &net.latencySketches().ser},
-            {"dram", &net.latencySketches().dram},
-        };
-        const std::pair<const char *, double> quantiles[] = {
-            {"p50_ps", 0.50},
-            {"p90_ps", 0.90},
-            {"p99_ps", 0.99},
-            {"p999_ps", 0.999},
-        };
-        for (const LatComponent &c : comps) {
-            auto s = reg.scope(std::string("net.lat.") + c.name + '.');
-            const QuantileSketch *sk = c.sketch;
-            s.addInt("samples", "completed reads recorded",
-                     [sk] { return sk->samples(); });
-            s.addInt("sum_ps", "summed component latency (ps)",
-                     [sk] { return sk->sum(); });
-            s.addInt("max_ps", "maximum component latency (ps)",
-                     [sk] { return sk->maxValue(); });
-            for (const auto &q : quantiles) {
-                s.addInt(q.first,
-                         std::string("latency quantile ") + q.first,
-                         [sk, qv = q.second] {
-                             return sk->quantile(qv);
-                         });
-            }
+    struct LatComponent
+    {
+        const char *name;
+        const QuantileSketch *sketch;
+    };
+    const LatComponent comps[] = {
+        {"end_to_end", &net.latencySketches().endToEnd},
+        {"queue", &net.latencySketches().queue},
+        {"wake_stall", &net.latencySketches().wakeStall},
+        {"retrain_stall", &net.latencySketches().retrainStall},
+        {"serialization", &net.latencySketches().ser},
+        {"dram", &net.latencySketches().dram},
+    };
+    const std::pair<const char *, double> quantiles[] = {
+        {"p50_ps", 0.50},
+        {"p90_ps", 0.90},
+        {"p99_ps", 0.99},
+        {"p999_ps", 0.999},
+    };
+    for (const LatComponent &c : comps) {
+        auto s = reg.scope(std::string("net.lat.") + c.name + '.');
+        const QuantileSketch *sk = c.sketch;
+        s.addInt("samples", "completed reads recorded",
+                 [sk] { return sk->samples(); });
+        s.addInt("sum_ps", "summed component latency (ps)",
+                 [sk] { return sk->sum(); });
+        s.addInt("max_ps", "maximum component latency (ps)",
+                 [sk] { return sk->maxValue(); });
+        for (const auto &q : quantiles) {
+            s.addInt(q.first, std::string("latency quantile ") + q.first,
+                     [sk, qv = q.second] { return sk->quantile(qv); });
         }
     }
 
     // Energy observatory: system-level cause rollups plus the
     // congestion-sketch percentiles (net.energy.*).
-    if (net.energyEnabled())
-        registerEnergyStats(reg, net);
+    registerEnergyStats(reg, net);
 
     for (Link *l : net.allLinks()) {
         std::ostringstream pre;
@@ -260,16 +251,14 @@ ObsHub::registerStats()
         // Energy observatory: the fine cause buckets behind the two
         // coarse ledgers above (idle floor is their difference from
         // sleep + wake; see net/link.hh).
-        if (net.energyEnabled()) {
-            s.add("tx_energy_j", "serialization energy (J)",
-                  [l] { return l->stats().txJ; });
-            s.add("retrain_energy_j", "retrain-window energy (J)",
-                  [l] { return l->stats().retrainJ; });
-            s.add("sleep_energy_j", "ROO off-state energy (J)",
-                  [l] { return l->stats().sleepJ; });
-            s.add("wake_energy_j", "wake-transition energy (J)",
-                  [l] { return l->stats().wakeJ; });
-        }
+        s.add("tx_energy_j", "serialization energy (J)",
+              [l] { return l->stats().txJ; });
+        s.add("retrain_energy_j", "retrain-window energy (J)",
+              [l] { return l->stats().retrainJ; });
+        s.add("sleep_energy_j", "ROO off-state energy (J)",
+              [l] { return l->stats().sleepJ; });
+        s.add("wake_energy_j", "wake-transition energy (J)",
+              [l] { return l->stats().wakeJ; });
         s.addInt("flits", "flits serialized",
                  [l] { return l->stats().flits; });
         s.addInt("packets", "packets delivered",
@@ -309,26 +298,22 @@ ObsHub::registerStats()
         s.addInt("flits_routed", "flits routed through the module",
                  [mod] { return mod->flitsRouted(); });
         // Energy observatory: the module's cause terms at dump time.
-        if (net.energyEnabled()) {
-            Network *np = &net;
-            auto term =
-                [np, m](double ModuleEnergyTerms::*f) {
-                    return np->moduleEnergy(m, np->eventQueue().now())
-                        .*f;
-                };
-            s.add("serdes_leak_j", "SerDes+logic leakage (J)", [term] {
-                return term(&ModuleEnergyTerms::logicLeakJ);
-            });
-            s.add("router_j", "router dynamic energy (J)", [term] {
-                return term(&ModuleEnergyTerms::logicDynJ);
-            });
-            s.add("dram_leak_j", "DRAM leakage (J)", [term] {
-                return term(&ModuleEnergyTerms::dramLeakJ);
-            });
-            s.add("dram_dyn_j", "DRAM dynamic energy (J)", [term] {
-                return term(&ModuleEnergyTerms::dramDynJ);
-            });
-        }
+        Network *np = &net;
+        auto term = [np, m](double ModuleEnergyTerms::*f) {
+            return np->moduleEnergy(m, np->eventQueue().now()).*f;
+        };
+        s.add("serdes_leak_j", "SerDes+logic leakage (J)", [term] {
+            return term(&ModuleEnergyTerms::logicLeakJ);
+        });
+        s.add("router_j", "router dynamic energy (J)", [term] {
+            return term(&ModuleEnergyTerms::logicDynJ);
+        });
+        s.add("dram_leak_j", "DRAM leakage (J)", [term] {
+            return term(&ModuleEnergyTerms::dramLeakJ);
+        });
+        s.add("dram_dyn_j", "DRAM dynamic energy (J)", [term] {
+            return term(&ModuleEnergyTerms::dramDynJ);
+        });
     }
 
     if (mgr) {

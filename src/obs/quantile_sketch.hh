@@ -239,8 +239,8 @@ summarizeSketch(const obs::QuantileSketch &s)
 /**
  * RunResult's latency decomposition: per-component percentiles plus the
  * network-wide stall-attribution totals. All simulation-determined and
- * deterministic, but excluded from audit::diffRunResults like wall_s
- * because the observatory may legitimately be off on one side.
+ * deterministic. enabled is false only in records loaded from journals
+ * written before the observatory existed.
  */
 struct LatencyBreakdown
 {

@@ -24,26 +24,6 @@ satAdd(Tick a, Tick b)
 
 } // namespace
 
-const char *
-partitionSyncName(PartitionSync s)
-{
-    return s == PartitionSync::Barrier ? "barrier" : "lax";
-}
-
-bool
-parsePartitionSync(const std::string &name, PartitionSync *out)
-{
-    if (name == "barrier") {
-        *out = PartitionSync::Barrier;
-        return true;
-    }
-    if (name == "lax") {
-        *out = PartitionSync::Lax;
-        return true;
-    }
-    return false;
-}
-
 MailboxMatrix::MailboxMatrix(int parts)
     : parts_(parts),
       boxes_(static_cast<std::size_t>(parts) * parts)
@@ -115,13 +95,10 @@ SpinBarrier::wait(std::uint64_t *waitNs)
 
 PartitionRunner::PartitionRunner(std::vector<EventQueue *> queues,
                                  std::vector<Tick> lookaheadPs,
-                                 ApplyFn apply, PartitionSync sync,
-                                 Tick laxWindowPs)
+                                 ApplyFn apply)
     : queues_(std::move(queues)),
       look_(std::move(lookaheadPs)),
       apply_(std::move(apply)),
-      sync_(sync),
-      laxWindow_(laxWindowPs),
       mail_(static_cast<int>(queues_.size())),
       barrier_(static_cast<int>(queues_.size()), abort_)
 {
@@ -138,8 +115,6 @@ PartitionRunner::PartitionRunner(std::vector<EventQueue *> queues,
                           "would deadlock");
         }
     }
-    if (sync_ == PartitionSync::Lax)
-        memnet_assert(laxWindow_ > 0, "lax window must be positive");
     horizons_ =
         std::make_unique<std::atomic<Tick>[]>(p);
     eff_.resize(p);
@@ -158,15 +133,12 @@ PartitionRunner::nextSyncPoint(Tick after, Tick limit, Tick grid) const
 }
 
 void
-PartitionRunner::drainInbox(int dst, Tick floor)
+PartitionRunner::drainInbox(int dst)
 {
     std::vector<BoundaryMessage> &buf = scratch_[dst];
     mail_.drain(dst, buf);
-    for (BoundaryMessage &m : buf) {
-        if (m.key.when < floor)
-            m.key.when = floor;
+    for (BoundaryMessage &m : buf)
         apply_(dst, m);
-    }
     buf.clear();
 }
 
@@ -196,7 +168,7 @@ PartitionRunner::mergedStep(Tick s)
     for (EventQueue *q : queues_)
         q->advanceTo(s);
     for (int dst = 0; dst < partitions(); ++dst)
-        drainInbox(dst, 0);
+        drainInbox(dst);
 }
 
 void
@@ -209,7 +181,7 @@ PartitionRunner::coordinate(Tick limit, Tick grid)
     // nextTick() an exact progress bound. Draining from a worker's own
     // loop instead would race a slower peer still mid-window.
     for (int dst = 0; dst < partitions(); ++dst)
-        drainInbox(dst, 0);
+        drainInbox(dst);
 
     const std::size_t p = queues_.size();
     Tick minHead = kTickMax;
@@ -282,65 +254,6 @@ PartitionRunner::coordinate(Tick limit, Tick grid)
 }
 
 void
-PartitionRunner::runBarrierMode(int rank, Tick limit, Tick grid)
-{
-    EventQueue &eq = *queues_[static_cast<std::size_t>(rank)];
-    PartitionLaneStats &st = lane_[static_cast<std::size_t>(rank)];
-    if (rank == 0)
-        syncPoint_ = nextSyncPoint(eq.now(), limit, grid);
-    for (;;) {
-        if (!barrier_.wait(&st.barrierWaitNs))
-            return;
-        if (rank == 0)
-            coordinate(limit, grid);
-        if (!barrier_.wait(&st.barrierWaitNs))
-            return;
-        if (done_.load(std::memory_order_relaxed))
-            return;
-        eq.runUntilBefore(
-            horizons_[static_cast<std::size_t>(rank)].load(
-                std::memory_order_relaxed));
-        ++st.windows;
-    }
-}
-
-void
-PartitionRunner::runLaxMode(int rank, Tick limit)
-{
-    EventQueue &eq = *queues_[static_cast<std::size_t>(rank)];
-    PartitionLaneStats &st = lane_[static_cast<std::size_t>(rank)];
-    // Every rank sees the same window sequence (queues enter a phase
-    // at a common now()), so the drains below always cover exactly the
-    // completed windows — that, not the bump floor, is what keeps lax
-    // runs deterministic from run to run.
-    Tick w = eq.now();
-    for (;;) {
-        // Entry barrier: the previous window is complete on every
-        // rank, so all of its sends are in the mailboxes and no rank
-        // is producing new ones while the drains run.
-        if (!barrier_.wait(&st.barrierWaitNs))
-            return;
-        // Deliveries the sender outran are bumped to this window's
-        // start — the approximation lax mode trades for speed. On the
-        // final pass (w == limit) the bump parks them at the limit,
-        // still scheduled, so a following phase resumes with nothing
-        // lost.
-        drainInbox(rank, w);
-        if (!barrier_.wait(&st.barrierWaitNs))
-            return;
-        if (w >= limit)
-            return;
-        const Tick next = std::min(limit, satAdd(w, laxWindow_));
-        if (next == limit)
-            eq.runUntil(limit);
-        else
-            eq.runUntilBefore(next);
-        ++st.windows;
-        w = next;
-    }
-}
-
-void
 PartitionRunner::workerBody(int rank, Tick limit, Tick grid)
 {
     // One scope per lane per phase, covering windows and barrier waits
@@ -348,11 +261,25 @@ PartitionRunner::workerBody(int rank, Tick limit, Tick grid)
     // clock reads would distort the loop). Lane 0 nests under the
     // caller's sim/measure; the other lanes are thread roots.
     MEMNET_PROF_SCOPE("part/worker");
+    EventQueue &eq = *queues_[static_cast<std::size_t>(rank)];
+    PartitionLaneStats &st = lane_[static_cast<std::size_t>(rank)];
     try {
-        if (sync_ == PartitionSync::Barrier)
-            runBarrierMode(rank, limit, grid);
-        else
-            runLaxMode(rank, limit);
+        if (rank == 0)
+            syncPoint_ = nextSyncPoint(eq.now(), limit, grid);
+        for (;;) {
+            if (!barrier_.wait(&st.barrierWaitNs))
+                return;
+            if (rank == 0)
+                coordinate(limit, grid);
+            if (!barrier_.wait(&st.barrierWaitNs))
+                return;
+            if (done_.load(std::memory_order_relaxed))
+                return;
+            eq.runUntilBefore(
+                horizons_[static_cast<std::size_t>(rank)].load(
+                    std::memory_order_relaxed));
+            ++st.windows;
+        }
     } catch (...) {
         errors_[static_cast<std::size_t>(rank)] =
             std::current_exception();

@@ -15,34 +15,24 @@
  * -> processor edge (docs/PERFORMANCE.md) — so it is never zero and
  * never requires null messages.
  *
- * Two synchronization modes:
- *
- *  - PartitionSync::Barrier (deterministic): windowed conservative
- *    execution. Each iteration, every rank drains its inbox and
- *    parks at a barrier; the coordinator (rank 0, the calling
- *    thread) computes per-queue earliest-effect bounds E[q] =
- *    min(next[q], min over incoming edges of E[src] + L[src][dst])
- *    as a fixed point — the Chandy-Misra lower bound on any future
- *    firing, including firings induced by messages still to be
- *    relayed through other partitions — and grants each destination
- *    a horizon H[dst] = min over incoming edges of
- *    (E[src] + L[src][dst]), clamped to the next sync point; after
- *    a second barrier every rank dispatches events strictly before
- *    its horizon. Events *at* a sync point (management epochs, phase
- *    limits) are executed by the coordinator alone in a merged
- *    tick-step, in global compound-key order across all queues, which
- *    serializes same-tick cross-partition couplings exactly as the
- *    serial kernel would. Combined with cross-partition messages
- *    carrying the event keys their serial counterparts would have
- *    (net/boundary.hh), this mode is bit-identical to the serial
- *    kernel (enforced by tests/test_partition.cc).
- *
- *  - PartitionSync::Lax (fast screening): fixed time windows of
- *    laxWindowPs; messages are delivered at window granularity (their
- *    due tick bumped to the receiving window's start when the sender
- *    outran it). Run-to-run deterministic, but not serial-identical —
- *    use it for parameter sweeps where ~window-sized latency error on
- *    cross-partition edges is acceptable.
+ * Synchronization is windowed conservative execution. Each
+ * iteration, every rank drains its inbox and parks at a barrier; the
+ * coordinator (rank 0, the calling thread) computes per-queue
+ * earliest-effect bounds E[q] = min(next[q], min over incoming edges
+ * of E[src] + L[src][dst]) as a fixed point — the Chandy-Misra lower
+ * bound on any future firing, including firings induced by messages
+ * still to be relayed through other partitions — and grants each
+ * destination a horizon H[dst] = min over incoming edges of
+ * (E[src] + L[src][dst]), clamped to the next sync point; after a
+ * second barrier every rank dispatches events strictly before its
+ * horizon. Events *at* a sync point (management epochs, phase limits)
+ * are executed by the coordinator alone in a merged tick-step, in
+ * global compound-key order across all queues, which serializes
+ * same-tick cross-partition couplings exactly as the serial kernel
+ * would. Combined with cross-partition messages carrying the event
+ * keys their serial counterparts would have (net/boundary.hh), a
+ * partitioned run is bit-identical to the serial kernel (enforced by
+ * tests/test_partition.cc).
  *
  * The runner itself is model-agnostic: payloads are opaque pointers
  * and message application is delegated to an ApplyFn installed by the
@@ -58,7 +48,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -67,25 +56,12 @@
 namespace memnet
 {
 
-/** How a partitioned run synchronizes its partitions. */
-enum class PartitionSync : std::uint8_t
-{
-    Barrier, ///< deterministic; bit-identical to the serial kernel
-    Lax,     ///< fixed windows; fast, reproducible, not serial-equal
-};
-
-/** "barrier" / "lax". */
-const char *partitionSyncName(PartitionSync s);
-
-/** Parse a --partition-sync value; false on unknown name. */
-bool parsePartitionSync(const std::string &name, PartitionSync *out);
-
 /**
  * One cross-partition handoff. The sim layer treats payload/channel/
  * kind as opaque routing data for the model layer's ApplyFn; key is
  * the compound event key the receiver schedules the message with —
- * in deterministic mode the sender computes the exact key the
- * corresponding serial event would have carried.
+ * the sender computes the exact key the corresponding serial event
+ * would have carried.
  */
 struct BoundaryMessage
 {
@@ -178,20 +154,17 @@ class PartitionRunner
      * @param lookaheadPs row-major P x P edge lookaheads; kTickMax
      *                    marks "no edge", every real edge must be > 0
      * @param apply       model-layer message application
-     * @param sync        Barrier (deterministic) or Lax
-     * @param laxWindowPs fixed window length for Lax mode
      */
     PartitionRunner(std::vector<EventQueue *> queues,
-                    std::vector<Tick> lookaheadPs, ApplyFn apply,
-                    PartitionSync sync, Tick laxWindowPs);
+                    std::vector<Tick> lookaheadPs, ApplyFn apply);
 
     /**
      * Run every partition to @p limit (events at the limit included,
-     * as EventQueue::runUntil). In Barrier mode @p epochGridPs > 0
-     * additionally serializes every multiple of the grid as a merged
-     * tick-step, which any run with management epochs needs so epoch
-     * work observes a globally consistent machine. Callable
-     * repeatedly (warmup then measure); counters accumulate.
+     * as EventQueue::runUntil). @p epochGridPs > 0 additionally
+     * serializes every multiple of the grid as a merged tick-step,
+     * which any run with management epochs needs so epoch work
+     * observes a globally consistent machine. Callable repeatedly
+     * (warmup then measure); counters accumulate.
      */
     void runUntil(Tick limit, Tick epochGridPs);
 
@@ -199,8 +172,6 @@ class PartitionRunner
     MailboxMatrix &mail() { return mail_; }
 
     int partitions() const { return static_cast<int>(queues_.size()); }
-
-    PartitionSync syncMode() const { return sync_; }
 
     const std::vector<PartitionLaneStats> &
     laneStats() const
@@ -218,8 +189,6 @@ class PartitionRunner
     Tick nextSyncPoint(Tick after, Tick limit, Tick grid) const;
 
     void workerBody(int rank, Tick limit, Tick grid);
-    void runBarrierMode(int rank, Tick limit, Tick grid);
-    void runLaxMode(int rank, Tick limit);
 
     /** Rank 0 between the barriers: merged steps + horizon grants. */
     void coordinate(Tick limit, Tick grid);
@@ -229,15 +198,12 @@ class PartitionRunner
      *  own boundary messages. */
     void mergedStep(Tick s);
 
-    /** Apply dst's pending messages; dues below @p floor are bumped
-     *  (Lax mode only; Barrier mode passes 0 = never bumps). */
-    void drainInbox(int dst, Tick floor);
+    /** Apply dst's pending messages. */
+    void drainInbox(int dst);
 
     std::vector<EventQueue *> queues_;
     std::vector<Tick> look_;
     ApplyFn apply_;
-    PartitionSync sync_;
-    Tick laxWindow_;
 
     MailboxMatrix mail_;
     std::atomic<bool> abort_{false};

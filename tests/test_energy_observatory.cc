@@ -4,9 +4,9 @@
  * (src/obs/energy_observatory.hh): cause-bucket folding, the derived
  * identities, exact merge, the bit-identity of the rollup against
  * Network::collectEnergy, the net.energy.* stat scopes, and the
- * Chrome-trace counter renderer. The run-level guarantees (obs-on ==
- * obs-off, partitioned == serial, mutation-tested auditor check) live
- * in test_differential.cc / test_partition.cc / test_audit.cc.
+ * Chrome-trace counter renderer, and what a whole run reports. The
+ * run-level guarantees (partitioned == serial, mutation-tested auditor
+ * check) live in test_partition.cc / test_audit.cc.
  */
 
 #include <gtest/gtest.h>
@@ -152,7 +152,6 @@ TEST_F(EnergyObservatoryNet, AnchorsMatchCollectEnergyBitIdentically)
 
 TEST_F(EnergyObservatoryNet, SketchesCoverEveryLinkWhenEnabled)
 {
-    net->setEnergyObservatory(true);
     eq.runUntil(us(10));
     const EnergySummary s = net->energySummary(eq.now());
     EXPECT_TRUE(s.enabled);
@@ -165,7 +164,6 @@ TEST_F(EnergyObservatoryNet, SketchesCoverEveryLinkWhenEnabled)
 
 TEST_F(EnergyObservatoryNet, StatScopesMaterializeTheLedger)
 {
-    net->setEnergyObservatory(true);
     eq.runUntil(us(10));
     obs::StatsRegistry reg;
     obs::registerEnergyStats(reg, *net);
@@ -188,6 +186,68 @@ TEST_F(EnergyObservatoryNet, StatScopesMaterializeTheLedger)
     EXPECT_EQ(num("net.energy.idle_mode0_j"), a.idleModeJ[0]);
     EXPECT_EQ(num("net.energy.util_ppm.samples"), 14.0);
     EXPECT_EQ(num("net.energy.occupancy.samples"), 0.0);
+}
+
+/** Host that frees what the network hands back. */
+struct CountingHost : public EndpointHost
+{
+    int reads = 0;
+
+    void
+    readCompleted(Packet *pkt, Tick) override
+    {
+        ++reads;
+        delete pkt;
+    }
+
+    void writeRetired(Packet *pkt, Tick) override { delete pkt; }
+};
+
+TEST_F(EnergyObservatoryNet, BareNetworkRecordsBothObservatories)
+{
+    // No Simulator wires anything up: a Network records latency and
+    // energy on its own.
+    CountingHost host;
+    net->setHost(&host);
+    for (std::uint64_t m = 0; m < 3; ++m) {
+        Packet *p = new Packet;
+        p->id = m;
+        p->type = PacketType::ReadReq;
+        p->addr = m << 30;
+        p->flits = flitsFor(p->type);
+        net->inject(p);
+    }
+    eq.runUntil(us(10));
+    ASSERT_EQ(host.reads, 3);
+
+    const LatencyBreakdown lat = net->latencySummary();
+    EXPECT_TRUE(lat.enabled);
+    EXPECT_EQ(lat.endToEnd.samples, 3u);
+    EXPECT_GT(lat.dram.sumPs, 0u);
+    const EnergySummary e = net->energySummary(eq.now());
+    EXPECT_TRUE(e.enabled);
+    EXPECT_GT(e.occupancy.samples, 0u);
+    EXPECT_GT(e.attribution.txJ, 0.0);
+}
+
+TEST(EnergyObservatoryRun, ReportsLedgerAndSketches)
+{
+    SystemConfig cfg;
+    cfg.workload = "mixE";
+    cfg.topology = TopologyKind::Star;
+    cfg.policy = Policy::Aware;
+    cfg.mechanism = BwMechanism::Vwl;
+    cfg.roo = true;
+    cfg.warmup = us(50);
+    cfg.measure = us(150);
+    cfg.epochLen = us(30);
+    const RunResult r = runSimulation(cfg);
+    ASSERT_TRUE(r.energy.enabled);
+    EXPECT_GT(r.energy.attribution.totalJ(), 0.0);
+    EXPECT_GT(r.energy.occupancy.samples, 0u);
+    // Utilization records one sample per link.
+    EXPECT_EQ(r.energy.utilization.samples,
+              static_cast<std::uint64_t>(2 * r.numModules));
 }
 
 TEST(EnergyCounterArgs, RendersPerCauseWatts)

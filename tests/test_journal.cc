@@ -488,8 +488,6 @@ TEST(JournalFixture, OlderShapesLoadWithTodaysDefaults)
             expected.energy = EnergySummary{};
         } else if (i == 3) {
             expected.config.partitions = defaults.partitions;
-            expected.config.partitionSync = defaults.partitionSync;
-            expected.config.laxWindowPs = defaults.laxWindowPs;
         } else {
             expected.latency = LatencyBreakdown{};
         }
@@ -570,27 +568,36 @@ TEST(JournalRecord, RejectsOutOfRangeEnums)
         << err;
 }
 
+/**
+ * @p line with the first @p from in its record replaced by @p to and
+ * the CRC recomputed, so the edit reaches the parser.
+ */
+std::string
+editedLine(const std::string &line, const std::string &from,
+           const std::string &to)
+{
+    std::string p = line.substr(line.find("\"record\":") + 9);
+    p.resize(p.size() - 2); // "}\n"
+    const std::size_t at = p.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    p.replace(at, from.size(), to);
+    char crc[9];
+    std::snprintf(crc, sizeof crc, "%08x", crc32(p.data(), p.size()));
+    return std::string("{\"journal_version\":1,\"crc32\":\"") + crc +
+           "\",\"record\":" + p + "}\n";
+}
+
 TEST(JournalRecord, ErrorsNameThePathOfTheBadMember)
 {
     const RunResult r = fancyResult();
     const std::string line = journalRecordLine(Runner::key(r.config), r);
-    std::string payload = line.substr(line.find("\"record\":") + 9);
-    payload.resize(payload.size() - 2); // "}\n"
-    const auto reframed = [](const std::string &p) {
-        char crc[9];
-        std::snprintf(crc, sizeof crc, "%08x", crc32(p.data(), p.size()));
-        return std::string("{\"journal_version\":1,\"crc32\":\"") + crc +
-               "\",\"record\":" + p + "}\n";
-    };
     const auto errorFor = [&](const std::string &from,
                               const std::string &to) {
-        std::string p = payload;
-        const std::size_t at = p.find(from);
-        EXPECT_NE(at, std::string::npos) << from;
-        p.replace(at, from.size(), to);
         std::string k, err;
         RunResult out;
-        EXPECT_FALSE(parseJournalLine(reframed(p), &k, &out, &err)) << to;
+        EXPECT_FALSE(
+            parseJournalLine(editedLine(line, from, to), &k, &out, &err))
+            << to;
         return err;
     };
     EXPECT_EQ(errorFor("\"roo\":true", "\"rooo\":true"),
@@ -615,6 +622,56 @@ TEST(JournalRecord, ErrorsNameThePathOfTheBadMember)
                        "\"total_network_w\":\"88.25"),
               "result.total_network_w: not a hex-float: '88.25'");
     EXPECT_EQ(errorFor("\"key\":\"", "\"kee\":\""), "record.key: missing");
+}
+
+TEST(JournalRecord, LaxRecordsAreRejectedAndResumeReRunsThem)
+{
+    // Journals written when the partitioned kernel also had a lax sync
+    // mode may hold its records: partition_sync "lax" with the key
+    // suffix "|lax:<partitions>,<window>", or a non-default window.
+    // Neither is simulated any more, so both are skipped on load and a
+    // resume re-runs the config.
+    SystemConfig cfg = sweepConfigs()[0];
+    cfg.partitions = 2;
+    const std::string key = Runner::key(cfg);
+    Runner reference;
+    const RunResult &real = reference.get(cfg);
+    const std::string line = journalRecordLine(key, real);
+    const std::string lax = editedLine(
+        editedLine(line, "\"partition_sync\":\"barrier\"",
+                   "\"partition_sync\":\"lax\""),
+        "\"key\":\"" + key + "\"", "\"key\":\"" + key + "|lax:2,10000000\"");
+    const std::string window =
+        editedLine(line, "\"lax_window_ps\":\"10000000\"",
+                   "\"lax_window_ps\":\"20000000\"");
+
+    std::string k, err;
+    RunResult out;
+    EXPECT_FALSE(parseJournalLine(lax, &k, &out, &err));
+    EXPECT_EQ(err, "config.partition_sync: unsupported value 'lax' (only "
+                   "'barrier' is simulated)");
+    EXPECT_FALSE(parseJournalLine(window, &k, &out, &err));
+    EXPECT_EQ(err, "config.lax_window_ps: unsupported value '20000000' "
+                   "(only '10000000' is simulated)");
+
+    const std::string path = tempPath("lax_records.jsonl");
+    {
+        std::ofstream os(path);
+        os << lax << window;
+    }
+    std::map<std::string, RunResult> pool;
+    JournalLoadStats stats;
+    ASSERT_TRUE(loadJournal(path, &pool, &stats, &err)) << err;
+    EXPECT_EQ(stats.corrupt, 2u);
+    EXPECT_TRUE(pool.empty());
+
+    Runner resumed;
+    resumed.addResumePool(std::move(pool));
+    const RunResult &rerun = resumed.get(cfg);
+    EXPECT_EQ(resumed.runsExecuted(), 1);
+    EXPECT_EQ(resumed.resumedHits(), 0u);
+    const auto diffs = audit::diffRunResults(real, rerun);
+    EXPECT_TRUE(diffs.empty()) << audit::describeDiffs(diffs);
 }
 
 TEST(JournalLoad, SkipsTornTailKeepsEarlierRecords)

@@ -5,11 +5,10 @@
  *  - sim-layer stress: a randomized ring of partitions exchanging
  *    messages through the runner matches a serial reference event
  *    queue tick-for-tick, with and without a sync-point grid;
- *  - the deterministic Barrier mode is bit-identical to the serial
- *    kernel across topologies x policies, under fault plans, with
- *    auditing on, and with the latency observatory on or off;
+ *  - partitioned runs are bit-identical to the serial kernel across
+ *    topologies x policies, under fault plans and with auditing on,
+ *    latency and energy observatories included;
  *  - multi-channel partitioned runs match serial multi-channel runs;
- *  - Lax mode is run-to-run deterministic;
  *  - a cooperative cancel flag (the --config-timeout watchdog) stops
  *    every partition worker.
  */
@@ -166,7 +165,7 @@ runToySerial()
 
 /** Partitioned: one queue per node, coupled through the runner. */
 ToyLog
-runToyPartitioned(PartitionSync sync, Tick grid, Tick laxWindow)
+runToyPartitioned(Tick grid)
 {
     // Per-rank logs merged by (tick, rank) afterwards: ranks never act
     // at the same tick, so the merge order is total and identical to
@@ -193,8 +192,7 @@ runToyPartitioned(PartitionSync sync, Tick grid, Tick laxWindow)
         [&recv](int dst, BoundaryMessage &m) {
             recv[dst]->push(
                 reinterpret_cast<std::uintptr_t>(m.payload), m.key);
-        },
-        sync, laxWindow);
+        });
 
     std::vector<std::unique_ptr<ToySender>> send;
     for (int r = 0; r < kRing; ++r) {
@@ -234,8 +232,7 @@ TEST(PartitionStress, RingMatchesSerialReference)
 {
     const ToyLog serial = runToySerial();
     ASSERT_FALSE(serial.empty());
-    EXPECT_EQ(serial,
-              runToyPartitioned(PartitionSync::Barrier, 0, us(1)));
+    EXPECT_EQ(serial, runToyPartitioned(0));
 }
 
 TEST(PartitionStress, SyncPointGridDoesNotChangeResults)
@@ -243,18 +240,7 @@ TEST(PartitionStress, SyncPointGridDoesNotChangeResults)
     // Sync points (merged tick-steps) are a synchronization artifact;
     // an arbitrary grid must not change what fires when.
     const ToyLog serial = runToySerial();
-    EXPECT_EQ(serial,
-              runToyPartitioned(PartitionSync::Barrier, 7770, us(1)));
-}
-
-TEST(PartitionStress, LaxModeIsRunToRunDeterministic)
-{
-    const ToyLog a =
-        runToyPartitioned(PartitionSync::Lax, 0, Tick{5000});
-    const ToyLog b =
-        runToyPartitioned(PartitionSync::Lax, 0, Tick{5000});
-    ASSERT_FALSE(a.empty());
-    EXPECT_EQ(a, b);
+    EXPECT_EQ(serial, runToyPartitioned(7770));
 }
 
 TEST(Partition, MailboxStampsDeterministicRemoteCounters)
@@ -279,20 +265,8 @@ TEST(Partition, MailboxStampsDeterministicRemoteCounters)
     EXPECT_TRUE(out.empty());
 }
 
-TEST(Partition, SyncModeNamesRoundTrip)
-{
-    EXPECT_STREQ(partitionSyncName(PartitionSync::Barrier), "barrier");
-    EXPECT_STREQ(partitionSyncName(PartitionSync::Lax), "lax");
-    PartitionSync s = PartitionSync::Lax;
-    EXPECT_TRUE(parsePartitionSync("barrier", &s));
-    EXPECT_EQ(s, PartitionSync::Barrier);
-    EXPECT_TRUE(parsePartitionSync("lax", &s));
-    EXPECT_EQ(s, PartitionSync::Lax);
-    EXPECT_FALSE(parsePartitionSync("bogus", &s));
-}
-
 // ---------------------------------------------------------------------
-// Full-simulator differential: partitioned Barrier == serial.
+// Full-simulator differential: partitioned == serial.
 // ---------------------------------------------------------------------
 
 SystemConfig
@@ -508,33 +482,6 @@ TEST(PartitionDifferential, ChannelsSharingAPartitionMatchSerial)
     EXPECT_EQ(ms.readsPerSec, mp.readsPerSec);
     for (std::size_t c = 0; c < ms.channelUtil.size(); ++c)
         EXPECT_EQ(ms.channelUtil[c], mp.channelUtil[c]);
-}
-
-TEST(PartitionLax, DeterministicAcrossRunsAndCloseToSerial)
-{
-    SystemConfig part = shortConfig(TopologyKind::Star, Policy::Aware);
-    part.partitions = 2;
-    part.partitionSync = PartitionSync::Lax;
-    // Cross-partition deliveries land at window boundaries, so the
-    // window sets the latency-error floor: keep it on the scale of a
-    // read round trip and throughput stays close; a sweep-sized window
-    // (microseconds) would stretch every round trip to ~2 windows.
-    part.laxWindowPs = 20000; // 20 ns
-
-    const RunResult a = runSimulation(part);
-    const RunResult b = runSimulation(part);
-    EXPECT_TRUE(a.profile.laxSync);
-    EXPECT_GT(a.completedReads, 0u);
-    const auto diffs = audit::diffRunResults(a, b);
-    EXPECT_TRUE(diffs.empty()) << audit::describeDiffs(diffs);
-
-    // Lax trades bit-identity for fewer barriers; with a round-trip-
-    // scale window the throughput stays within tens of percent of the
-    // serial run (the error is bounded by window / round trip).
-    const RunResult serial =
-        runSimulation(shortConfig(TopologyKind::Star, Policy::Aware));
-    EXPECT_NEAR(a.readsPerSec, serial.readsPerSec,
-                0.30 * serial.readsPerSec);
 }
 
 TEST(PartitionCancel, WatchdogFlagStopsAllWorkers)
