@@ -320,6 +320,11 @@ class PromiseBuffer
  * write handoff, vault forecasts); the simulator routes the
  * processor's injections through outbox() and drained messages
  * through applyAtHost()/applyAtChannel().
+ *
+ * Each side's messages are applied on that side's own lane, so the
+ * two sides share no mutable member: applyAtHost() touches only
+ * ingress_ and promises_ (processor queue), applyAtChannel() only
+ * remoteInject_ (channel queue).
  */
 class PartitionedChannel : public LinkBoundary
 {

@@ -361,7 +361,7 @@ class EventQueue
 
     /**
      * Advance now() to @p t without dispatching (must not skip pending
-     * events). The partitioned coordinator uses this at sync points so
+     * events). The partitioned kernel uses this at sync points so
      * phase-boundary accounting (resetStats, collectEnergy) sees the
      * same now() the serial runUntil(limit) would have left.
      */

@@ -31,28 +31,27 @@ MailboxMatrix::MailboxMatrix(int parts)
 }
 
 void
+MailboxMatrix::open(int src, unsigned parity)
+{
+    for (int dst = 0; dst < parts_; ++dst) {
+        Box &b = box(src, dst);
+        b.parity = parity;
+        b.minDue[parity] = kTickMax;
+    }
+}
+
+void
 MailboxMatrix::send(int src, int dst, BoundaryMessage msg)
 {
     Box &b = box(src, dst);
-    std::lock_guard<std::mutex> lock(b.mu);
     // The ctr makes remote keys unique and deterministic: per-box
     // counters follow the sender's program order, which is fixed by
     // simulated time, and the src-rank bits keep two sources' messages
     // distinct at the same destination.
     msg.key.ctr = EventKey::kRemoteCtrBit |
                   (static_cast<std::uint64_t>(src) << 48) | b.nextCtr++;
-    b.msgs.push_back(msg);
-}
-
-void
-MailboxMatrix::drain(int dst, std::vector<BoundaryMessage> &out)
-{
-    for (int src = 0; src < parts_; ++src) {
-        Box &b = box(src, dst);
-        std::lock_guard<std::mutex> lock(b.mu);
-        out.insert(out.end(), b.msgs.begin(), b.msgs.end());
-        b.msgs.clear();
-    }
+    b.minDue[b.parity] = std::min(b.minDue[b.parity], msg.key.when);
+    b.msgs[b.parity].push_back(msg);
 }
 
 bool
@@ -115,10 +114,7 @@ PartitionRunner::PartitionRunner(std::vector<EventQueue *> queues,
                           "would deadlock");
         }
     }
-    horizons_ =
-        std::make_unique<std::atomic<Tick>[]>(p);
-    eff_.resize(p);
-    scratch_.resize(p);
+    heads_.resize(2 * p);
     errors_.resize(p);
     lane_.resize(p);
 }
@@ -133,17 +129,14 @@ PartitionRunner::nextSyncPoint(Tick after, Tick limit, Tick grid) const
 }
 
 void
-PartitionRunner::drainInbox(int dst)
+PartitionRunner::drainInbox(int dst, unsigned parity)
 {
-    std::vector<BoundaryMessage> &buf = scratch_[dst];
-    mail_.drain(dst, buf);
-    for (BoundaryMessage &m : buf)
-        apply_(dst, m);
-    buf.clear();
+    mail_.drain(dst, parity,
+                [this, dst](BoundaryMessage &m) { apply_(dst, m); });
 }
 
 void
-PartitionRunner::mergedStep(Tick s)
+PartitionRunner::mergedStep(Tick s, unsigned parity)
 {
     // Fire everything due exactly at the sync point in global compound-
     // key order. Events fired here may schedule further same-tick local
@@ -168,88 +161,109 @@ PartitionRunner::mergedStep(Tick s)
     for (EventQueue *q : queues_)
         q->advanceTo(s);
     for (int dst = 0; dst < partitions(); ++dst)
-        drainInbox(dst);
+        drainInbox(dst, parity);
 }
 
-void
-PartitionRunner::coordinate(Tick limit, Tick grid)
+Tick
+PartitionRunner::publishedNext(unsigned parity,
+                               std::vector<Tick> &next) const
 {
-    // Every worker is parked between the two barriers, so the
-    // coordinator owns all queues: apply the previous window's sends
-    // first (every one of them is in a mailbox — the entry barrier
-    // ordered the windows before this call), making each queue's
-    // nextTick() an exact progress bound. Draining from a worker's own
-    // loop instead would race a slower peer still mid-window.
-    for (int dst = 0; dst < partitions(); ++dst)
-        drainInbox(dst);
-
-    const std::size_t p = queues_.size();
-    Tick minHead = kTickMax;
-    for (EventQueue *q : queues_)
-        minHead = std::min(minHead, q->nextTick());
-
-    // Every partition has reached the sync point: execute it (and any
-    // further empty grid points) as merged tick-steps.
-    while (minHead >= syncPoint_) {
-        mergedStep(syncPoint_);
-        if (syncPoint_ == limit) {
-            done_.store(true, std::memory_order_relaxed);
-            return;
-        }
-        syncPoint_ = nextSyncPoint(syncPoint_, limit, grid);
-        minHead = kTickMax;
-        for (EventQueue *q : queues_)
-            minHead = std::min(minHead, q->nextTick());
+    // Applying a message either schedules an event at its due tick or
+    // queues it behind a FIFO front already scheduled no later (the
+    // model's pipes preserve order), so q's head after its inbox is
+    // applied is exactly min(published head, earliest due tick sent).
+    const int p = partitions();
+    Tick earliest = kTickMax;
+    for (int q = 0; q < p; ++q) {
+        Tick t = heads_[parity * p + q];
+        for (int src = 0; src < p; ++src)
+            t = std::min(t, mail_.minDue(src, q, parity));
+        next[q] = t;
+        earliest = std::min(earliest, t);
     }
+    return earliest;
+}
 
-    // Earliest-effect bounds, relaxed to a fixed point: eff_[q] lower-
-    // bounds the tick of *any* future firing on q — its own heap head,
-    // or an event induced by a message chain relayed through other
-    // partitions (src fires no earlier than eff_[src], so anything it
-    // sends dst lands no earlier than eff_[src] + L). A raw nextTick()
-    // is not such a bound: a drained-empty partition reports kTickMax
-    // yet wakes as soon as a peer's response reaches it, and a horizon
-    // granted from kTickMax would let that peer race past the reply
-    // the woken partition is about to send. Edge weights are positive,
-    // so P - 1 relaxation sweeps reach the fixed point.
-    for (std::size_t q = 0; q < p; ++q)
-        eff_[q] = queues_[q]->nextTick();
+Tick
+PartitionRunner::horizon(int dst, Tick syncPoint,
+                         std::vector<Tick> &eff) const
+{
+    // Earliest-effect bounds, relaxed to a fixed point: eff[q] lower-
+    // bounds the tick of *any* future firing on q — its own head, or an
+    // event induced by a message chain relayed through other partitions
+    // (src fires no earlier than eff[src], so anything it sends dst
+    // lands no earlier than eff[src] + L). A raw head is not such a
+    // bound: a drained-empty partition reports kTickMax yet wakes as
+    // soon as a peer's response reaches it, and a horizon granted from
+    // kTickMax would let that peer race past the reply the woken
+    // partition is about to send. Edge weights are positive, so P - 1
+    // relaxation sweeps reach the fixed point.
+    const int p = partitions();
     for (bool changed = true; changed;) {
         changed = false;
-        for (std::size_t src = 0; src < p; ++src) {
-            for (std::size_t dst = 0; dst < p; ++dst) {
-                if (src == dst)
+        for (int src = 0; src < p; ++src) {
+            for (int q = 0; q < p; ++q) {
+                const Tick l = lookahead(src, q);
+                if (src == q || l == kTickMax)
                     continue;
-                const Tick l = lookahead(static_cast<int>(src),
-                                         static_cast<int>(dst));
-                if (l == kTickMax)
-                    continue;
-                const Tick via = satAdd(eff_[src], l);
-                if (via < eff_[dst]) {
-                    eff_[dst] = via;
+                const Tick via = satAdd(eff[src], l);
+                if (via < eff[q]) {
+                    eff[q] = via;
                     changed = true;
                 }
             }
         }
     }
 
-    // Conservative horizons: dst may dispatch strictly before the
-    // earliest tick any incoming edge could still deliver at, clamped
-    // to the sync point so events *at* it stay with the merged step.
-    // The minimum-head partition always gets a horizon past its head
-    // (eff_[src] >= minHead and L > 0), so windows make progress.
-    for (std::size_t dst = 0; dst < p; ++dst) {
-        Tick h = syncPoint_;
-        for (std::size_t src = 0; src < p; ++src) {
-            if (src == dst)
-                continue;
-            const Tick l = lookahead(static_cast<int>(src),
-                                     static_cast<int>(dst));
-            if (l == kTickMax)
-                continue;
-            h = std::min(h, satAdd(eff_[src], l));
+    // dst may dispatch strictly before the earliest tick any incoming
+    // edge could still deliver at, clamped to the sync point so events
+    // *at* it stay with the merged step. The minimum-head partition
+    // always gets a horizon past its head (eff[src] >= that head and
+    // L > 0), so windows make progress.
+    Tick h = syncPoint;
+    for (int src = 0; src < p; ++src) {
+        const Tick l = lookahead(src, dst);
+        if (src != dst && l != kTickMax)
+            h = std::min(h, satAdd(eff[src], l));
+    }
+    return h;
+}
+
+void
+PartitionRunner::syncStep(unsigned parity, Tick limit, Tick grid)
+{
+    // The other lanes may still be reading what was published under
+    // @p parity, so everything this step sends or publishes goes under
+    // the other parity, which nobody reads until the next barrier (its
+    // buffers were drained in the window just ended).
+    const unsigned next = parity ^ 1;
+    const int p = partitions();
+    for (int r = 0; r < p; ++r)
+        mail_.open(r, next);
+    for (int dst = 0; dst < p; ++dst)
+        drainInbox(dst, parity);
+
+    // Every partition has reached the sync point: execute it (and any
+    // further empty grid points) as merged tick-steps.
+    Tick minHead;
+    do {
+        mergedStep(syncPoint_, next);
+        if (syncPoint_ == limit) {
+            done_ = true;
+            return;
         }
-        horizons_[dst].store(h, std::memory_order_relaxed);
+        syncPoint_ = nextSyncPoint(syncPoint_, limit, grid);
+        minHead = kTickMax;
+        for (EventQueue *q : queues_)
+            minHead = std::min(minHead, q->nextTick());
+    } while (minHead >= syncPoint_);
+
+    // Every inbox is empty now: publish exact heads, and reopen to
+    // clear the due ticks of the messages the steps already applied.
+    for (int r = 0; r < p; ++r) {
+        mail_.open(r, next);
+        heads_[next * p + r] =
+            queues_[static_cast<std::size_t>(r)]->nextTick();
     }
 }
 
@@ -263,22 +277,38 @@ PartitionRunner::workerBody(int rank, Tick limit, Tick grid)
     MEMNET_PROF_SCOPE("part/worker");
     EventQueue &eq = *queues_[static_cast<std::size_t>(rank)];
     PartitionLaneStats &st = lane_[static_cast<std::size_t>(rank)];
+    const int p = partitions();
+    std::vector<Tick> eff(static_cast<std::size_t>(p));
+    // Lane-local copy: rank 0 writes syncPoint_ only in syncStep.
+    Tick syncPoint = syncPoint_;
+    // Published state alternates between two parities so a lane can
+    // publish window w + 1 while a slower peer still reads window w.
+    unsigned parity = 0;
     try {
-        if (rank == 0)
-            syncPoint_ = nextSyncPoint(eq.now(), limit, grid);
+        heads_[rank] = eq.nextTick();
         for (;;) {
             if (!barrier_.wait(&st.barrierWaitNs))
                 return;
-            if (rank == 0)
-                coordinate(limit, grid);
-            if (!barrier_.wait(&st.barrierWaitNs))
-                return;
-            if (done_.load(std::memory_order_relaxed))
-                return;
-            eq.runUntilBefore(
-                horizons_[static_cast<std::size_t>(rank)].load(
-                    std::memory_order_relaxed));
+            // Every lane reads the same published state, so all of
+            // them take the sync path together.
+            if (publishedNext(parity, eff) >= syncPoint) {
+                if (rank == 0)
+                    syncStep(parity, limit, grid);
+                if (!barrier_.wait(&st.barrierWaitNs))
+                    return;
+                if (done_)
+                    return;
+                syncPoint = syncPoint_;
+                parity ^= 1;
+                publishedNext(parity, eff);
+            }
+            const Tick h = horizon(rank, syncPoint, eff);
+            drainInbox(rank, parity);
+            parity ^= 1;
+            mail_.open(rank, parity);
+            eq.runUntilBefore(h);
             ++st.windows;
+            heads_[parity * p + rank] = eq.nextTick();
         }
     } catch (...) {
         errors_[static_cast<std::size_t>(rank)] =
@@ -292,8 +322,11 @@ PartitionRunner::runUntil(Tick limit, Tick epochGridPs)
 {
     const int p = partitions();
     abort_.store(false, std::memory_order_relaxed);
-    done_.store(false, std::memory_order_relaxed);
+    done_ = false;
     std::fill(errors_.begin(), errors_.end(), nullptr);
+    syncPoint_ = nextSyncPoint(queues_[0]->now(), limit, epochGridPs);
+    for (int r = 0; r < p; ++r)
+        mail_.open(r, 0);
 
     // Workers inherit the calling thread's cooperative stop flag, so a
     // ParallelRunner watchdog cancellation reaches every partition: the

@@ -4,40 +4,48 @@
  * execution of several EventQueues on a worker pool.
  *
  * A partitioned run shards the simulated machine into P partitions,
- * each owning one EventQueue and the components scheduled on it.
- * Partitions interact only through boundary messages posted to a
- * mutex-guarded mailbox matrix; every cross-partition edge (src, dst)
- * declares a strictly positive lookahead L[src][dst]: a lower bound,
- * in ticks, on how far in the future any message sent by src can be
- * due at dst. For this simulator the lookahead comes from physical
- * pipeline delays — the host-interface SERDES on the processor ->
- * channel edge and the response SERDES + router stage on the channel
- * -> processor edge (docs/PERFORMANCE.md) — so it is never zero and
- * never requires null messages.
+ * each owning one EventQueue and the components scheduled on it, and
+ * runs each partition on its own lane (thread). Partitions interact
+ * only through boundary messages posted to a single-writer mailbox
+ * matrix; every cross-partition edge (src, dst) declares a strictly
+ * positive lookahead L[src][dst]: a lower bound, in ticks, on how far
+ * in the future any message sent by src can be due at dst. For this
+ * simulator the lookahead comes from physical pipeline delays — the
+ * host-interface SERDES on the processor -> channel edge and the
+ * response SERDES + router stage on the channel -> processor edge
+ * (docs/PERFORMANCE.md) — so it is never zero and never requires null
+ * messages.
  *
- * Synchronization is windowed conservative execution. Each
- * iteration, every rank drains its inbox and parks at a barrier; the
- * coordinator (rank 0, the calling thread) computes per-queue
- * earliest-effect bounds E[q] = min(next[q], min over incoming edges
- * of E[src] + L[src][dst]) as a fixed point — the Chandy-Misra lower
- * bound on any future firing, including firings induced by messages
- * still to be relayed through other partitions — and grants each
- * destination a horizon H[dst] = min over incoming edges of
- * (E[src] + L[src][dst]), clamped to the next sync point; after a
- * second barrier every rank dispatches events strictly before its
- * horizon. Events *at* a sync point (management epochs, phase limits)
- * are executed by the coordinator alone in a merged tick-step, in
- * global compound-key order across all queues, which serializes
- * same-tick cross-partition couplings exactly as the serial kernel
- * would. Combined with cross-partition messages carrying the event
- * keys their serial counterparts would have (net/boundary.hh), a
+ * Synchronization is windowed conservative execution with one barrier
+ * per window. At the end of its window every lane publishes its queue
+ * head and, per destination, the earliest due tick it sent there.
+ * After the barrier every lane reads the same published state and
+ * computes the same bounds: next[q] = min(head[q], earliest due tick
+ * sent to q) is q's head once its inbox is applied, and the
+ * earliest-effect fixed point E[q] = min(next[q], min over incoming
+ * edges of E[src] + L[src][q]) is the Chandy-Misra lower bound on any
+ * future firing on q, including firings induced by messages still to
+ * be relayed through other partitions. Each lane then takes its own
+ * horizon H[dst] = min over incoming edges of E[src] + L[src][dst],
+ * clamped to the next sync point, applies its own inbox and
+ * dispatches events strictly before H[dst].
+ *
+ * Events *at* a sync point (management epochs, phase limits) run in a
+ * merged tick-step: when the published bounds show every partition has
+ * reached the sync point, all lanes see it together, rank 0 applies
+ * every inbox and fires each queue's events at that tick in global
+ * compound-key order while the others wait at a second barrier. This
+ * serializes same-tick cross-partition couplings exactly as the serial
+ * kernel would. Combined with cross-partition messages carrying the
+ * event keys their serial counterparts would have (net/boundary.hh), a
  * partitioned run is bit-identical to the serial kernel (enforced by
  * tests/test_partition.cc).
  *
  * The runner itself is model-agnostic: payloads are opaque pointers
  * and message application is delegated to an ApplyFn installed by the
  * model layer (memnet/simulator.cc wires packets, pipes, and write
- * promises through it).
+ * promises through it). The ApplyFn for partition dst runs on dst's
+ * lane, so it may touch only dst's state.
  */
 
 #ifndef MEMNET_SIM_PARTITION_HH
@@ -45,9 +53,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -72,45 +79,92 @@ struct BoundaryMessage
 };
 
 /**
- * P x P mutex-guarded MPSC mailboxes. send() stamps the message ctr
- * with EventKey::kRemoteCtrBit | src-rank | per-box counter, so remote
- * ties sort after local events, deterministically, and uniquely across
- * sources. Boxes preserve per-source program order, which the model
- * layer's FIFO pipes rely on.
+ * P x P single-writer mailboxes, double-buffered by window parity.
+ * Box (src, dst) is written only by the thread running src and drained
+ * only by the thread running dst. A sender writes the buffer of the
+ * parity it opened for its current window; the receiver drains the
+ * other buffer, filled the window before. The barrier between windows
+ * is the only happens-before edge this needs, so the boxes carry no
+ * lock.
+ *
+ * send() stamps the message ctr with EventKey::kRemoteCtrBit |
+ * src-rank | per-box counter, so remote ties sort after local events,
+ * deterministically, and uniquely across sources. It also tracks the
+ * earliest due tick per box and parity, which lets every receiver
+ * bound its head without draining. Boxes preserve per-source program
+ * order, which the model layer's FIFO pipes rely on.
  */
 class MailboxMatrix
 {
   public:
     explicit MailboxMatrix(int parts);
 
-    /** Post @p msg on the src -> dst edge (thread-safe). */
+    /**
+     * Direct @p src's sends to the @p parity buffers and restart their
+     * earliest-due ticks at kTickMax. The buffers must be drained.
+     */
+    void open(int src, unsigned parity);
+
+    /** Post @p msg on the src -> dst edge, under src's open parity. */
     void send(int src, int dst, BoundaryMessage msg);
 
     /**
-     * Move every pending message for @p dst into @p out (appended;
-     * sources in rank order, program order within a source).
+     * Earliest due tick (key.when) posted src -> dst under @p parity
+     * since src opened it; kTickMax when none.
      */
-    void drain(int dst, std::vector<BoundaryMessage> &out);
+    Tick
+    minDue(int src, int dst, unsigned parity) const
+    {
+        return box(src, dst).minDue[parity];
+    }
+
+    /**
+     * Pass every message pending for @p dst under @p parity to
+     * @p apply and empty those buffers. Sources in rank order, program
+     * order within a source.
+     */
+    template <typename F>
+    void
+    drain(int dst, unsigned parity, F &&apply)
+    {
+        for (int src = 0; src < parts_; ++src) {
+            std::vector<BoundaryMessage> &msgs =
+                box(src, dst).msgs[parity];
+            for (BoundaryMessage &m : msgs)
+                apply(m);
+            msgs.clear();
+        }
+    }
 
   private:
-    struct Box
+    /** One edge; a cache line of its own, as two threads share it. */
+    struct alignas(64) Box
     {
-        std::mutex mu;
-        std::vector<BoundaryMessage> msgs;
+        std::vector<BoundaryMessage> msgs[2];
+        Tick minDue[2] = {kTickMax, kTickMax};
         std::uint64_t nextCtr = 0;
+        unsigned parity = 0;
     };
 
     Box &box(int src, int dst) { return boxes_[src * parts_ + dst]; }
+    const Box &
+    box(int src, int dst) const
+    {
+        return boxes_[src * parts_ + dst];
+    }
 
     int parts_;
     std::vector<Box> boxes_;
 };
 
 /**
- * Spinning generation barrier for the window loop. Reusable across
- * iterations; polls an abort flag so a failed or cancelled worker
- * releases everyone within microseconds. Wait wall-clock is
- * accumulated per caller for the run summary's stall attribution.
+ * Spinning generation barrier between windows. Everything a lane wrote
+ * before wait() (its published head and due ticks, its mailbox
+ * buffers) happens-before everything any lane does after it returns.
+ * Reusable across windows; polls an abort flag so a failed or
+ * cancelled worker releases everyone within microseconds. Wait
+ * wall-clock is accumulated per caller for the run summary's stall
+ * attribution.
  */
 class SpinBarrier
 {
@@ -190,16 +244,26 @@ class PartitionRunner
 
     void workerBody(int rank, Tick limit, Tick grid);
 
-    /** Rank 0 between the barriers: merged steps + horizon grants. */
-    void coordinate(Tick limit, Tick grid);
+    /** Fill @p next with each queue's head once the messages published
+     *  under @p parity are applied; @return the earliest. */
+    Tick publishedNext(unsigned parity, std::vector<Tick> &next) const;
+
+    /** Relax @p eff (from publishedNext) to the earliest-effect fixed
+     *  point and return @p dst's horizon, clamped to @p syncPoint. */
+    Tick horizon(int dst, Tick syncPoint, std::vector<Tick> &eff) const;
+
+    /** Rank 0, the other lanes parked: apply every inbox, run merged
+     *  tick-steps while every partition has reached the sync point,
+     *  then publish exact heads under parity @p parity ^ 1. */
+    void syncStep(unsigned parity, Tick limit, Tick grid);
 
     /** Fire every event at exactly @p s across all queues, in key
      *  order, then advance every queue to @p s and apply the step's
-     *  own boundary messages. */
-    void mergedStep(Tick s);
+     *  own boundary messages, posted under @p parity. */
+    void mergedStep(Tick s, unsigned parity);
 
-    /** Apply dst's pending messages. */
-    void drainInbox(int dst);
+    /** Apply dst's messages posted under @p parity. */
+    void drainInbox(int dst, unsigned parity);
 
     std::vector<EventQueue *> queues_;
     std::vector<Tick> look_;
@@ -208,14 +272,12 @@ class PartitionRunner
     MailboxMatrix mail_;
     std::atomic<bool> abort_{false};
     SpinBarrier barrier_;
-    std::unique_ptr<std::atomic<Tick>[]> horizons_;
-    std::atomic<bool> done_{false};
-    /** Coordinator-only sync-point cursor (rank 0 touches it while
-     *  the workers are parked, so a plain member is race-free). */
+    /** Queue heads published at window ends, [parity * P + rank]. */
+    std::vector<Tick> heads_;
+    /** Written by rank 0 in syncStep, read by every lane after the
+     *  barrier that follows it. */
+    bool done_ = false;
     Tick syncPoint_ = 0;
-    /** Coordinator scratch: per-partition earliest-effect bounds. */
-    std::vector<Tick> eff_;
-    std::vector<std::vector<BoundaryMessage>> scratch_;
     std::vector<std::exception_ptr> errors_;
     std::vector<PartitionLaneStats> lane_;
 };

@@ -20,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "audit/differential.hh"
@@ -163,9 +164,11 @@ runToySerial()
     return log;
 }
 
-/** Partitioned: one queue per node, coupled through the runner. */
+/** Partitioned: one queue per node, coupled through the runner.
+ *  @p lanes, when set, receives the runner's per-lane counters. */
 ToyLog
-runToyPartitioned(Tick grid)
+runToyPartitioned(Tick grid,
+                  std::vector<PartitionLaneStats> *lanes = nullptr)
 {
     // Per-rank logs merged by (tick, rank) afterwards: ranks never act
     // at the same tick, so the merge order is total and identical to
@@ -209,6 +212,8 @@ runToyPartitioned(Tick grid)
             }));
     }
     runner.runUntil(kToyEnd, grid);
+    if (lanes)
+        *lanes = runner.laneStats();
 
     ToyLog merged;
     std::vector<std::size_t> cursor(kRing, 0);
@@ -243,6 +248,32 @@ TEST(PartitionStress, SyncPointGridDoesNotChangeResults)
     EXPECT_EQ(serial, runToyPartitioned(7770));
 }
 
+TEST(PartitionStress, RingWindowCountsArePinned)
+{
+    // Window counts follow from the horizons alone, so they pin the
+    // synchronization protocol: a change that grants any lane a
+    // different horizon moves them. Every lane runs every window, so
+    // all lanes share one count.
+    for (const auto &[grid, windows] :
+         {std::pair<Tick, std::uint64_t>{0, 1709}, {7770, 1727}}) {
+        std::vector<PartitionLaneStats> lanes;
+        runToyPartitioned(grid, &lanes);
+        ASSERT_EQ(lanes.size(), static_cast<std::size_t>(kRing));
+        for (const PartitionLaneStats &l : lanes)
+            EXPECT_EQ(l.windows, windows) << "grid " << grid;
+    }
+}
+
+/** Every message pending for @p dst under @p parity, in drain order. */
+std::vector<BoundaryMessage>
+drained(MailboxMatrix &mail, int dst, unsigned parity)
+{
+    std::vector<BoundaryMessage> out;
+    mail.drain(dst, parity,
+               [&out](BoundaryMessage &m) { out.push_back(m); });
+    return out;
+}
+
 TEST(Partition, MailboxStampsDeterministicRemoteCounters)
 {
     MailboxMatrix mail(2);
@@ -250,8 +281,7 @@ TEST(Partition, MailboxStampsDeterministicRemoteCounters)
     m.key = EventKey{100, 50, 10, 0};
     mail.send(1, 0, m);
     mail.send(1, 0, m);
-    std::vector<BoundaryMessage> out;
-    mail.drain(0, out);
+    std::vector<BoundaryMessage> out = drained(mail, 0, 0);
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].key.ctr,
               EventKey::kRemoteCtrBit | (1ULL << 48) | 0);
@@ -260,9 +290,75 @@ TEST(Partition, MailboxStampsDeterministicRemoteCounters)
     // Remote ties sort after any local event's counter.
     const EventKey local{100, 50, 10, 123456};
     EXPECT_TRUE(local < out[0].key);
-    out.clear();
-    mail.drain(0, out);
-    EXPECT_TRUE(out.empty());
+    EXPECT_TRUE(drained(mail, 0, 0).empty());
+    // The counter runs on across windows of either parity.
+    mail.open(1, 1);
+    mail.send(1, 0, m);
+    out = drained(mail, 0, 1);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].key.ctr,
+              EventKey::kRemoteCtrBit | (1ULL << 48) | 2);
+}
+
+TEST(Partition, MailboxDrainKeepsParitiesApart)
+{
+    // A receiver drains parity p while its sender already posts the
+    // next window under p ^ 1; neither may see the other's messages.
+    MailboxMatrix mail(3);
+    const auto post = [&mail](int src, Tick when) {
+        BoundaryMessage m;
+        m.key.when = when;
+        m.channel = src; // tags the sender for the checks below
+        mail.send(src, 1, m);
+    };
+    post(2, 100);
+    mail.open(2, 1);
+    post(2, 200);
+    post(0, 300); // rank 0 still posts under parity 0
+    const std::vector<BoundaryMessage> even = drained(mail, 1, 0);
+    ASSERT_EQ(even.size(), 2u);
+    EXPECT_EQ(even[0].channel, 0); // sources in rank order
+    EXPECT_EQ(even[0].key.when, 300u);
+    EXPECT_EQ(even[1].channel, 2);
+    EXPECT_EQ(even[1].key.when, 100u);
+    const std::vector<BoundaryMessage> odd = drained(mail, 1, 1);
+    ASSERT_EQ(odd.size(), 1u);
+    EXPECT_EQ(odd[0].channel, 2);
+    EXPECT_EQ(odd[0].key.when, 200u);
+    EXPECT_TRUE(drained(mail, 1, 0).empty());
+    EXPECT_TRUE(drained(mail, 1, 1).empty());
+}
+
+TEST(Partition, MailboxMinDueIsEarliestPerEdgeUntilReopened)
+{
+    MailboxMatrix mail(3);
+    EXPECT_EQ(mail.minDue(0, 1, 0), kTickMax);
+    BoundaryMessage m;
+    for (Tick when : {500, 300, 400}) {
+        m.key.when = when;
+        mail.send(0, 1, m);
+    }
+    m.key.when = 700;
+    mail.send(0, 2, m);
+    EXPECT_EQ(mail.minDue(0, 1, 0), 300u);
+    EXPECT_EQ(mail.minDue(0, 2, 0), 700u);
+    EXPECT_EQ(mail.minDue(2, 1, 0), kTickMax); // per (src, dst)
+    EXPECT_EQ(mail.minDue(0, 1, 1), kTickMax); // per parity
+
+    // Draining leaves the published tick alone; only the sender's next
+    // window of that parity resets it.
+    drained(mail, 1, 0);
+    EXPECT_EQ(mail.minDue(0, 1, 0), 300u);
+    mail.open(0, 1);
+    m.key.when = 900;
+    mail.send(0, 1, m);
+    EXPECT_EQ(mail.minDue(0, 1, 0), 300u);
+    EXPECT_EQ(mail.minDue(0, 1, 1), 900u);
+    drained(mail, 2, 0);
+    mail.open(0, 0);
+    EXPECT_EQ(mail.minDue(0, 1, 0), kTickMax);
+    EXPECT_EQ(mail.minDue(0, 2, 0), kTickMax);
+    EXPECT_EQ(mail.minDue(0, 1, 1), 900u);
 }
 
 // ---------------------------------------------------------------------
@@ -318,6 +414,18 @@ TEST(PartitionDifferential, BarrierModeEqualsSerialEverywhere)
             EXPECT_TRUE(rs.profile.partitionLanes.empty());
         }
     }
+}
+
+TEST(PartitionDifferential, LaneWindowCountsArePinned)
+{
+    // The simulator-level twin of RingWindowCountsArePinned: warmup
+    // plus measure windows of a two-lane Star/Aware run.
+    SystemConfig part = shortConfig(TopologyKind::Star, Policy::Aware);
+    part.partitions = 2;
+    const RunResult rp = runSimulation(part);
+    ASSERT_EQ(rp.profile.partitionLanes.size(), 2u);
+    EXPECT_EQ(rp.profile.partitionLanes[0].windows, 36063u);
+    EXPECT_EQ(rp.profile.partitionLanes[1].windows, 36063u);
 }
 
 TEST(PartitionDifferential, ExcessPartitionsClampToChannels)
