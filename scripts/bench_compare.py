@@ -5,11 +5,12 @@ Replaces the old hard-coded events/s floor in CI with a checked-in
 baseline (ci/bench_baseline.json) carrying per-counter tolerance
 bands. Two input formats are understood:
 
-  * memnet bench --json output (ci/bench_schema.json): the runs'
-    simulation-determined counters are aggregated per bench. These are
-    exact by construction — the same binary must reproduce them bit
-    for bit — so they get a tight two-sided tolerance. The aggregate
-    events/s is also recorded as a loose one-sided rate.
+  * memnet bench --json output (ci/bench_schema.json, schema_version
+    5 only): the runs' simulation-determined counters are aggregated
+    per bench. These are exact by construction — the same binary must
+    reproduce them bit for bit — so they get a tight two-sided
+    tolerance. The aggregate events/s is also recorded as a loose
+    one-sided rate.
   * google-benchmark --benchmark_format=json output (bench_micro_kernel):
     the user counters (events_per_s, ...) are wall-clock rates, so they
     get a loose one-sided tolerance that only fails on regression.
@@ -47,6 +48,8 @@ import json
 import re
 import sys
 
+import bench_json
+
 BASELINE_SCHEMA_VERSION = 1
 DEFAULT_EXACT_REL_TOL = 1e-6
 DEFAULT_RATE_REL_TOL = 0.8  # fail below 20% of baseline rate
@@ -67,6 +70,9 @@ def is_percentile(counter):
 
 def extract_memnet(doc):
     """Aggregate a memnet bench --json document into one entry."""
+    err = bench_json.version_error(doc, "bench_compare")
+    if err:
+        raise ValueError(err)
     runs = [r["result"] for r in doc.get("runs", [])]
     counters = {
         "runs": len(runs),
@@ -89,13 +95,12 @@ def extract_memnet(doc):
             counters["peak_queue_depth_max"],
             prof.get("peak_queue_depth", 0))
         counters["packets_issued_total"] += prof.get("packets_issued", 0)
-        counters["completed_reads_total"] += r.get("perf", {}).get(
-            "completed_reads", 0)
+        counters["completed_reads_total"] += r.get("completed_reads", 0)
         counters["violations_total"] += r.get("violations", 0)
         wall += prof.get("wall_s", 0.0)
-        # schema_version 3: latency-observatory aggregates. Samples are
-        # exact; the percentile maxima are sketch quantiles and get the
-        # looser *_p*_ps tolerance class (see module docstring).
+        # Latency-observatory aggregates. Samples are exact; the
+        # percentile maxima are sketch quantiles and get the looser
+        # *_p*_ps tolerance class (see module docstring).
         lat = r.get("latency")
         if lat and lat.get("enabled"):
             e2e = lat.get("end_to_end", {})
@@ -105,23 +110,21 @@ def extract_memnet(doc):
                 key = f"lat_{pct}_max"
                 counters[key] = max(counters.get(key, 0),
                                     e2e.get(pct, 0))
-        # schema_version 4: energy-observatory aggregates. Attribution
-        # joules are exact simulation-determined doubles (the same
-        # binary reproduces them bit for bit), so they go in the tight
-        # two-sided exact class like events_fired_total.
+        # Energy-observatory aggregates. Attribution joules are exact
+        # simulation-determined doubles (the same binary reproduces
+        # them bit for bit), so they go in the tight two-sided exact
+        # class like events_fired_total.
         en = r.get("energy")
         if en and en.get("enabled"):
-            attr = en.get("attribution_j", {})
+            attr = bench_json.attribution(en)
             for cause in ("tx", "retrain", "idle_floor", "sleep",
                           "wake", "serdes_leak", "router", "dram_leak",
                           "dram_dyn", "total"):
                 key = f"energy_{cause}_j"
-                counters[key] = counters.get(key, 0.0) + \
-                    attr.get(cause, 0.0)
-            occ = en.get("queue_occupancy", {})
+                counters[key] = counters.get(key, 0.0) + attr[cause]
             counters["energy_queue_occ_max"] = max(
                 counters.get("energy_queue_occ_max", 0),
-                occ.get("max", 0))
+                en.get("occupancy", {}).get("max_ps", 0))
     if wall > 0:
         counters["events_per_s"] = counters["events_fired_total"] / wall
     return {doc.get("bench", "?"): {"kind": "memnet", "counters": counters}}
@@ -286,7 +289,11 @@ def main():
                        help="BENCH_*.json files to record/check")
         p.set_defaults(fn=fn)
     args = ap.parse_args()
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

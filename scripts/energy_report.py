@@ -7,7 +7,7 @@ Two input modes, auto-detected from the document shape:
     net.energy.* attribution counters plus the utilization/occupancy
     sketch summaries (net.energy.util_ppm.*, net.energy.occupancy.*);
 
-  * a bench --json dump (schema_version >= 4): one table per run from
+  * a bench --json dump (schema_version 5): one table per run from
     its result.energy object. --top N keeps only the N runs with the
     highest total joules (sorted descending), bounding the output for
     golden-file checks.
@@ -30,6 +30,8 @@ Usage:
 import json
 import sys
 
+import bench_json
+
 # Leaf attribution causes: disjoint, exhaustive — they sum to the
 # run's total energy (idle_floor is the sum over the 8 idle modes).
 CAUSES = [
@@ -50,7 +52,7 @@ SKETCH_FIELDS = ["samples", "p50", "p90", "p99", "p999", "max"]
 def render_table(energy, out):
     """Write one attribution table; `energy` is shaped like the
     bench-JSON result.energy object."""
-    attr = energy["attribution_j"]
+    attr = bench_json.attribution(energy)
     total = float(attr["total"])
     if total <= 0.0:
         out.write("  no energy accrued in the measurement window\n")
@@ -67,37 +69,40 @@ def render_table(energy, out):
     out.write("  io split: idle {:.6f} J, active {:.6f} J\n".format(
         float(attr["idle_io"]), float(attr["active_io"])))
 
-    util = energy["link_utilization_ppm"]
-    occ = energy["queue_occupancy"]
+    util = energy["utilization_ppm"]
+    occ = energy["occupancy"]
     out.write("  link utilization: p50 {:d} ppm  p99 {:d} ppm  "
               "max {:d} ppm  ({:d} samples)\n".format(
-                  int(util["p50"]), int(util["p99"]),
-                  int(util["max"]), int(util["samples"])))
+                  int(util["p50_ps"]), int(util["p99_ps"]),
+                  int(util["max_ps"]), int(util["samples"])))
     out.write("  queue occupancy:  p50 {:d}  p99 {:d}  max {:d}  "
               "({:d} samples)\n".format(
-                  int(occ["p50"]), int(occ["p99"]), int(occ["max"]),
-                  int(occ["samples"])))
+                  int(occ["p50_ps"]), int(occ["p99_ps"]),
+                  int(occ["max_ps"]), int(occ["samples"])))
 
 
 def stats_json_to_energy(doc):
     """Reshape a flat --stats-json dump into the bench-JSON energy
     object; returns (energy, None) or (None, missing-key)."""
-    attr = {}
-    for cause in CAUSES + ["idle_io", "active_io", "total"]:
-        key = "net.energy.%s_j" % cause
+    missing = []
+
+    def get(name):
+        key = "net.energy." + name
         if key not in doc:
-            return None, key
-        attr[cause] = doc[key]
-    energy = {"attribution_j": attr}
-    for name, scope in (("link_utilization_ppm", "util_ppm"),
-                        ("queue_occupancy", "occupancy")):
-        s = {}
-        for field in SKETCH_FIELDS:
-            key = "net.energy.%s.%s" % (scope, field)
-            if key not in doc:
-                return None, key
-            s[field] = doc[key]
-        energy[name] = s
+            missing.append(key)
+        return doc.get(key)
+
+    energy = {cause + "_j": get(cause + "_j")
+              for cause in CAUSES + ["idle_io", "active_io"]
+              if cause != "idle_floor"}
+    energy["idle_mode_j"] = [get("idle_mode%d_j" % i) for i in range(8)]
+    for name, scope in (("utilization_ppm", "util_ppm"),
+                        ("occupancy", "occupancy")):
+        energy[name] = {field if field == "samples" else field + "_ps":
+                        get("%s.%s" % (scope, field))
+                        for field in SKETCH_FIELDS}
+    if missing:
+        return None, missing[0]
     return energy, None
 
 
@@ -116,11 +121,9 @@ def report_stats_json(doc, out):
 
 def report_bench_json(doc, out, top):
     """Tables from a bench --json dump, one per (kept) run."""
-    version = doc.get("schema_version", 0)
-    if version < 4:
-        sys.stderr.write(
-            "energy_report: bench JSON schema_version %s carries no "
-            "energy object (need >= 4)\n" % version)
+    err = bench_json.version_error(doc, "energy_report")
+    if err:
+        sys.stderr.write(err + "\n")
         return 1
 
     runs = []
@@ -146,7 +149,7 @@ def report_bench_json(doc, out, top):
     dropped = 0
     if top is not None:
         runs.sort(key=lambda kv:
-                  (-float(kv[1]["attribution_j"]["total"]), kv[0]))
+                  (-float(bench_json.attribution(kv[1])["total"]), kv[0]))
         dropped = max(0, len(runs) - top)
         runs = runs[:top]
 

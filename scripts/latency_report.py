@@ -7,7 +7,7 @@ Two input modes, auto-detected from the document shape:
     net.lat.* sketch counters plus the per-link stall attribution
     (linkN.wake_stall_s / linkN.retrain_stall_s / linkN.queue_peak);
 
-  * a bench --json dump (schema_version >= 3): one table per run from
+  * a bench --json dump (schema_version 5): one table per run from
     its result.latency object. --top N keeps only the N runs with the
     highest end-to-end p999 (sorted descending), bounding the output
     for golden-file checks.
@@ -24,6 +24,8 @@ Usage:
 import json
 import re
 import sys
+
+import bench_json
 
 COMPONENTS = [
     "end_to_end",
@@ -104,11 +106,9 @@ def report_stats_json(doc, out):
 
 def report_bench_json(doc, out, top):
     """Tables from a bench --json dump, one per (kept) run."""
-    version = doc.get("schema_version", 0)
-    if version < 3:
-        sys.stderr.write(
-            "latency_report: bench JSON schema_version %s carries no "
-            "latency object (need >= 3)\n" % version)
+    err = bench_json.version_error(doc, "latency_report")
+    if err:
+        sys.stderr.write(err + "\n")
         return 1
 
     runs = []

@@ -19,19 +19,19 @@ import bench_compare as bc
 
 
 def memnet_doc(events_fired=1000, wall=0.5, completed=40, violations=0,
-               p99_ps=120000, tx_j=0.5):
+               p99_ps=120000, tx_j=0.5, version=5):
     return {
-        "schema_version": 4,
+        "schema_version": version,
         "bench": "bench_fig5",
         "runs": [
             {
                 "key": "star/aware",
+                "config": {"workload": "mixA"},
                 "result": {
-                    "perf": {"completed_reads": completed},
+                    "completed_reads": completed,
                     "violations": violations,
                     "latency": {
                         "enabled": True,
-                        "samples": 40,
                         "end_to_end": {
                             "samples": 40,
                             "p99_ps": p99_ps,
@@ -40,19 +40,18 @@ def memnet_doc(events_fired=1000, wall=0.5, completed=40, violations=0,
                     },
                     "energy": {
                         "enabled": True,
-                        "attribution_j": {
-                            "tx": tx_j,
-                            "retrain": 0.01,
-                            "idle_floor": 1.25,
-                            "sleep": 0.05,
-                            "wake": 0.02,
-                            "serdes_leak": 0.3,
-                            "router": 0.1,
-                            "dram_leak": 0.6,
-                            "dram_dyn": 0.4,
-                            "total": tx_j + 2.73,
-                        },
-                        "queue_occupancy": {"samples": 14, "max": 9},
+                        "tx_j": tx_j,
+                        "retrain_j": 0.01,
+                        "idle_mode_j": [1.0, 0.25, 0, 0, 0, 0, 0, 0],
+                        "sleep_j": 0.05,
+                        "wake_j": 0.02,
+                        "serdes_leak_j": 0.3,
+                        "router_j": 0.1,
+                        "dram_leak_j": 0.6,
+                        "dram_dyn_j": 0.4,
+                        "idle_io_j": 1.32,
+                        "active_io_j": tx_j + 0.01,
+                        "occupancy": {"samples": 14, "max_ps": 9},
                     },
                     "profile": {
                         "events_fired": events_fired,
@@ -63,6 +62,7 @@ def memnet_doc(events_fired=1000, wall=0.5, completed=40, violations=0,
                         "wall_s": wall,
                     },
                 },
+                "host": {"prof_phases": [], "partition_lanes": []},
             }
         ],
     }
@@ -150,6 +150,11 @@ class ExtractTest(unittest.TestCase):
         counters = bc.extract_memnet(doc)["bench_fig5"]["counters"]
         self.assertNotIn("energy_tx_j", counters)
         self.assertEqual(counters["events_fired_total"], 1000)
+
+    def test_memnet_v4_document_is_rejected_with_clear_message(self):
+        with self.assertRaisesRegex(ValueError,
+                                    "schema_version 4 is not 5"):
+            bc.extract_memnet(memnet_doc(version=4))
 
     def test_memnet_without_latency_object_still_extracts(self):
         doc = memnet_doc()
@@ -279,6 +284,13 @@ class RoundTripTest(unittest.TestCase):
             self.run_cli("check", "--baseline",
                          os.path.join(self.dir.name, "absent.json"), f1),
             2)
+
+    def test_v4_input_is_error_not_crash(self):
+        f1 = self.write("m.json", memnet_doc())
+        self.record(f1)
+        old = self.write("old.json", memnet_doc(version=4))
+        self.assertEqual(
+            self.run_cli("check", "--baseline", self.baseline, old), 2)
 
 
 class CheckEntryTest(unittest.TestCase):

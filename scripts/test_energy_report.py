@@ -17,40 +17,39 @@ import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+import bench_json
 import energy_report as er
 
 
 def sketch(samples=14, base=1000):
-    return {"samples": samples, "sum": base * samples, "p50": base,
-            "p90": 2 * base, "p99": 3 * base, "p999": 4 * base,
-            "max": 5 * base}
+    return {"samples": samples, "sum_ps": base * samples, "p50_ps": base,
+            "p90_ps": 2 * base, "p99_ps": 3 * base, "p999_ps": 4 * base,
+            "max_ps": 5 * base}
 
 
 def energy_obj(enabled=True, scale=1.0):
-    attr = {
-        "tx": 0.5 * scale,
-        "retrain": 0.01 * scale,
-        "idle_floor": 1.25 * scale,
-        "idle_mode": [1.0 * scale, 0.25 * scale, 0, 0, 0, 0, 0, 0],
-        "sleep": 0.05 * scale,
-        "wake": 0.02 * scale,
-        "serdes_leak": 0.3 * scale,
-        "router": 0.1 * scale,
-        "dram_leak": 0.6 * scale,
-        "dram_dyn": 0.4 * scale,
+    """A bench-JSON result.energy object."""
+    energy = {
+        "enabled": enabled,
+        "tx_j": 0.5 * scale,
+        "retrain_j": 0.01 * scale,
+        "idle_mode_j": [1.0 * scale, 0.25 * scale, 0, 0, 0, 0, 0, 0],
+        "sleep_j": 0.05 * scale,
+        "wake_j": 0.02 * scale,
+        "serdes_leak_j": 0.3 * scale,
+        "router_j": 0.1 * scale,
+        "dram_leak_j": 0.6 * scale,
+        "dram_dyn_j": 0.4 * scale,
     }
-    attr["idle_io"] = (attr["idle_floor"] + attr["sleep"]
-                       + attr["wake"])
-    attr["active_io"] = attr["tx"] + attr["retrain"]
-    attr["total"] = (attr["idle_io"] + attr["active_io"]
-                     + attr["serdes_leak"] + attr["router"]
-                     + attr["dram_leak"] + attr["dram_dyn"])
-    return {"enabled": enabled, "attribution_j": attr,
-            "link_utilization_ppm": sketch(),
-            "queue_occupancy": sketch(base=3)}
+    energy["idle_io_j"] = (1.25 * scale + energy["sleep_j"]
+                           + energy["wake_j"])
+    energy["active_io_j"] = energy["tx_j"] + energy["retrain_j"]
+    energy["utilization_ppm"] = sketch()
+    energy["occupancy"] = sketch(base=3)
+    return energy
 
 
-def bench_doc(enabled=True, version=4, keys=("star/aware",)):
+def bench_doc(enabled=True, version=5, keys=("star/aware",)):
     runs = []
     for i, key in enumerate(keys):
         runs.append({"key": key,
@@ -62,12 +61,16 @@ def bench_doc(enabled=True, version=4, keys=("star/aware",)):
 
 def stats_doc():
     doc = {}
-    attr = energy_obj()["attribution_j"]
+    energy = energy_obj()
+    attr = bench_json.attribution(energy)
     for cause in er.CAUSES + ["idle_io", "active_io", "total"]:
         doc["net.energy.%s_j" % cause] = attr[cause]
+    for i, joules in enumerate(energy["idle_mode_j"]):
+        doc["net.energy.idle_mode%d_j" % i] = joules
     for scope in ("util_ppm", "occupancy"):
-        for field, value in sketch().items():
-            doc["net.energy.%s.%s" % (scope, field)] = value
+        for field in er.SKETCH_FIELDS:
+            doc["net.energy.%s.%s" % (scope, field)] = sketch()[
+                field if field == "samples" else field + "_ps"]
     return doc
 
 
@@ -102,15 +105,13 @@ class ReportTest(unittest.TestCase):
         self.assertIn("queue occupancy", out)
         # The leaf causes are disjoint and exhaustive, so their shares
         # must sum to ~100%.
-        attr = energy_obj()["attribution_j"]
+        attr = bench_json.attribution(energy_obj())
         shares = sum(100.0 * attr[c] / attr["total"]
                      for c in er.CAUSES)
         self.assertAlmostEqual(shares, 100.0, places=6)
 
     def test_pre_observatory_record_is_clear_error_not_traceback(self):
         doc = bench_doc(enabled=False)
-        for run in doc["runs"]:
-            del run["result"]["energy"]["attribution_j"]
         rc, out, err = self.run_main(self.write(doc))
         self.assertEqual(rc, 1)
         self.assertIn("written before the energy observatory", err)
@@ -124,9 +125,9 @@ class ReportTest(unittest.TestCase):
         self.assertIn("no energy object", err)
 
     def test_old_schema_version_is_rejected(self):
-        rc, out, err = self.run_main(self.write(bench_doc(version=3)))
+        rc, out, err = self.run_main(self.write(bench_doc(version=4)))
         self.assertEqual(rc, 1)
-        self.assertIn("schema_version", err)
+        self.assertIn("schema_version 4 is not 5", err)
 
     def test_top_keeps_highest_total_runs(self):
         doc = bench_doc(keys=("low", "high"))  # scale 1.0 vs 2.0
@@ -138,9 +139,10 @@ class ReportTest(unittest.TestCase):
 
     def test_zero_total_renders_placeholder(self):
         doc = bench_doc()
-        attr = doc["runs"][0]["result"]["energy"]["attribution_j"]
-        for key in attr:
-            attr[key] = [0.0] * 8 if key == "idle_mode" else 0.0
+        energy = doc["runs"][0]["result"]["energy"]
+        for key in energy:
+            if key.endswith("_j"):
+                energy[key] = [0.0] * 8 if key == "idle_mode_j" else 0.0
         rc, out, err = self.run_main(self.write(doc))
         self.assertEqual(rc, 0, err)
         self.assertIn("no energy accrued", out)

@@ -33,12 +33,11 @@ def component(samples=40, base_ps=100000):
     }
 
 
-def bench_doc(enabled=True, version=3, keys=("star/aware",)):
+def bench_doc(enabled=True, version=5, keys=("star/aware",)):
     runs = []
     for i, key in enumerate(keys):
         lat = {
             "enabled": enabled,
-            "samples": 40,
             "wake_stall_s": 0.5,
             "retrain_stall_s": 0.25,
             "queue_peak": 9,
@@ -110,9 +109,9 @@ class ReportTest(unittest.TestCase):
         self.assertIn("no latency object", err)
 
     def test_old_schema_version_is_rejected(self):
-        rc, out, err = self.run_main(self.write(bench_doc(version=2)))
+        rc, out, err = self.run_main(self.write(bench_doc(version=4)))
         self.assertEqual(rc, 1)
-        self.assertIn("schema_version", err)
+        self.assertIn("schema_version 4 is not 5", err)
 
     def test_top_keeps_highest_p999_runs(self):
         doc = bench_doc(keys=("low", "high"))

@@ -2,7 +2,7 @@
 """Validate bench --json output against ci/bench_schema.json.
 
 Implements the subset of JSON Schema the schema files use — type,
-required, properties, items, minimum, minItems — with nothing beyond
+enum, required, properties, items, minimum, minItems — with nothing beyond
 the python3 standard library, so CI needs no pip installs.
 
 Usage:
@@ -50,6 +50,9 @@ def validate(value, schema, path, errors):
     expected = schema.get("type")
     if expected and not _check_type(value, expected, path, errors):
         return
+
+    if "enum" in schema and value not in schema["enum"]:
+        errors.append(f"{path}: {value!r} not one of {schema['enum']}")
 
     minimum = schema.get("minimum")
     if minimum is not None and isinstance(value, (int, float)) \
@@ -150,12 +153,10 @@ def main(argv):
                   f"{len(doc['failures'])} failure(s))")
         else:
             runs = doc.get("runs", [])
-            # schema_version 2: note how many runs carry host-profiler
-            # phases so a --profile smoke run is visible in the CI log.
+            # Note how many runs carry host-profiler phases so a
+            # --profile smoke run is visible in the CI log.
             profiled = sum(
-                1 for r in runs
-                if r.get("result", {}).get("profile", {}).get("prof_phases")
-            )
+                1 for r in runs if r.get("host", {}).get("prof_phases"))
             note = f", {profiled} profiled" if profiled else ""
             print(f"{path}: OK ({doc.get('bench', '?')}, "
                   f"{len(runs)} runs{note})")

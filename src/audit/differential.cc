@@ -1,7 +1,13 @@
 #include "audit/differential.hh"
 
-#include <cmath>
-#include <sstream>
+#include <algorithm>
+#include <charconv>
+#include <initializer_list>
+#include <type_traits>
+#include <unordered_map>
+#include <utility>
+
+#include "memnet/journal.hh"
 
 namespace memnet
 {
@@ -11,265 +17,146 @@ namespace audit
 namespace
 {
 
-class Differ
+/** @p path is one of @p groups, or a member or cell of one. */
+bool
+within(std::string_view path, std::initializer_list<std::string_view> groups)
 {
-  public:
-    explicit Differ(const DiffOptions &opts) : opts(opts) {}
-
-    void
-    field(const std::string &name, double a, double b)
-    {
-        if (opts.relTol <= 0.0) {
-            if (a == b)
-                return;
-        } else {
-            const double scale =
-                std::max(std::fabs(a), std::fabs(b));
-            if (std::fabs(a - b) <= opts.relTol * scale)
-                return;
-        }
-        out.push_back(DiffEntry{name, a, b});
-    }
-
-    void
-    field(const std::string &name, std::uint64_t a, std::uint64_t b)
-    {
-        if (a != b)
-            out.push_back(DiffEntry{name, static_cast<double>(a),
-                                    static_cast<double>(b)});
-    }
-
-    std::vector<DiffEntry> take() { return std::move(out); }
-
-  private:
-    const DiffOptions opts;
-    std::vector<DiffEntry> out;
-};
-
-void
-diffPower(Differ &d, const std::string &prefix, const PowerBreakdown &a,
-          const PowerBreakdown &b)
-{
-    d.field(prefix + ".idleIoW", a.idleIoW, b.idleIoW);
-    d.field(prefix + ".activeIoW", a.activeIoW, b.activeIoW);
-    d.field(prefix + ".logicLeakW", a.logicLeakW, b.logicLeakW);
-    d.field(prefix + ".logicDynW", a.logicDynW, b.logicDynW);
-    d.field(prefix + ".dramLeakW", a.dramLeakW, b.dramLeakW);
-    d.field(prefix + ".dramDynW", a.dramDynW, b.dramDynW);
+    return std::any_of(groups.begin(), groups.end(), [path](auto g) {
+        return path.starts_with(g) &&
+               (path.size() == g.size() || path[g.size()] == '.' ||
+                path[g.size()] == '[');
+    });
 }
 
-void
-diffPercentiles(Differ &d, const std::string &prefix,
-                const LatencyPercentiles &a, const LatencyPercentiles &b)
+/** The differ's skip list: every other scalar is compared exactly. */
+bool
+skipped(std::string_view path, const RunResult &a, const RunResult &b)
 {
-    d.field(prefix + ".samples", a.samples, b.samples);
-    d.field(prefix + ".sumPs", a.sumPs, b.sumPs);
-    d.field(prefix + ".p50Ps", a.p50Ps, b.p50Ps);
-    d.field(prefix + ".p90Ps", a.p90Ps, b.p90Ps);
-    d.field(prefix + ".p99Ps", a.p99Ps, b.p99Ps);
-    d.field(prefix + ".p999Ps", a.p999Ps, b.p999Ps);
-    d.field(prefix + ".maxPs", a.maxPs, b.maxPs);
+    return
+        // Host wall clock, which varies between identical runs; the
+        // auditor's check count, zero with auditing off; and the
+        // observatory switches, which gate their groups below.
+        within(path, {"profile.wall_s", "profile.audit_checks_run",
+                      "latency.enabled", "energy.enabled"}) ||
+        // Event-count and queue-shape counters describe the kernel
+        // layout: a partitioned run replays boundary crossings through
+        // pipe events the serial kernel doesn't have, so its event
+        // stream is a strict superset even when every simulated
+        // result is bit-identical.
+        (a.profile.partitions != b.profile.partitions &&
+         within(path, {"events_fired", "profile.events_fired",
+                       "profile.events_scheduled",
+                       "profile.events_descheduled",
+                       "profile.peak_queue_depth",
+                       "profile.dispatch_windows"})) ||
+        // An observatory is absent only from records loaded from
+        // journals written before it existed.
+        (within(path, {"latency"}) &&
+         !(a.latency.enabled && b.latency.enabled)) ||
+        (within(path, {"energy"}) &&
+         !(a.energy.enabled && b.energy.enabled));
+}
+
+std::string
+text(ConstFieldRef f)
+{
+    return std::visit(
+        [](auto *p) -> std::string {
+            char buf[32];
+            if constexpr (std::is_same_v<decltype(p), const bool *>)
+                return *p ? "true" : "false";
+            else
+                return {buf, std::to_chars(buf, buf + sizeof buf, *p).ptr};
+        },
+        f);
+}
+
+/** Both refs point at the same member of two results. */
+bool
+same(ConstFieldRef x, ConstFieldRef y)
+{
+    return std::visit(
+        [&y](auto *p) { return *p == *std::get<decltype(p)>(y); }, x);
 }
 
 } // namespace
 
 std::vector<DiffEntry>
-diffRunResults(const RunResult &a, const RunResult &b,
-               const DiffOptions &opts)
+diffRunResults(const RunResult &a, const RunResult &b)
 {
-    Differ d(opts);
-    d.field("numModules", static_cast<std::uint64_t>(a.numModules),
-            static_cast<std::uint64_t>(b.numModules));
-    diffPower(d, "perHmc", a.perHmc, b.perHmc);
-    d.field("totalNetworkPowerW", a.totalNetworkPowerW,
-            b.totalNetworkPowerW);
-    d.field("idleIoFrac", a.idleIoFrac, b.idleIoFrac);
-    d.field("readsPerSec", a.readsPerSec, b.readsPerSec);
-    d.field("avgReadLatencyNs", a.avgReadLatencyNs, b.avgReadLatencyNs);
-    d.field("channelUtil", a.channelUtil, b.channelUtil);
-    d.field("avgLinkUtil", a.avgLinkUtil, b.avgLinkUtil);
-    d.field("avgModulesTraversed", a.avgModulesTraversed,
-            b.avgModulesTraversed);
-    d.field("completedReads", a.completedReads, b.completedReads);
-    d.field("violations", a.violations, b.violations);
-
-    // RunProfile: the simulation-determined counters must match; the
-    // wall-clock fields (wallSeconds, eventsPerSec, profPhases) are
-    // deliberately NOT compared — profiled runs diff clean against
-    // unprofiled ones. Event-count and queue-shape counters are only
-    // compared between runs of the same kernel layout: a partitioned
-    // run replays boundary crossings through pipe events the serial
-    // kernel doesn't have, so its event stream is a strict superset
-    // even when every simulated result above is bit-identical.
-    if (a.profile.partitions == b.profile.partitions) {
-        d.field("eventsFired", a.eventsFired, b.eventsFired);
-        d.field("profile.eventsScheduled", a.profile.eventsScheduled,
-                b.profile.eventsScheduled);
-        d.field("profile.eventsDescheduled",
-                a.profile.eventsDescheduled,
-                b.profile.eventsDescheduled);
-        d.field("profile.peakQueueDepth", a.profile.peakQueueDepth,
-                b.profile.peakQueueDepth);
-        d.field("profile.dispatchWindows.size",
-                static_cast<std::uint64_t>(
-                    a.profile.dispatchWindows.size()),
-                static_cast<std::uint64_t>(
-                    b.profile.dispatchWindows.size()));
-        const std::size_t nw =
-            std::min(a.profile.dispatchWindows.size(),
-                     b.profile.dispatchWindows.size());
-        for (std::size_t wdx = 0; wdx < nw; ++wdx) {
-            std::ostringstream name;
-            name << "profile.dispatchWindows[" << wdx << "]";
-            d.field(name.str(), a.profile.dispatchWindows[wdx],
-                    b.profile.dispatchWindows[wdx]);
-        }
-    }
-    d.field("profile.packetsIssued", a.profile.packetsIssued,
-            b.profile.packetsIssued);
-
-    d.field("reliability.retries", a.reliability.retries,
-            b.reliability.retries);
-    d.field("reliability.replays", a.reliability.replays,
-            b.reliability.replays);
-    d.field("reliability.retrains", a.reliability.retrains,
-            b.reliability.retrains);
-    d.field("reliability.retrainSeconds", a.reliability.retrainSeconds,
-            b.reliability.retrainSeconds);
-    d.field("reliability.degradedSeconds",
-            a.reliability.degradedSeconds,
-            b.reliability.degradedSeconds);
-    d.field("reliability.faultEvents", a.reliability.faultEvents,
-            b.reliability.faultEvents);
-
-    // An observatory is absent only from records loaded from journals
-    // written before it existed; there is nothing to compare then.
-    if (a.latency.enabled && b.latency.enabled) {
-        const LatencyBreakdown &la = a.latency;
-        const LatencyBreakdown &lb = b.latency;
-        diffPercentiles(d, "latency.endToEnd", la.endToEnd, lb.endToEnd);
-        diffPercentiles(d, "latency.queue", la.queue, lb.queue);
-        diffPercentiles(d, "latency.wakeStall", la.wakeStall, lb.wakeStall);
-        diffPercentiles(d, "latency.retrainStall", la.retrainStall,
-                        lb.retrainStall);
-        diffPercentiles(d, "latency.serialization", la.serialization,
-                        lb.serialization);
-        diffPercentiles(d, "latency.dram", la.dram, lb.dram);
-        d.field("latency.wakeStallSeconds", la.wakeStallSeconds,
-                lb.wakeStallSeconds);
-        d.field("latency.retrainStallSeconds", la.retrainStallSeconds,
-                lb.retrainStallSeconds);
-        d.field("latency.queuePeak", la.queuePeak, lb.queuePeak);
-    }
-    if (a.energy.enabled && b.energy.enabled) {
-        const EnergyAttribution &ea = a.energy.attribution;
-        const EnergyAttribution &eb = b.energy.attribution;
-        d.field("energy.txJ", ea.txJ, eb.txJ);
-        d.field("energy.retrainJ", ea.retrainJ, eb.retrainJ);
-        for (std::size_t i = 0; i < ea.idleModeJ.size(); ++i)
-            d.field("energy.idleModeJ[" + std::to_string(i) + "]",
-                    ea.idleModeJ[i], eb.idleModeJ[i]);
-        d.field("energy.sleepJ", ea.sleepJ, eb.sleepJ);
-        d.field("energy.wakeJ", ea.wakeJ, eb.wakeJ);
-        d.field("energy.serdesLeakJ", ea.serdesLeakJ, eb.serdesLeakJ);
-        d.field("energy.routerJ", ea.routerJ, eb.routerJ);
-        d.field("energy.dramLeakJ", ea.dramLeakJ, eb.dramLeakJ);
-        d.field("energy.dramDynJ", ea.dramDynJ, eb.dramDynJ);
-        d.field("energy.idleIoJ", ea.idleIoJ, eb.idleIoJ);
-        d.field("energy.activeIoJ", ea.activeIoJ, eb.activeIoJ);
-        diffPercentiles(d, "energy.utilization", a.energy.utilization,
-                        b.energy.utilization);
-        diffPercentiles(d, "energy.occupancy", a.energy.occupancy,
-                        b.energy.occupancy);
-    }
-
-    for (int u = 0; u < kUtilBuckets; ++u) {
-        for (int l = 0; l < kLaneModes; ++l) {
-            std::ostringstream name;
-            name << "linkHours[" << u << "][" << l << "]";
-            d.field(name.str(), a.linkHours[u][l], b.linkHours[u][l]);
-        }
-    }
-
-    d.field("modules.size",
-            static_cast<std::uint64_t>(a.modules.size()),
-            static_cast<std::uint64_t>(b.modules.size()));
-    const std::size_t n = std::min(a.modules.size(), b.modules.size());
-    for (std::size_t m = 0; m < n; ++m) {
-        const ModuleDetail &ma = a.modules[m];
-        const ModuleDetail &mb = b.modules[m];
-        std::ostringstream p;
-        p << "modules[" << m << "]";
-        d.field(p.str() + ".dramAccesses", ma.dramAccesses,
-                mb.dramAccesses);
-        d.field(p.str() + ".flitsRouted", ma.flitsRouted,
-                mb.flitsRouted);
-        d.field(p.str() + ".requestLinkUtil", ma.requestLinkUtil,
-                mb.requestLinkUtil);
-        d.field(p.str() + ".responseLinkUtil", ma.responseLinkUtil,
-                mb.responseLinkUtil);
-        d.field(p.str() + ".requestLinkPowerFrac",
-                ma.requestLinkPowerFrac, mb.requestLinkPowerFrac);
-        d.field(p.str() + ".responseLinkPowerFrac",
-                ma.responseLinkPowerFrac, mb.responseLinkPowerFrac);
-    }
-    return d.take();
-}
-
-std::vector<DiffEntry>
-diffResultMaps(const std::map<std::string, RunResult> &a,
-               const std::map<std::string, RunResult> &b,
-               const DiffOptions &opts)
-{
+    // Both sides walk one field list, so their paths differ only where
+    // a list is longer on one side; those cells pair with "absent".
+    const auto fields = [](const RunResult &r) {
+        std::vector<std::pair<std::string, ConstFieldRef>> out;
+        forEachResultField(r, [&out](const std::string &p, ConstFieldRef f) {
+            out.emplace_back(p, f);
+        });
+        return out;
+    };
+    const auto fa = fields(a);
+    const auto fb = fields(b);
+    std::unordered_map<std::string_view, ConstFieldRef> unmatched(
+        fb.begin(), fb.end());
     std::vector<DiffEntry> out;
-    auto ia = a.begin();
-    auto ib = b.begin();
-    while (ia != a.end() || ib != b.end()) {
-        if (ib == b.end() || (ia != a.end() && ia->first < ib->first)) {
-            out.push_back(DiffEntry{"only_in_a:" + ia->first, 1.0, 0.0});
-            ++ia;
-        } else if (ia == a.end() || ib->first < ia->first) {
-            out.push_back(DiffEntry{"only_in_b:" + ib->first, 0.0, 1.0});
-            ++ib;
-        } else {
-            for (DiffEntry &e :
-                 diffRunResults(ia->second, ib->second, opts)) {
-                e.field = ia->first + ": " + e.field;
-                out.push_back(std::move(e));
-            }
-            ++ia;
-            ++ib;
-        }
+    for (const auto &[path, f] : fa) {
+        const auto it = unmatched.find(path);
+        const bool both = it != unmatched.end();
+        if (!skipped(path, a, b) && (!both || !same(f, it->second)))
+            out.push_back({path, text(f),
+                           both ? text(it->second) : "absent"});
+        if (both)
+            unmatched.erase(it);
     }
+    for (const auto &[path, f] : fb)
+        if (unmatched.count(path) && !skipped(path, a, b))
+            out.push_back({path, "absent", text(f)});
     return out;
 }
 
 std::vector<DiffEntry>
-diffMultiVsSingle(const MultiChannelResult &mc, const RunResult &r,
-                  const DiffOptions &opts)
+diffResultMaps(const std::map<std::string, RunResult> &a,
+               const std::map<std::string, RunResult> &b)
 {
-    Differ d(opts);
-    d.field("totalModules",
-            static_cast<std::uint64_t>(mc.totalModules),
-            static_cast<std::uint64_t>(r.numModules));
-    d.field("totalPowerW", mc.totalPowerW, r.totalNetworkPowerW);
-    d.field("readsPerSec", mc.readsPerSec, r.readsPerSec);
-    d.field("idleIoFrac", mc.idleIoFrac, r.idleIoFrac);
+    std::vector<DiffEntry> out;
+    for (const auto &[key, ra] : a) {
+        const auto ib = b.find(key);
+        if (ib == b.end())
+            out.push_back({"only_in_a:" + key, "present", "absent"});
+        else
+            for (DiffEntry &e : diffRunResults(ra, ib->second))
+                out.push_back({key + ": " + e.field, e.a, e.b});
+    }
+    for (const auto &[key, rb] : b)
+        if (!a.count(key))
+            out.push_back({"only_in_b:" + key, "absent", "present"});
+    return out;
+}
+
+std::vector<DiffEntry>
+diffMultiVsSingle(const MultiChannelResult &mc, const RunResult &r)
+{
+    std::vector<DiffEntry> out;
+    const auto field = [&out](const char *name, ConstFieldRef x,
+                              ConstFieldRef y) {
+        if (!same(x, y))
+            out.push_back({name, text(x), text(y)});
+    };
+    field("totalModules", &mc.totalModules, &r.numModules);
+    field("totalPowerW", &mc.totalPowerW, &r.totalNetworkPowerW);
+    field("readsPerSec", &mc.readsPerSec, &r.readsPerSec);
+    field("idleIoFrac", &mc.idleIoFrac, &r.idleIoFrac);
     if (!mc.channelUtil.empty())
-        d.field("channelUtil", mc.channelUtil[0], r.channelUtil);
-    return d.take();
+        field("channelUtil", &mc.channelUtil[0], &r.channelUtil);
+    return out;
 }
 
 std::string
 describeDiffs(const std::vector<DiffEntry> &diffs)
 {
-    if (diffs.empty())
-        return "";
-    std::ostringstream os;
-    os.precision(17);
+    std::string out;
     for (const DiffEntry &e : diffs)
-        os << e.field << ": " << e.a << " != " << e.b << "\n";
-    return os.str();
+        out += e.field + ": " + e.a + " != " + e.b + "\n";
+    return out;
 }
 
 } // namespace audit

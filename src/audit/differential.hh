@@ -31,48 +31,47 @@ namespace memnet
 namespace audit
 {
 
-/** One mismatching field between two runs expected to agree. */
+/**
+ * One mismatching field of two runs expected to agree. Each side is
+ * exact text: doubles in shortest round-trip form, or "absent".
+ */
 struct DiffEntry
 {
     std::string field;
-    double a = 0.0;
-    double b = 0.0;
-};
-
-struct DiffOptions
-{
-    /** 0 = exact equality expected (the default: bit-identical runs). */
-    double relTol = 0.0;
+    std::string a;
+    std::string b;
 };
 
 /**
- * Compare every simulation-determined field of two RunResults.
+ * Compare, exactly, every scalar the journal records for two
+ * RunResults (memnet::forEachResultField), reporting journal paths
+ * such as "latency.end_to_end.p99_ps". Skipped: host wall clock and
+ * audit counts, kernel-layout counters when the runs used different
+ * partition counts, and an observatory's group unless both runs have
+ * it enabled (see the skip list in differential.cc).
  * @return the mismatches (empty when the runs agree).
  */
 std::vector<DiffEntry> diffRunResults(const RunResult &a,
-                                      const RunResult &b,
-                                      const DiffOptions &opts = {});
+                                      const RunResult &b);
 
 /**
  * Compare two whole result caches (Runner::results(), or a journal
  * loaded via loadJournal) key by key — the crash-safety equivalence: a
  * killed-and-resumed sweep must match the uninterrupted one exactly.
- * A key present on only one side yields a DiffEntry whose field is
- * "only_in_a:<key>" / "only_in_b:<key>"; shared keys contribute their
- * diffRunResults() mismatches prefixed with the key.
+ * In a's key order, each key yields its diffRunResults() mismatches
+ * prefixed with the key, or "only_in_a:<key>" when b lacks it; then
+ * each key only b has yields "only_in_b:<key>".
  */
 std::vector<DiffEntry>
 diffResultMaps(const std::map<std::string, RunResult> &a,
-               const std::map<std::string, RunResult> &b,
-               const DiffOptions &opts = {});
+               const std::map<std::string, RunResult> &b);
 
 /**
  * Compare a 1-channel multi-channel result against the single-network
  * simulator result for the same SystemConfig.
  */
 std::vector<DiffEntry> diffMultiVsSingle(const MultiChannelResult &mc,
-                                         const RunResult &r,
-                                         const DiffOptions &opts = {});
+                                         const RunResult &r);
 
 /** Render a diff list for assertion messages ("" when empty). */
 std::string describeDiffs(const std::vector<DiffEntry> &diffs);

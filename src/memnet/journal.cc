@@ -1,8 +1,10 @@
 #include "memnet/journal.hh"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <set>
 #include <type_traits>
@@ -73,7 +75,8 @@ writeHexDouble(char *o, double v)
     return std::to_chars(o, o + 4, exp < 0 ? -exp : exp).ptr;
 }
 
-/** Longest writeHexDouble() output: "-0x1.fffffffffffffp-1022". */
+/** Longest double spelling: "-0x1.fffffffffffffp-1022", or in decimal
+ *  "-2.2250738585072014e-308" (shortest round-trip form). */
 constexpr std::size_t kHexDoubleMax = 24;
 
 /** Canonical decimal, exactly as std::to_chars writes it. */
@@ -271,9 +274,21 @@ resultFields(V &v, R &r)
 }
 
 /**
+ * How a Writer spells numbers. Quoted (the journal): JSON strings,
+ * doubles in hex-float. Plain (bench JSON): bare JSON numbers, doubles
+ * in shortest round-trip decimal, non-finite doubles null.
+ */
+enum class Spelling
+{
+    Quoted,
+    Plain,
+};
+
+/**
  * A visitor that appends the fields as compact JSON to one string. An
  * empty key is an array cell.
  */
+template <Spelling S>
 class Writer
 {
   public:
@@ -300,14 +315,19 @@ class Writer
     num(std::string_view k, T v)
     {
         char buf[24];
-        quoted(k, std::string_view(buf, std::to_chars(buf, buf + 24, v).ptr));
+        number(k, std::string_view(buf, std::to_chars(buf, buf + 24, v).ptr));
     }
 
+    /** A double: hex-float in the journal, decimal in bench JSON. */
     void
     hex(std::string_view k, double v)
     {
         char buf[kHexDoubleMax];
-        quoted(k, std::string_view(buf, writeHexDouble(buf, v)));
+        char *end = S == Spelling::Quoted ? writeHexDouble(buf, v)
+                    : std::isfinite(v)
+                        ? std::to_chars(buf, buf + sizeof buf, v).ptr
+                        : std::copy_n("null", 4, buf);
+        number(k, std::string_view(buf, end - buf));
     }
 
     template <typename E>
@@ -317,7 +337,7 @@ class Writer
         num(k, static_cast<int>(e));
     }
 
-    void constant(std::string_view k, std::string_view lit) { quoted(k, lit); }
+    void constant(std::string_view k, std::string_view lit) { str(k, lit); }
 
     template <typename Fn>
     void
@@ -362,14 +382,104 @@ class Writer
             ((out += '"') += k) += "\":";
     }
 
+    /** A number: quoted in the journal, bare in bench JSON. */
     void
-    quoted(std::string_view k, std::string_view v)
+    number(std::string_view k, std::string_view v)
     {
         key(k);
-        ((out += '"') += v) += '"';
+        if constexpr (S == Spelling::Quoted)
+            ((out += '"') += v) += '"';
+        else
+            out += v;
     }
 
     std::string &out;
+};
+
+/** The host-side data no journal keeps; bench JSON only. */
+void
+hostFields(Writer<Spelling::Plain> &v, const RunProfile &p)
+{
+    v.list("prof_phases", p.profPhases, [&](auto &ph) {
+        v.object({}, [&] {
+            v.str("path", ph.path);
+            v.num("ns", ph.ns);
+            v.num("count", ph.count);
+        });
+    });
+    v.list("partition_lanes", p.partitionLanes, [&](auto &l) {
+        v.object({}, [&] {
+            v.num("events_fired", l.eventsFired);
+            v.num("events_scheduled", l.eventsScheduled);
+            v.num("peak_queue_depth", l.peakQueueDepth);
+            v.num("windows", l.windows);
+            v.num("barrier_wait_ns", l.barrierWaitNs);
+        });
+    });
+}
+
+/**
+ * A visitor that hands every scalar member, with its path in the
+ * record's "result" object, to a callback.
+ */
+class Walker
+{
+  public:
+    using Fn = std::function<void(const std::string &, ConstFieldRef)>;
+
+    explicit Walker(const Fn &fn) : fn(fn) {}
+
+    template <typename T>
+    void
+    num(std::string_view k, const T &v)
+    {
+        object(k, [&] { fn(path, &v); });
+    }
+
+    void hex(std::string_view k, const double &v) { num(k, v); }
+
+    void boolean(std::string_view k, const bool &b) { num(k, b); }
+
+    template <typename F>
+    void optional(F body) { body(); }
+
+    template <typename F>
+    void
+    array(std::string_view k, std::size_t n, F cell)
+    {
+        object(k, [&] {
+            const std::size_t mark = path.size();
+            for (std::size_t i = 0; i < n; ++i) {
+                ((path += '[') += std::to_string(i)) += ']';
+                cell(i);
+                path.resize(mark);
+            }
+        });
+    }
+
+    template <typename T, typename F>
+    void
+    list(std::string_view k, const std::vector<T> &items, F each)
+    {
+        array(k, items.size(), [&](std::size_t i) { each(items[i]); });
+    }
+
+    /** Run @p body with member @p k (none: an array cell) on the path. */
+    template <typename F>
+    void
+    object(std::string_view k, F body)
+    {
+        const std::size_t mark = path.size();
+        if (!path.empty() && !k.empty())
+            path += '.';
+        path += k;
+        body();
+        path.resize(mark);
+    }
+
+  private:
+    const Fn &fn;
+    std::string path;
 };
 
 /**
@@ -770,7 +880,7 @@ journalRecordLine(const std::string &key, const RunResult &r)
     line.append(kCrcHexLen, '0');
     line += kFrameMid;
     const std::size_t payloadOff = line.size();
-    Writer w(line);
+    Writer<Spelling::Quoted> w(line);
     w.object({}, [&] {
         w.str("key", key);
         w.object("config", [&] { configFields(w, r.config); });
@@ -780,6 +890,41 @@ journalRecordLine(const std::string &key, const RunResult &r)
                 crc32(line.data() + payloadOff, line.size() - payloadOff));
     line += "}\n";
     return line;
+}
+
+void
+forEachResultField(const RunResult &r,
+                   const std::function<void(const std::string &,
+                                            ConstFieldRef)> &fn)
+{
+    Walker w(fn);
+    resultFields(w, r);
+}
+
+void
+writeBenchResultsJson(std::ostream &os, const std::string &bench,
+                      const std::map<std::string, RunResult> &results)
+{
+    std::string buf;
+    obs::appendJsonEscaped(buf, bench);
+    os << "{\"schema_version\":" << kBenchJsonSchemaVersion
+       << ",\"bench\":\"" << buf << "\",\"runs\":[";
+    // One stream write per run: a sweep's document can be tens of MB,
+    // and buffering it whole would add all of it to peak memory.
+    for (auto it = results.begin(); it != results.end(); ++it) {
+        if (it != results.begin())
+            os.put(',');
+        buf.clear();
+        Writer<Spelling::Plain> w(buf);
+        w.object({}, [&] {
+            w.str("key", it->first);
+            w.object("config", [&] { configFields(w, it->second.config); });
+            w.object("result", [&] { resultFields(w, it->second); });
+            w.object("host", [&] { hostFields(w, it->second.profile); });
+        });
+        os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    }
+    os << "]}\n";
 }
 
 bool
@@ -928,37 +1073,34 @@ writeFailureManifest(std::ostream &os, const std::string &source,
                      const std::string &policy, double configTimeoutSec,
                      const std::vector<RunFailure> &failures)
 {
-    obs::JsonWriter w(os);
-    w.beginObject();
-    w.field("schema_version",
-            static_cast<std::int64_t>(kFailureManifestVersion));
-    w.field("source", source);
-    w.field("failure_policy", policy);
-    w.field("config_timeout_s", configTimeoutSec);
-    w.key("failures");
-    w.beginArray();
     // First failure wins per key: a duplicate config raced past the
     // isolation marker fails identically and adds no information.
+    std::vector<const RunFailure *> unique;
     std::set<std::string> seen;
-    for (const RunFailure &f : failures) {
-        if (!seen.insert(f.key).second)
-            continue;
-        w.beginObject();
-        w.field("key", f.key);
-        w.field("describe", f.config.describe());
-        w.field("timeout", f.timeout);
-        w.field("wall_s", f.wallSeconds);
-        w.field("error", f.message);
-        std::string config;
-        Writer cw(config);
-        cw.object({}, [&] { configFields(cw, f.config); });
-        w.key("config");
-        w.raw(config);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    os << "\n";
+    for (const RunFailure &f : failures)
+        if (seen.insert(f.key).second)
+            unique.push_back(&f);
+    std::string doc;
+    Writer<Spelling::Plain> w(doc);
+    Writer<Spelling::Quoted> journal(doc);
+    w.object({}, [&] {
+        w.num("schema_version", kFailureManifestVersion);
+        w.str("source", source);
+        w.str("failure_policy", policy);
+        w.hex("config_timeout_s", configTimeoutSec);
+        w.list("failures", unique, [&](const RunFailure *f) {
+            w.object({}, [&] {
+                w.str("key", f->key);
+                w.str("describe", f->config.describe());
+                w.boolean("timeout", f->timeout);
+                w.hex("wall_s", f->wallSeconds);
+                w.str("error", f->message);
+                journal.object("config",
+                               [&] { configFields(journal, f->config); });
+            });
+        });
+    });
+    os << doc << "\n";
 }
 
 } // namespace memnet

@@ -27,6 +27,9 @@
  * in that order with no DOM. Accepted input is exactly what the writer
  * produces, plus the older shapes that lack groups later versions
  * inserted (see docs/ROBUSTNESS.md for the member order and grammar).
+ * The same list is the only place a RunResult field is named: the
+ * bench --json output is each record with plain JSON numbers, and
+ * forEachResultField() walks it for audit::diffRunResults.
  * A resumed sweep's final bench JSON is byte-identical to the same
  * sweep run uninterrupted (enforced by tests/test_journal.cc and the
  * crash-resume CI job via scripts/diff_runs.py).
@@ -48,11 +51,13 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "memnet/config.hh"
@@ -94,6 +99,32 @@ std::string journalRecordLine(const std::string &key, const RunResult &r);
  */
 bool parseJournalLine(std::string_view line, std::string *key,
                       RunResult *result, std::string *err);
+
+/** A pointer to one scalar member of a RunResult. */
+using ConstFieldRef =
+    std::variant<const bool *, const int *, const std::int64_t *,
+                 const std::uint64_t *, const double *>;
+
+/**
+ * Call @p fn on every scalar of @p r the journal records, in record
+ * order, with its path in the record's "result" object: "num_modules",
+ * "latency.end_to_end.p99_ps", "energy.idle_mode_j[3]", "modules[1].id".
+ */
+void forEachResultField(const RunResult &r,
+                        const std::function<void(const std::string &,
+                                                 ConstFieldRef)> &fn);
+
+/** Bench --json format version; v5 made each run a journal record. */
+constexpr int kBenchJsonSchemaVersion = 5;
+
+/**
+ * Bench --json output (ci/bench_schema.json): every run in key order,
+ * each the journal record with plain JSON numbers, plus a "host" object
+ * for the profiler phases and partition lanes no journal keeps.
+ */
+void writeBenchResultsJson(
+    std::ostream &os, const std::string &bench,
+    const std::map<std::string, RunResult> &results);
 
 /** What loadJournal() found, for the resume progress message. */
 struct JournalLoadStats

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "memnet/experiment.hh"
-#include "obs/json.hh"
 
 namespace memnet
 {
@@ -269,227 +268,6 @@ printLinkHours(const RunResult &r)
         t.addRow(row);
     }
     t.print();
-}
-
-const char *
-mechanismName(BwMechanism m)
-{
-    switch (m) {
-      case BwMechanism::None:
-        return "none";
-      case BwMechanism::Vwl:
-        return "VWL";
-      case BwMechanism::Dvfs:
-        return "DVFS";
-    }
-    return "?";
-}
-
-void
-writeRunResultJson(obs::JsonWriter &w, const RunResult &r)
-{
-    const SystemConfig &c = r.config;
-    w.beginObject();
-    w.field("num_modules", static_cast<std::int64_t>(r.numModules));
-
-    w.key("config");
-    w.beginObject();
-    w.field("workload", c.workload);
-    w.field("topology", topologyName(c.topology));
-    w.field("size_class", sizeClassName(c.sizeClass));
-    w.field("policy", policyName(c.policy));
-    w.field("mechanism", mechanismName(c.mechanism));
-    w.field("roo", c.roo);
-    w.field("alpha_pct", c.alphaPct);
-    w.field("seed", c.seed);
-    w.endObject();
-
-    w.key("power");
-    w.beginObject();
-    w.key("per_hmc_w");
-    w.beginObject();
-    w.field("idle_io", r.perHmc.idleIoW);
-    w.field("active_io", r.perHmc.activeIoW);
-    w.field("logic_leak", r.perHmc.logicLeakW);
-    w.field("logic_dyn", r.perHmc.logicDynW);
-    w.field("dram_leak", r.perHmc.dramLeakW);
-    w.field("dram_dyn", r.perHmc.dramDynW);
-    w.field("total", r.perHmc.totalW());
-    w.endObject();
-    w.field("total_network_w", r.totalNetworkPowerW);
-    w.field("idle_io_frac", r.idleIoFrac);
-    w.endObject();
-
-    w.key("perf");
-    w.beginObject();
-    w.field("reads_per_sec", r.readsPerSec);
-    w.field("avg_read_latency_ns", r.avgReadLatencyNs);
-    w.field("channel_util", r.channelUtil);
-    w.field("avg_link_util", r.avgLinkUtil);
-    w.field("avg_modules_traversed", r.avgModulesTraversed);
-    w.field("completed_reads", r.completedReads);
-    w.endObject();
-
-    w.field("violations", r.violations);
-
-    w.key("reliability");
-    w.beginObject();
-    w.field("retries", r.reliability.retries);
-    w.field("replays", r.reliability.replays);
-    w.field("retrains", r.reliability.retrains);
-    w.field("retrain_s", r.reliability.retrainSeconds);
-    w.field("degraded_s", r.reliability.degradedSeconds);
-    w.field("fault_events", r.reliability.faultEvents);
-    w.endObject();
-
-    // schema_version 3: latency observatory. All integer-picosecond
-    // percentiles, simulation-determined and deterministic; samples=0
-    // (with zero percentiles, never NaN) when the window completed no
-    // reads or the observatory was disabled.
-    w.key("latency");
-    w.beginObject();
-    w.field("enabled", r.latency.enabled);
-    w.field("samples", r.latency.endToEnd.samples);
-    w.field("wake_stall_s", r.latency.wakeStallSeconds);
-    w.field("retrain_stall_s", r.latency.retrainStallSeconds);
-    w.field("queue_peak", r.latency.queuePeak);
-    auto component = [&w](const char *name,
-                          const LatencyPercentiles &p) {
-        w.key(name);
-        w.beginObject();
-        w.field("samples", p.samples);
-        w.field("sum_ps", p.sumPs);
-        w.field("p50_ps", p.p50Ps);
-        w.field("p90_ps", p.p90Ps);
-        w.field("p99_ps", p.p99Ps);
-        w.field("p999_ps", p.p999Ps);
-        w.field("max_ps", p.maxPs);
-        w.endObject();
-    };
-    component("end_to_end", r.latency.endToEnd);
-    component("queue", r.latency.queue);
-    component("wake_stall", r.latency.wakeStall);
-    component("retrain_stall", r.latency.retrainStall);
-    component("serialization", r.latency.serialization);
-    component("dram", r.latency.dram);
-    w.endObject();
-
-    // schema_version 4: energy observatory. The attribution joules are
-    // exact simulation-determined doubles (bench_compare treats them as
-    // exact counters); enabled=false with all-zero fields only for a
-    // record resumed from a journal older than the observatory.
-    w.key("energy");
-    w.beginObject();
-    w.field("enabled", r.energy.enabled);
-    const EnergyAttribution &ea = r.energy.attribution;
-    w.key("attribution_j");
-    w.beginObject();
-    w.field("tx", ea.txJ);
-    w.field("retrain", ea.retrainJ);
-    w.field("idle_floor", ea.idleFloorJ());
-    w.key("idle_mode");
-    w.beginArray();
-    for (double j : ea.idleModeJ)
-        w.value(j);
-    w.endArray();
-    w.field("sleep", ea.sleepJ);
-    w.field("wake", ea.wakeJ);
-    w.field("serdes_leak", ea.serdesLeakJ);
-    w.field("router", ea.routerJ);
-    w.field("dram_leak", ea.dramLeakJ);
-    w.field("dram_dyn", ea.dramDynJ);
-    w.field("idle_io", ea.idleIoJ);
-    w.field("active_io", ea.activeIoJ);
-    w.field("total", ea.totalJ());
-    w.endObject();
-    auto sketch = [&w](const char *name, const LatencyPercentiles &p) {
-        w.key(name);
-        w.beginObject();
-        w.field("samples", p.samples);
-        w.field("sum", p.sumPs);
-        w.field("p50", p.p50Ps);
-        w.field("p90", p.p90Ps);
-        w.field("p99", p.p99Ps);
-        w.field("p999", p.p999Ps);
-        w.field("max", p.maxPs);
-        w.endObject();
-    };
-    sketch("link_utilization_ppm", r.energy.utilization);
-    sketch("queue_occupancy", r.energy.occupancy);
-    w.endObject();
-
-    // wall_s and prof_phases vary between identical runs; tools
-    // comparing bench JSON ignore them (scripts/bench_compare.py,
-    // scripts/diff_runs.py — see ci/bench_schema.json).
-    w.key("profile");
-    w.beginObject();
-    w.field("events_fired", r.profile.eventsFired);
-    w.field("events_scheduled", r.profile.eventsScheduled);
-    w.field("events_descheduled", r.profile.eventsDescheduled);
-    w.field("peak_queue_depth", r.profile.peakQueueDepth);
-    w.field("wall_s", r.profile.wallSeconds);
-    w.field("sim_s", r.profile.simSeconds);
-    w.field("packets_issued", r.profile.packetsIssued);
-    w.field("packet_heap_allocs", r.profile.packetHeapAllocs);
-    w.field("dispatch_window_ps",
-            static_cast<std::uint64_t>(r.profile.dispatchWindowPs));
-    w.key("dispatch_windows");
-    w.beginArray();
-    for (std::uint64_t v : r.profile.dispatchWindows)
-        w.value(v);
-    w.endArray();
-    w.field("partitions",
-            static_cast<std::uint64_t>(r.profile.partitions));
-    // barrier_wait_ns is wall-clock, like wall_s: comparison tools
-    // must not treat it as simulation-determined.
-    w.key("partition_lanes");
-    w.beginArray();
-    for (const PartitionLane &l : r.profile.partitionLanes) {
-        w.beginObject();
-        w.field("events_fired", l.eventsFired);
-        w.field("events_scheduled", l.eventsScheduled);
-        w.field("peak_queue_depth", l.peakQueueDepth);
-        w.field("windows", l.windows);
-        w.field("barrier_wait_ns", l.barrierWaitNs);
-        w.endObject();
-    }
-    w.endArray();
-    w.key("prof_phases");
-    w.beginArray();
-    for (const prof::ProfPhase &p : r.profile.profPhases) {
-        w.beginObject();
-        w.field("path", p.path);
-        w.field("ns", p.ns);
-        w.field("count", p.count);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-
-    w.endObject();
-}
-
-void
-writeBenchResultsJson(std::ostream &os, const std::string &bench,
-                      const std::map<std::string, RunResult> &results)
-{
-    obs::JsonWriter w(os);
-    w.beginObject();
-    w.field("schema_version",
-            static_cast<std::int64_t>(kBenchJsonSchemaVersion));
-    w.field("bench", bench);
-    w.key("runs");
-    w.beginArray();
-    for (const auto &kv : results) {
-        w.beginObject();
-        w.field("key", kv.first);
-        w.key("result");
-        writeRunResultJson(w, kv.second);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    os << "\n";
 }
 
 } // namespace memnet

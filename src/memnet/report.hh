@@ -7,20 +7,12 @@
 #ifndef MEMNET_MEMNET_REPORT_HH
 #define MEMNET_MEMNET_REPORT_HH
 
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "memnet/config.hh"
 
 namespace memnet
 {
-
-namespace obs
-{
-class JsonWriter;
-}
 
 /** One-paragraph summary: power, performance, utilization. */
 void printRunSummary(const RunResult &r);
@@ -33,9 +25,6 @@ void printPowerBreakdown(const RunResult &r);
 
 /** The Figure-13-style link-hours matrix of one run. */
 void printLinkHours(const RunResult &r);
-
-/** Short name of a bandwidth mechanism ("none", "VWL", "DVFS"). */
-const char *mechanismName(BwMechanism m);
 
 /**
  * Wall-clock profile aggregated over seed replicas: the spread of the
@@ -57,23 +46,6 @@ summarizeSeedProfiles(const std::vector<const RunResult *> &runs);
 
 /** One-line rendering of a SeedProfileSummary. */
 void printSeedProfileSummary(const SeedProfileSummary &s);
-
-/** Schema version of the bench --json format (see ci/bench_schema.json).
- *  v3 adds the per-run "latency" object (latency observatory).
- *  v4 adds the per-run "energy" object (energy observatory). */
-constexpr int kBenchJsonSchemaVersion = 4;
-
-/** Emit one RunResult as a JSON object (config echo + measurements). */
-void writeRunResultJson(obs::JsonWriter &w, const RunResult &r);
-
-/**
- * Machine-readable bench output: every cached run of a Runner, keyed
- * and ordered by its canonical config key. Used by the shared --json
- * bench flag; validated in CI against ci/bench_schema.json.
- */
-void writeBenchResultsJson(
-    std::ostream &os, const std::string &bench,
-    const std::map<std::string, RunResult> &results);
 
 } // namespace memnet
 

@@ -210,14 +210,6 @@ JsonWriter::null()
     noteValue();
 }
 
-void
-JsonWriter::raw(std::string_view json)
-{
-    separate();
-    os << json;
-    noteValue();
-}
-
 // ---------------------------------------------------------------------
 // Parser
 // ---------------------------------------------------------------------

@@ -2,14 +2,14 @@
  * @file
  * Minimal JSON support for the observability layer.
  *
- * JsonWriter is a streaming emitter used by the stats registry, the
- * epoch recorder, the Chrome-trace exporter, and the bench --json
- * output; it never builds a DOM, so arbitrarily long time-series stream
- * straight to disk. The json::Value parser is the matching reader used
- * by tests and tools to round-trip what the writers produce — it is a
- * strict (no comments, no trailing commas) recursive-descent parser
- * over the JSON grammar, small enough to avoid any third-party
- * dependency.
+ * JsonWriter is a streaming emitter used by the stats registry and
+ * the epoch recorder (bench --json output has its own writer in
+ * memnet/journal.cc); it never builds a DOM, so arbitrarily long
+ * time-series stream straight to disk. The json::Value parser is the
+ * matching reader used by tests and tools to round-trip what the
+ * writers produce — a strict (no comments, no trailing commas)
+ * recursive-descent parser over the JSON grammar, small enough to
+ * avoid any third-party dependency.
  */
 
 #ifndef MEMNET_OBS_JSON_HH
@@ -62,9 +62,6 @@ class JsonWriter
     void value(const std::string &v);
     void value(const char *v);
     void null();
-
-    /** Emit @p json, one already-serialized JSON value, verbatim. */
-    void raw(std::string_view json);
 
     /** key(k) + value(v) in one call. */
     template <typename T>

@@ -14,9 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "audit/differential.hh"
@@ -233,7 +237,7 @@ TEST(Differential, DiffResultMapsFlagsMissingAndDifferingKeys)
     b = {{k, tweaked}};
     diffs = audit::diffResultMaps(a, b);
     ASSERT_EQ(diffs.size(), 1u);
-    EXPECT_EQ(diffs[0].field, k + ": completedReads");
+    EXPECT_EQ(diffs[0].field, k + ": completed_reads");
 
     EXPECT_TRUE(audit::diffResultMaps(a, a).empty());
 }
@@ -248,47 +252,81 @@ diffFields(const std::vector<audit::DiffEntry> &diffs)
     return names;
 }
 
-TEST(Differential, LatencyFieldsAreCompared)
+/**
+ * Change the scalar @p f points at, a member of a non-const RunResult:
+ * flip a bool, step a number up.
+ */
+void
+bump(ConstFieldRef f)
 {
-    // Every equivalence test above covers the latency observatory only
-    // because diffRunResults looks at it: a change to any one recorded
-    // quantity must surface under its own name.
+    std::visit(
+        [](auto *c) {
+            using T = std::remove_const_t<std::remove_pointer_t<decltype(c)>>;
+            T *p = const_cast<T *>(c);
+            if constexpr (std::is_same_v<T, bool>)
+                *p = !*p;
+            else if constexpr (std::is_floating_point_v<T>)
+                *p = std::nextafter(*p, std::numeric_limits<T>::infinity());
+            else
+                *p += 1;
+        },
+        f);
+}
+
+TEST(Differential, EveryJournaledScalarIsComparedOrSkipped)
+{
+    // Every equivalence test above covers a field only because
+    // diffRunResults looks at it: bumping the k-th scalar the journal
+    // records, for every k, must surface under exactly that scalar's
+    // path, unless the path is on the differ's skip list.
     const RunResult r =
         runSimulation(shortConfig(TopologyKind::Star, Policy::Aware));
     ASSERT_TRUE(r.latency.enabled);
+    ASSERT_TRUE(r.energy.enabled);
+    ASSERT_FALSE(r.modules.empty());
+    ASSERT_FALSE(r.profile.dispatchWindows.empty());
     EXPECT_TRUE(audit::diffRunResults(r, r).empty());
 
-    RunResult tweaked = r;
-    tweaked.latency.endToEnd.p99Ps += 1;
-    tweaked.latency.dram.samples += 1;
-    tweaked.latency.wakeStallSeconds += 1e-9;
-    tweaked.latency.queuePeak += 1;
-    const auto diffs = audit::diffRunResults(r, tweaked);
-    EXPECT_EQ(diffFields(diffs),
-              (std::vector<std::string>{
-                  "latency.endToEnd.p99Ps", "latency.dram.samples",
-                  "latency.wakeStallSeconds", "latency.queuePeak"}))
-        << audit::describeDiffs(diffs);
+    std::vector<std::string> paths;
+    forEachResultField(r, [&paths](const std::string &p, ConstFieldRef) {
+        paths.push_back(p);
+    });
+    std::vector<std::string> skipped;
+    for (std::size_t k = 0; k < paths.size(); ++k) {
+        RunResult tweaked = r;
+        std::size_t i = 0;
+        forEachResultField(tweaked,
+                           [&](const std::string &, ConstFieldRef f) {
+                               if (i++ == k)
+                                   bump(f);
+                           });
+        const auto diffs = audit::diffRunResults(r, tweaked);
+        if (diffs.empty())
+            skipped.push_back(paths[k]);
+        else
+            EXPECT_EQ(diffFields(diffs), std::vector<std::string>{paths[k]})
+                << audit::describeDiffs(diffs);
+    }
+    // Only the skip list's paths go unreported (the kernel counters
+    // are compared here: both runs used one partition).
+    EXPECT_EQ(skipped, (std::vector<std::string>{
+                           "latency.enabled", "energy.enabled",
+                           "profile.wall_s", "profile.audit_checks_run"}));
 }
 
-TEST(Differential, EnergyFieldsAreCompared)
+TEST(Differential, DescribeDiffsPrintsValuesExactly)
 {
-    const RunResult r =
-        runSimulation(shortConfig(TopologyKind::Star, Policy::Aware));
-    ASSERT_TRUE(r.energy.enabled);
-
-    RunResult tweaked = r;
-    tweaked.energy.attribution.txJ += 1e-9;
-    tweaked.energy.attribution.idleModeJ[3] += 1e-9;
-    tweaked.energy.utilization.maxPs += 1;
-    tweaked.energy.occupancy.samples += 1;
-    const auto diffs = audit::diffRunResults(r, tweaked);
-    EXPECT_EQ(diffFields(diffs),
-              (std::vector<std::string>{
-                  "energy.txJ", "energy.idleModeJ[3]",
-                  "energy.utilization.maxPs",
-                  "energy.occupancy.samples"}))
-        << audit::describeDiffs(diffs);
+    // 2^61 + 7 and its successor round to the same double.
+    RunResult a;
+    a.completedReads = (1ULL << 61) + 7;
+    a.idleIoFrac = 0.1;
+    RunResult b = a;
+    b.completedReads += 1;
+    b.idleIoFrac = std::nextafter(0.1, 1.0);
+    EXPECT_EQ(audit::describeDiffs(audit::diffRunResults(a, b)),
+              "idle_io_frac: 0.1 != 0.10000000000000002\n"
+              "completed_reads: 2305843009213693959 != "
+              "2305843009213693960\n");
 }
 
 TEST(Differential, ObservatoryAbsentOnOneSideIsNotCompared)

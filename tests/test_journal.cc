@@ -16,6 +16,7 @@
 #include <limits>
 #include <random>
 #include <regex>
+#include <set>
 #include <sstream>
 
 #include "audit/differential.hh"
@@ -385,12 +386,7 @@ TEST(JournalRecord, RoundTripsEveryFieldExactly)
     // Fields the differ deliberately ignores must still round-trip.
     EXPECT_EQ(doubleToBits(back.profile.wallSeconds),
               doubleToBits(r.profile.wallSeconds));
-    EXPECT_EQ(back.profile.simSeconds, r.profile.simSeconds);
-    EXPECT_EQ(back.profile.packetHeapAllocs,
-              r.profile.packetHeapAllocs);
     EXPECT_EQ(back.profile.auditChecksRun, r.profile.auditChecksRun);
-    EXPECT_EQ(back.profile.dispatchWindowPs,
-              r.profile.dispatchWindowPs);
     EXPECT_EQ(back.completedReads, r.completedReads); // > 2^53
     EXPECT_EQ(back.config.seed, r.config.seed);       // > 2^53
     EXPECT_EQ(back.avgReadLatencyNs, r.avgReadLatencyNs);
@@ -906,6 +902,137 @@ TEST(FailureManifest, WritesValidJsonWithDedupedEntries)
     EXPECT_EQ(e.find("error")->string, f1.message);
     ASSERT_TRUE(e.find("config") && e.find("config")->isObject());
     EXPECT_EQ(e.find("config")->find("workload")->string, "mixB");
+}
+
+/**
+ * Where @p value's member names drift from @p schema's: at every
+ * object the schema describes (by "required" or "properties"), the
+ * two name sets must be equal; the walk descends through the
+ * described properties and into each array's first element.
+ */
+void
+schemaDrift(const obs::json::Value &schema, const obs::json::Value &value,
+            const std::string &path, std::vector<std::string> *out)
+{
+    if (value.isArray()) {
+        if (const obs::json::Value *items = schema.find("items");
+            items && !value.array.empty())
+            schemaDrift(*items, value.array[0], path + "[0]", out);
+        return;
+    }
+    if (!value.isObject())
+        return;
+    const obs::json::Value *props = schema.find("properties");
+    std::set<std::string> described;
+    if (const obs::json::Value *req = schema.find("required"))
+        for (const obs::json::Value &k : req->array)
+            described.insert(k.string);
+    if (props)
+        for (const auto &kv : props->object)
+            described.insert(kv.first);
+    if (described.empty())
+        return;
+    for (const auto &kv : value.object)
+        if (!described.count(kv.first))
+            out->push_back(path + "." + kv.first + ": not in the schema");
+    for (const std::string &k : described)
+        if (!value.find(k))
+            out->push_back(path + "." + k + ": not written");
+    if (props)
+        for (const auto &kv : props->object)
+            if (const obs::json::Value *v = value.find(kv.first))
+                schemaDrift(kv.second, *v, path + "." + kv.first, out);
+}
+
+obs::json::Value
+parseFile(const std::string &path)
+{
+    std::ifstream is(path);
+    std::stringstream text;
+    text << is.rdbuf();
+    obs::json::Value v;
+    std::string err;
+    EXPECT_TRUE(obs::json::parse(text.str(), &v, &err)) << path << ": " << err;
+    return v;
+}
+
+/** Schema node of @p member inside the object node @p schema. */
+const obs::json::Value &
+property(const obs::json::Value &schema, const std::string &member)
+{
+    static const obs::json::Value none;
+    const obs::json::Value *props = schema.find("properties");
+    const obs::json::Value *p = props ? props->find(member) : nullptr;
+    return p ? *p : none;
+}
+
+TEST(SchemaDrift, JournalAndBenchJsonMatchTheirSchemas)
+{
+    // Both files list every member the field list writes: a member
+    // added to or dropped from configFields/resultFields (or the bench
+    // JSON's host object) without its schema fails here, not in CI.
+    RunResult r = fancyResult();
+    r.profile.profPhases.push_back({"sim/run", 1500, 1});
+    r.profile.partitionLanes.resize(2);
+    const std::string key = Runner::key(r.config);
+    std::vector<std::string> drift;
+
+    const std::string line = journalRecordLine(key, r);
+    obs::json::Value journal;
+    std::string err;
+    ASSERT_TRUE(obs::json::parse(line, &journal, &err)) << err;
+    schemaDrift(parseFile(MEMNET_CI_DIR "/journal_schema.json"), journal,
+                "journal", &drift);
+
+    std::ostringstream os;
+    writeBenchResultsJson(os, "schema_test", {{key, r}});
+    obs::json::Value bench;
+    ASSERT_TRUE(obs::json::parse(os.str(), &bench, &err)) << err;
+    schemaDrift(parseFile(MEMNET_CI_DIR "/bench_schema.json"), bench,
+                "bench", &drift);
+    EXPECT_TRUE(drift.empty()) << ::testing::PrintToString(drift);
+
+    // The bench run is the journal record's members, plus "host".
+    const obs::json::Value &record = *journal.find("record");
+    const obs::json::Value &run = bench.find("runs")->array.at(0);
+    for (const char *part : {"config", "result"}) {
+        std::vector<std::string> a, b;
+        for (const auto &kv : record.find(part)->object)
+            a.push_back(kv.first);
+        for (const auto &kv : run.find(part)->object)
+            b.push_back(kv.first);
+        EXPECT_EQ(a, b) << part;
+    }
+    // A schema that describes nothing would pass vacuously.
+    const obs::json::Value benchSchema =
+        parseFile(MEMNET_CI_DIR "/bench_schema.json");
+    const obs::json::Value &runSchema =
+        *property(benchSchema, "runs").find("items");
+    EXPECT_TRUE(property(runSchema, "result").find("properties"));
+    EXPECT_TRUE(property(runSchema, "config").find("properties"));
+}
+
+TEST(BenchJson, RunIsTheJournalRecordWithPlainNumbers)
+{
+    RunResult r = fancyResult();
+    r.avgReadLatencyNs = std::numeric_limits<double>::quiet_NaN();
+    std::ostringstream os;
+    writeBenchResultsJson(os, "plain", {{"k", r}});
+    const std::string doc = os.str();
+    obs::json::Value v;
+    std::string err;
+    ASSERT_TRUE(obs::json::parse(doc, &v, &err)) << err;
+    EXPECT_EQ(v.find("schema_version")->number, kBenchJsonSchemaVersion);
+    EXPECT_EQ(v.find("bench")->string, "plain");
+    // Integers print exactly, above 2^53 too; doubles in shortest
+    // round-trip form; a NaN as null; enums as their numbers.
+    for (const char *member :
+         {"\"completed_reads\":2305843009213693959,",
+          "\"seed\":1152921504606859321,", "\"idle_io_frac\":0.1,",
+          "\"logic_dyn\":-0,", "\"avg_read_latency_ns\":null,",
+          "\"policy\":2,", "\"host\":{\"prof_phases\":[],"
+                           "\"partition_lanes\":[]}}]}\n"})
+        EXPECT_NE(doc.find(member), std::string::npos) << member;
 }
 
 } // namespace

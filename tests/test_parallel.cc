@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "memnet/experiment.hh"
+#include "memnet/journal.hh"
 #include "memnet/parallel.hh"
-#include "memnet/report.hh"
 #include "sim/log.hh"
 
 namespace memnet
