@@ -19,7 +19,7 @@ using namespace memnet::bench;
 struct Variant
 {
     const char *name;
-    AwareFeatures features;
+    AwareOptions features;
 };
 
 } // namespace
@@ -38,27 +38,27 @@ main(int argc, char **argv)
     std::vector<Variant> variants;
     variants.push_back({"full scheme", {}});
     {
-        AwareFeatures f;
+        AwareOptions f;
         f.ispIterations = 1;
         variants.push_back({"1 ISP iteration", f});
     }
     {
-        AwareFeatures f;
+        AwareOptions f;
         f.ispIterations = 2;
         variants.push_back({"2 ISP iterations", f});
     }
     {
-        AwareFeatures f;
+        AwareOptions f;
         f.congestionDiscount = false;
         variants.push_back({"no congestion discount", f});
     }
     {
-        AwareFeatures f;
+        AwareOptions f;
         f.wakeCoordination = false;
         variants.push_back({"no wakeup coordination", f});
     }
     {
-        AwareFeatures f;
+        AwareOptions f;
         f.grantPool = false;
         variants.push_back({"no AMS grant pool", f});
     }

@@ -68,7 +68,11 @@ diffResultMaps(const std::map<std::string, RunResult> &a,
 
 /**
  * Compare a 1-channel multi-channel result against the single-network
- * simulator result for the same SystemConfig.
+ * simulator result for the same SystemConfig: the whole-system
+ * aggregates (modules, power, reads/s, idle I/O share, channel
+ * utilization) and the latency and energy observatories, through
+ * diffRunResults, so mismatches carry journal paths such as
+ * "total_network_w" or "energy.idle_io_j".
  */
 std::vector<DiffEntry> diffMultiVsSingle(const MultiChannelResult &mc,
                                          const RunResult &r);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "linkpm/modes.hh"
+#include "mgmt/aware_options.hh"
 #include "net/topology.hh"
 #include "obs/energy_observatory.hh"
 #include "obs/options.hh"
@@ -44,31 +45,6 @@ enum class Policy
 };
 
 const char *policyName(Policy p);
-
-/**
- * Ablation switches for the network-aware manager (Section VI). All on
- * by default; the ablation benches turn them off one at a time.
- */
-struct AwareFeatures
-{
-    /** ISP scatter/gather iterations (the paper caps at three). */
-    int ispIterations = 3;
-    /** Apply the QD/QF congestion discount (Section VI-C). */
-    bool congestionDiscount = true;
-    /** Coordinate response-link wakeups along the path (Section VI-B). */
-    bool wakeCoordination = true;
-    /** Back mid-epoch violations with the leftover-AMS grant pool. */
-    bool grantPool = true;
-
-    bool
-    operator==(const AwareFeatures &o) const
-    {
-        return ispIterations == o.ispIterations &&
-               congestionDiscount == o.congestionDiscount &&
-               wakeCoordination == o.wakeCoordination &&
-               grantPool == o.grantPool;
-    }
-};
 
 /** Everything needed to reproduce one simulation run. */
 struct SystemConfig
@@ -103,7 +79,7 @@ struct SystemConfig
     Policy policy = Policy::FullPower;
     double alphaPct = 5.0;
     Tick epochLen = us(100);
-    AwareFeatures aware;
+    AwareOptions aware;
 
     /** Page-interleaved address mapping (static-taper comparison). */
     bool interleavePages = false;

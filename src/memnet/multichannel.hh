@@ -10,6 +10,11 @@
  * hot head in few channels and lets entire cold channels idle — the
  * channel-scale analogue of the paper's consolidation argument in
  * Section VII-A).
+ *
+ * runMultiChannel builds its system with the same builder as Simulator
+ * (memnet/system.hh) and then aggregates across channels, so
+ * runMultiChannel(channels=1) runs exactly the system Simulator runs;
+ * tests/test_differential.cc holds the two collectors to agreement.
  */
 
 #ifndef MEMNET_MEMNET_MULTICHANNEL_HH

@@ -3,6 +3,10 @@
  * Simulator: builds a full system from a SystemConfig, runs it, and
  * returns a RunResult. This is the primary public API of the library.
  *
+ * A run is the one-channel case of the system builder runMultiChannel
+ * also uses (memnet/system.hh), plus what only Simulator reports: the
+ * obs hub, the host RunProfile and the per-module RunResult.
+ *
  * Typical use:
  * @code
  *   memnet::SystemConfig cfg;
@@ -17,29 +21,21 @@
 #ifndef MEMNET_MEMNET_SIMULATOR_HH
 #define MEMNET_MEMNET_SIMULATOR_HH
 
-#include <memory>
-
 #include "memnet/config.hh"
 
 namespace memnet
 {
 
-class SimulatorImpl;
-
 class Simulator
 {
   public:
-    explicit Simulator(const SystemConfig &cfg);
-    ~Simulator();
-
-    Simulator(const Simulator &) = delete;
-    Simulator &operator=(const Simulator &) = delete;
+    explicit Simulator(const SystemConfig &cfg) : cfg(cfg) {}
 
     /** Run warmup + measurement and collect results. */
     RunResult run();
 
   private:
-    std::unique_ptr<SimulatorImpl> impl;
+    SystemConfig cfg;
 };
 
 /** Convenience: construct, run, destroy. */

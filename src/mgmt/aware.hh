@@ -26,19 +26,11 @@
 #ifndef MEMNET_MGMT_AWARE_HH
 #define MEMNET_MGMT_AWARE_HH
 
+#include "mgmt/aware_options.hh"
 #include "mgmt/manager.hh"
 
 namespace memnet
 {
-
-/** Ablation switches (all on for the paper's scheme). */
-struct AwareOptions
-{
-    int ispIterations = 3;
-    bool congestionDiscount = true;
-    bool wakeCoordination = true;
-    bool grantPool = true;
-};
 
 class AwareManager : public PowerManager
 {

@@ -60,9 +60,9 @@ constexpr Policy kPolicies[] = {Policy::FullPower, Policy::Unaware,
 
 TEST(Differential, OneChannelEqualsSingleNetworkEverywhere)
 {
-    // The strongest multichannel claim: with one channel the switch is
-    // a pass-through and the run must match the plain Simulator on
-    // every aggregate output, for every topology x policy pair.
+    // The strongest multichannel claim: with one channel both build the
+    // same system, so the collectors must agree on every aggregate and
+    // observatory output, for every topology x policy pair.
     for (TopologyKind t : kTopologies) {
         for (Policy p : kPolicies) {
             const SystemConfig cfg = shortConfig(t, p);
@@ -342,6 +342,32 @@ TEST(Differential, ObservatoryAbsentOnOneSideIsNotCompared)
 
     EXPECT_TRUE(audit::diffRunResults(fresh, old).empty());
     EXPECT_TRUE(audit::diffRunResults(old, fresh).empty());
+}
+
+TEST(Differential, MultiVsSingleComparesAggregatesAndObservatories)
+{
+    // diffMultiVsSingle compares through the journal's field list, so a
+    // change to an aggregate or to either observatory of the
+    // multi-channel side surfaces under that field's journal path.
+    const SystemConfig cfg =
+        shortConfig(TopologyKind::Star, Policy::Aware);
+    MultiChannelConfig mc;
+    mc.base = cfg;
+    mc.channels = 1;
+    MultiChannelResult m = runMultiChannel(mc);
+    const RunResult s = runSimulation(cfg);
+    ASSERT_TRUE(audit::diffMultiVsSingle(m, s).empty());
+
+    m.totalModules += 1;
+    m.channelUtil[0] += 1.0;
+    m.latency.queuePeak += 1;
+    m.energy.attribution.txJ += 1.0;
+    const auto diffs = audit::diffMultiVsSingle(m, s);
+    EXPECT_EQ(diffFields(diffs),
+              (std::vector<std::string>{"num_modules", "channel_util",
+                                        "latency.queue_peak",
+                                        "energy.tx_j"}))
+        << audit::describeDiffs(diffs);
 }
 
 TEST(ChannelRemap, InterleavePreservesSubLineOffset)
