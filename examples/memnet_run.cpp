@@ -30,6 +30,11 @@
  *                          phase tree, anything else FlameGraph
  *                          collapsed stacks (docs/PERFORMANCE.md)
  *
+ * Numeric values must be whole numbers (decimals for --alpha, --fer and
+ * --config-timeout); --measure-us and --seeds must be positive. A bad
+ * value, like an unknown flag or name, exits 2 with a one-line usage
+ * message.
+ *
  * Crash-safety flags (docs/ROBUSTNESS.md; same semantics as the bench
  * binaries):
  *   --journal <path>          append completed runs to a checksummed
@@ -48,19 +53,20 @@
  *
  * Every run records the latency and energy observatories (per-access
  * latency decomposition, per-joule attribution); they reach the
- * summary, the stats dumps and the journal. Observability outputs
+ * summary, the stats dump and the journal. Observability outputs
  * (see docs/OBSERVABILITY.md; all off by default and guaranteed not to
  * change the simulation):
- *   --stats-json <path>    named stats dump (JSON)
- *   --stats-csv <path>     named stats dump (CSV)
+ *   --stats-json <path>    the run's bench JSON record plus its
+ *                          end-of-run link, module, manager and
+ *                          event-queue counters
  *   --epoch-jsonl <path>   per-epoch time-series (JSON Lines)
  *   --chrome-trace <path>  Chrome/Perfetto trace of link power states
  *   --debug-trace <spec>   MEMNET_TRACE filter, e.g. "LinkPM:2,ISP"
  */
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <map>
@@ -86,6 +92,29 @@ usage(const char *msg)
                          "flags)\n",
                  msg);
     std::exit(2);
+}
+
+/** All of @p v as a T, or a usage error naming @p flag. */
+template <typename T>
+T
+parseNumber(const std::string &v, const char *flag)
+{
+    T out{};
+    const char *end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+    if (v.empty() || ec != std::errc() || ptr != end)
+        usage((std::string("bad ") + flag + " value: '" + v + "'").c_str());
+    return out;
+}
+
+SizeClass
+parseSize(const std::string &v)
+{
+    if (v == "small")
+        return SizeClass::Small;
+    if (v == "big")
+        return SizeClass::Big;
+    usage("unknown size");
 }
 
 TopologyKind
@@ -263,35 +292,38 @@ main(int argc, char **argv)
         } else if (a == "--topology") {
             cfg.topology = parseTopology(need(i));
         } else if (a == "--size") {
-            cfg.sizeClass = need(i) == std::string("big")
-                                ? SizeClass::Big
-                                : SizeClass::Small;
+            cfg.sizeClass = parseSize(need(i));
         } else if (a == "--mech") {
             cfg.mechanism = parseMech(need(i));
         } else if (a == "--roo") {
             cfg.roo = true;
         } else if (a == "--wakeup-ns") {
-            cfg.rooWakeupPs = ns(std::atol(need(i).c_str()));
+            cfg.rooWakeupPs = ns(parseNumber<long>(need(i), "--wakeup-ns"));
         } else if (a == "--policy") {
             cfg.policy = parsePolicy(need(i));
         } else if (a == "--alpha") {
-            cfg.alphaPct = std::atof(need(i).c_str());
+            cfg.alphaPct = parseNumber<double>(need(i), "--alpha");
         } else if (a == "--measure-us") {
-            cfg.measure = us(std::atol(need(i).c_str()));
+            const long v = parseNumber<long>(need(i), "--measure-us");
+            if (v <= 0)
+                usage("--measure-us must be positive");
+            cfg.measure = us(v);
         } else if (a == "--seed") {
-            cfg.seed = std::strtoull(need(i).c_str(), nullptr, 10);
+            cfg.seed = parseNumber<std::uint64_t>(need(i), "--seed");
         } else if (a == "--seeds") {
-            seeds = std::atoi(need(i).c_str());
+            seeds = parseNumber<int>(need(i), "--seeds");
+            if (seeds <= 0)
+                usage("--seeds must be positive");
         } else if (a == "--jobs") {
-            jobs = std::atoi(need(i).c_str());
+            jobs = parseNumber<int>(need(i), "--jobs");
         } else if (a == "--fer") {
-            cfg.linkFlitErrorRate = std::atof(need(i).c_str());
+            cfg.linkFlitErrorRate = parseNumber<double>(need(i), "--fer");
         } else if (a == "--interleave") {
             cfg.interleavePages = true;
         } else if (a == "--audit") {
             cfg.audit = true;
         } else if (a == "--partitions") {
-            cfg.partitions = std::atoi(need(i).c_str());
+            cfg.partitions = parseNumber<int>(need(i), "--partitions");
             if (cfg.partitions < 1)
                 usage("--partitions must be >= 1");
         } else if (a == "--report") {
@@ -306,13 +338,12 @@ main(int argc, char **argv)
             if (!parseFailurePolicy(need(i), &ropts.policy))
                 usage("--failure-policy must be 'abort' or 'isolate'");
         } else if (a == "--config-timeout") {
-            ropts.configTimeoutSec = std::atof(need(i).c_str());
+            ropts.configTimeoutSec =
+                parseNumber<double>(need(i), "--config-timeout");
         } else if (a == "--failure-manifest") {
             ropts.manifestPath = need(i);
         } else if (a == "--stats-json") {
             cfg.obs.statsJsonPath = need(i);
-        } else if (a == "--stats-csv") {
-            cfg.obs.statsCsvPath = need(i);
         } else if (a == "--epoch-jsonl") {
             cfg.obs.epochJsonlPath = need(i);
         } else if (a == "--chrome-trace") {
@@ -331,7 +362,6 @@ main(int argc, char **argv)
     // Fail before simulating, not after: a typo'd output directory used
     // to cost the whole run and exit 0 with only a warning.
     if (!preflightWritable(cfg.obs.statsJsonPath, "--stats-json") ||
-        !preflightWritable(cfg.obs.statsCsvPath, "--stats-csv") ||
         !preflightWritable(cfg.obs.epochJsonlPath, "--epoch-jsonl") ||
         !preflightWritable(cfg.obs.chromeTracePath, "--chrome-trace"))
         return 1;
@@ -343,7 +373,6 @@ main(int argc, char **argv)
 
     if (seeds > 1) {
         if (!cfg.obs.statsJsonPath.empty() ||
-            !cfg.obs.statsCsvPath.empty() ||
             !cfg.obs.epochJsonlPath.empty() ||
             !cfg.obs.chromeTracePath.empty()) {
             usage("observability outputs would collide across seed "

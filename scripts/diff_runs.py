@@ -3,9 +3,10 @@
 
 The differential consistency harness (tests/test_differential.cc)
 checks run equivalences in-process; this script does the same for the
-JSON artifacts two memnet_run invocations wrote (--stats-json), so CI
-can assert e.g. audit-on == audit-off or two seeds of the same config
-from different builds without recompiling anything.
+JSON artifacts two runs wrote (memnet_run --stats-json dumps, bench
+--json files), so CI can assert e.g. audit-on == audit-off or two
+seeds of the same config from different builds without recompiling
+anything.
 
 Nothing beyond the python3 standard library, so CI needs no pip
 installs.
@@ -26,9 +27,11 @@ import json
 import re
 import sys
 
-# prof_phases (and any prof* key) carries host-side profiler wall-clock
-# data, so a profiled run still diffs clean against an unprofiled one.
-DEFAULT_IGNORE = r"(wall|per_s|per_sec|_rate|elapsed|prof)"
+# prof_phases carries host-side profiler wall-clock data, so a profiled
+# run still diffs clean against an unprofiled one. The rest of a run's
+# profile object (event counts, queue depths) is simulation-determined
+# and compared.
+DEFAULT_IGNORE = r"(wall|per_s|per_sec|_rate|elapsed|prof_phases)"
 
 
 def walk(a, b, path, ignore, rtol, diffs):

@@ -1,16 +1,11 @@
 #!/usr/bin/env python3
 """Render per-cause energy share tables from memnet output.
 
-Two input modes, auto-detected from the document shape:
-
-  * a memnet_run --stats-json dump: a flat name->value map carrying the
-    net.energy.* attribution counters plus the utilization/occupancy
-    sketch summaries (net.energy.util_ppm.*, net.energy.occupancy.*);
-
-  * a bench --json dump (schema_version 5): one table per run from
-    its result.energy object. --top N keeps only the N runs with the
-    highest total joules (sorted descending), bounding the output for
-    golden-file checks.
+Reads bench JSON (schema_version 5): a bench --json dump or a
+memnet_run --stats-json dump, which is the same document holding one
+run. One table per run from its result.energy object. --top N keeps
+only the N runs with the highest total joules (sorted descending),
+bounding the output for golden-file checks.
 
 Each table splits the run's total energy by attribution cause — tx
 traffic, the per-mode idle floor, sleep, wake transitions, retrain,
@@ -46,9 +41,6 @@ CAUSES = [
     "dram_dyn",
 ]
 
-SKETCH_FIELDS = ["samples", "p50", "p90", "p99", "p999", "max"]
-
-
 def render_table(energy, out):
     """Write one attribution table; `energy` is shaped like the
     bench-JSON result.energy object."""
@@ -79,44 +71,6 @@ def render_table(energy, out):
               "({:d} samples)\n".format(
                   int(occ["p50_ps"]), int(occ["p99_ps"]),
                   int(occ["max_ps"]), int(occ["samples"])))
-
-
-def stats_json_to_energy(doc):
-    """Reshape a flat --stats-json dump into the bench-JSON energy
-    object; returns (energy, None) or (None, missing-key)."""
-    missing = []
-
-    def get(name):
-        key = "net.energy." + name
-        if key not in doc:
-            missing.append(key)
-        return doc.get(key)
-
-    energy = {cause + "_j": get(cause + "_j")
-              for cause in CAUSES + ["idle_io", "active_io"]
-              if cause != "idle_floor"}
-    energy["idle_mode_j"] = [get("idle_mode%d_j" % i) for i in range(8)]
-    for name, scope in (("utilization_ppm", "util_ppm"),
-                        ("occupancy", "occupancy")):
-        energy[name] = {field if field == "samples" else field + "_ps":
-                        get("%s.%s" % (scope, field))
-                        for field in SKETCH_FIELDS}
-    if missing:
-        return None, missing[0]
-    return energy, None
-
-
-def report_stats_json(doc, out):
-    """Table from a flat --stats-json dump."""
-    energy, missing = stats_json_to_energy(doc)
-    if energy is None:
-        sys.stderr.write(
-            "energy_report: %s missing — the dump predates the energy "
-            "observatory\n" % missing)
-        return 1
-    out.write("energy attribution\n")
-    render_table(energy, out)
-    return 0
 
 
 def report_bench_json(doc, out, top):
@@ -189,9 +143,7 @@ def main(argv):
         sys.stderr.write("energy_report: expected a JSON object\n")
         return 1
 
-    if "runs" in doc:
-        return report_bench_json(doc, sys.stdout, top)
-    return report_stats_json(doc, sys.stdout)
+    return report_bench_json(doc, sys.stdout, top)
 
 
 if __name__ == "__main__":

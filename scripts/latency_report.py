@@ -1,16 +1,11 @@
 #!/usr/bin/env python3
 """Render a latency decomposition / percentile table from memnet output.
 
-Two input modes, auto-detected from the document shape:
-
-  * a memnet_run --stats-json dump: a flat name->value map carrying the
-    net.lat.* sketch counters plus the per-link stall attribution
-    (linkN.wake_stall_s / linkN.retrain_stall_s / linkN.queue_peak);
-
-  * a bench --json dump (schema_version 5): one table per run from
-    its result.latency object. --top N keeps only the N runs with the
-    highest end-to-end p999 (sorted descending), bounding the output
-    for golden-file checks.
+Reads bench JSON (schema_version 5): a bench --json dump or a
+memnet_run --stats-json dump, which is the same document holding one
+run. One table per run from its result.latency object. --top N keeps
+only the N runs with the highest end-to-end p999 (sorted descending),
+bounding the output for golden-file checks.
 
 Nothing beyond the python3 standard library, so CI needs no pip
 installs. Output is deterministic for a deterministic input file —
@@ -22,7 +17,6 @@ Usage:
 """
 
 import json
-import re
 import sys
 
 import bench_json
@@ -35,10 +29,6 @@ COMPONENTS = [
     "serialization",
     "dram",
 ]
-
-FIELDS = ["samples", "sum_ps", "p50_ps", "p90_ps", "p99_ps",
-          "p999_ps", "max_ps"]
-
 
 def _ns(ps):
     return float(ps) / 1e3
@@ -69,39 +59,6 @@ def render_table(latency, out):
                    "{:>10.1f} {:>10.1f} {:>10.1f}\n").format(
             comp, share, mean, _ns(c["p50_ps"]), _ns(c["p90_ps"]),
             _ns(c["p99_ps"]), _ns(c["p999_ps"]), _ns(c["max_ps"])))
-
-
-def report_stats_json(doc, out):
-    """Table from a flat --stats-json dump."""
-    latency = {}
-    for comp in COMPONENTS:
-        c = {}
-        for field in FIELDS:
-            key = "net.lat.%s.%s" % (comp, field)
-            if key not in doc:
-                sys.stderr.write(
-                    "latency_report: %s missing — the dump predates "
-                    "the latency observatory\n" % key)
-                return 1
-            c[field] = doc[key]
-        latency[comp] = c
-
-    wake = retrain = 0.0
-    peak = 0
-    for name, value in doc.items():
-        if re.fullmatch(r"link\d+\.wake_stall_s", name):
-            wake += value
-        elif re.fullmatch(r"link\d+\.retrain_stall_s", name):
-            retrain += value
-        elif re.fullmatch(r"link\d+\.queue_peak", name):
-            peak = max(peak, int(value))
-
-    out.write("latency decomposition (%d reads)\n"
-              % int(latency["end_to_end"]["samples"]))
-    render_table(latency, out)
-    out.write("stall attribution: wake %.6f s, retrain %.6f s, "
-              "queue peak %d\n" % (wake, retrain, peak))
-    return 0
 
 
 def report_bench_json(doc, out, top):
@@ -178,9 +135,7 @@ def main(argv):
         sys.stderr.write("latency_report: expected a JSON object\n")
         return 1
 
-    if "runs" in doc:
-        return report_bench_json(doc, sys.stdout, top)
-    return report_stats_json(doc, sys.stdout)
+    return report_bench_json(doc, sys.stdout, top)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Unit tests for energy_report.py (stdlib unittest only).
 
-Run directly or via ctest (test_energy_report). Covers both input
-modes (bench --json and --stats-json), the --top cutoff, and the
+Run directly or via ctest (test_energy_report). Covers bench --json
+and --stats-json dumps (both bench JSON), the --top cutoff, and the
 clear-diagnostic paths for runs without energy data (records resumed
 from journals older than the observatory) and old schemas.
 """
@@ -60,17 +60,14 @@ def bench_doc(enabled=True, version=5, keys=("star/aware",)):
 
 
 def stats_doc():
-    doc = {}
-    energy = energy_obj()
-    attr = bench_json.attribution(energy)
-    for cause in er.CAUSES + ["idle_io", "active_io", "total"]:
-        doc["net.energy.%s_j" % cause] = attr[cause]
-    for i, joules in enumerate(energy["idle_mode_j"]):
-        doc["net.energy.idle_mode%d_j" % i] = joules
-    for scope in ("util_ppm", "occupancy"):
-        for field in er.SKETCH_FIELDS:
-            doc["net.energy.%s.%s" % (scope, field)] = sketch()[
-                field if field == "samples" else field + "_ps"]
+    """A memnet_run --stats-json dump: bench JSON holding one run, plus
+    the components object the report does not read."""
+    doc = bench_doc()
+    doc["bench"] = "stats"
+    doc["components"] = {"links": [], "modules": [],
+                         "event_queue": {"pending": 0,
+                                         "depth_hist_p2": [0] * 33},
+                         "net": {"injected_packets": 0}}
     return doc
 
 
@@ -150,17 +147,22 @@ class ReportTest(unittest.TestCase):
     def test_stats_json_renders_table(self):
         rc, out, err = self.run_main(self.write(stats_doc()))
         self.assertEqual(rc, 0, err)
-        self.assertIn("energy attribution", out)
+        self.assertIn("energy report: stats (1 run(s))", out)
         self.assertIn("dram_dyn", out)
 
     def test_stats_json_without_observatory_is_clear_error(self):
         doc = stats_doc()
-        for key in [k for k in doc if k.startswith("net.energy.")]:
-            del doc[key]
-        doc["net.lat.end_to_end.samples"] = 40  # unrelated scope stays
+        del doc["runs"][0]["result"]["energy"]
         rc, out, err = self.run_main(self.write(doc))
         self.assertEqual(rc, 1)
-        self.assertIn("predates the energy observatory", err)
+        self.assertIn("no energy object", err)
+        self.assertNotIn("Traceback", err)
+
+    def test_flat_stats_dump_is_clear_error(self):
+        # The named-stat dumps older builds wrote: no schema_version.
+        rc, out, err = self.run_main(self.write({"net.energy.tx_j": 1.0}))
+        self.assertEqual(rc, 1)
+        self.assertIn("schema_version None is not 5", err)
 
 
 if __name__ == "__main__":

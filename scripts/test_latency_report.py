@@ -3,9 +3,9 @@
 
 Run directly or via ctest (test_latency_report). The key regression
 guarded here: feeding the report a run without latency data (a record
-resumed from a journal older than the observatory, or a stats dump
-predating it) must produce a clear one-line diagnostic and exit code
-1, never a KeyError traceback.
+resumed from a journal older than the observatory, or a flat stats
+dump from an older build) must produce a clear one-line diagnostic
+and exit code 1, never a KeyError traceback.
 """
 
 import contextlib
@@ -50,13 +50,15 @@ def bench_doc(enabled=True, version=5, keys=("star/aware",)):
 
 
 def stats_doc():
-    doc = {}
-    for comp in lr.COMPONENTS:
-        for field, value in component().items():
-            doc["net.lat.%s.%s" % (comp, field)] = value
-    doc["link0.wake_stall_s"] = 0.125
-    doc["link1.retrain_stall_s"] = 0.5
-    doc["link1.queue_peak"] = 17
+    """A memnet_run --stats-json dump: bench JSON holding one run, plus
+    the components object the report does not read."""
+    doc = bench_doc()
+    doc["bench"] = "stats"
+    doc["runs"][0]["result"]["latency"]["queue_peak"] = 17
+    doc["components"] = {"links": [], "modules": [],
+                         "event_queue": {"pending": 0,
+                                         "depth_hist_p2": [0] * 33},
+                         "net": {"injected_packets": 0}}
     return doc
 
 
@@ -124,18 +126,23 @@ class ReportTest(unittest.TestCase):
     def test_stats_json_renders_table(self):
         rc, out, err = self.run_main(self.write(stats_doc()))
         self.assertEqual(rc, 0, err)
-        self.assertIn("latency decomposition", out)
+        self.assertIn("latency report: stats (1 run(s))", out)
         self.assertIn("queue peak 17", out)
 
     def test_stats_json_without_observatory_is_clear_error(self):
         doc = stats_doc()
-        # A dump predating the observatory simply lacks the net.lat.*
-        # scope; everything else is still present.
-        for key in [k for k in doc if k.startswith("net.lat.")]:
-            del doc[key]
+        del doc["runs"][0]["result"]["latency"]
         rc, out, err = self.run_main(self.write(doc))
         self.assertEqual(rc, 1)
-        self.assertIn("predates the latency observatory", err)
+        self.assertIn("no latency object", err)
+        self.assertNotIn("Traceback", err)
+
+    def test_flat_stats_dump_is_clear_error(self):
+        # The named-stat dumps older builds wrote: no schema_version.
+        rc, out, err = self.run_main(
+            self.write({"net.lat.end_to_end.samples": 40}))
+        self.assertEqual(rc, 1)
+        self.assertIn("schema_version None is not 5", err)
 
     def test_bad_json_is_clear_error(self):
         path = os.path.join(self.dir.name, "broken.json")

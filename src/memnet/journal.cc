@@ -12,6 +12,8 @@
 
 #include "memnet/experiment.hh"
 #include "memnet/parallel.hh"
+#include "mgmt/manager.hh"
+#include "net/network.hh"
 #include "obs/json.hh"
 #include "sim/log.hh"
 
@@ -416,6 +418,93 @@ hostFields(Writer<Spelling::Plain> &v, const RunProfile &p)
             v.num("barrier_wait_ns", l.barrierWaitNs);
         });
     });
+}
+
+/** One bench --json run: the journal record, then the host object. */
+void
+benchRun(Writer<Spelling::Plain> &w, const std::string &key,
+         const RunResult &r)
+{
+    w.object({}, [&] {
+        w.str("key", key);
+        w.object("config", [&] { configFields(w, r.config); });
+        w.object("result", [&] { resultFields(w, r); });
+        w.object("host", [&] { hostFields(w, r.profile); });
+    });
+}
+
+/**
+ * A stats dump's "components": the end-of-run counters of one channel
+ * that no record keeps. Each link's cause buckets must already be
+ * flushed to now (Network::collectEnergy); module terms are computed
+ * at now.
+ */
+void
+componentsFields(Writer<Spelling::Plain> &v, Network &net,
+                 const PowerManager *mgr,
+                 const std::vector<EventQueue *> &queues)
+{
+    v.list("links", net.allLinks(), [&](const Link *l) {
+        const LinkStats &s = l->stats();
+        v.object({}, [&] {
+            v.num("id", l->id());
+            v.hex("idle_energy_j", s.idleIoJ());
+            v.hex("active_energy_j", s.activeIoJ());
+            v.hex("tx_energy_j", s.txJ);
+            v.hex("retrain_energy_j", s.retrainJ);
+            v.hex("sleep_energy_j", s.sleepJ);
+            v.hex("wake_energy_j", s.wakeJ);
+            v.num("flits", s.flits);
+            v.num("packets", s.packets);
+            v.num("read_packets", s.readPackets);
+            v.num("retries", s.retries);
+            v.num("replays", s.replays);
+            v.num("retrains", s.retrains);
+            v.hex("retrain_s", s.retrainSeconds);
+            v.hex("degraded_s", s.degradedSeconds);
+            v.hex("off_s", s.offSeconds);
+            v.hex("wake_stall_s", s.wakeStallSeconds);
+            v.hex("retrain_stall_s", s.retrainStallSeconds);
+            v.num("queue_peak", s.queuePeak);
+        });
+    });
+    const Tick now = net.eventQueue().now();
+    v.array("modules", net.numModules(), [&](std::size_t m) {
+        const ModuleEnergyTerms t = net.moduleEnergy(static_cast<int>(m), now);
+        v.object({}, [&] {
+            v.num("id", m);
+            v.hex("serdes_leak_j", t.logicLeakJ);
+            v.hex("router_j", t.logicDynJ);
+            v.hex("dram_leak_j", t.dramLeakJ);
+            v.hex("dram_dyn_j", t.dramDynJ);
+        });
+    });
+    // Absent for the policies without epoch machinery.
+    if (mgr) {
+        v.object("mgmt", [&] {
+            v.num("epochs", mgr->epochs());
+            v.object("isp", [&] {
+                v.num("rounds_total", mgr->ispRoundsTotal());
+                v.num("last_rounds", mgr->lastIspRounds());
+            });
+            v.hex("grant_pool_ps", mgr->grantPoolRemaining());
+        });
+    }
+    // Summed over the run's queues, like RunProfile's counters.
+    std::uint64_t pending = 0;
+    std::array<std::uint64_t, EventQueue::kDepthBuckets> hist{};
+    for (const EventQueue *q : queues) {
+        pending += q->pending();
+        for (std::size_t b = 0; b < hist.size(); ++b)
+            hist[b] += q->depthHistogram()[b];
+    }
+    v.object("event_queue", [&] {
+        v.num("pending", pending);
+        v.array("depth_hist_p2", hist.size(),
+                [&](std::size_t b) { v.num({}, hist[b]); });
+    });
+    v.object("net",
+             [&] { v.num("injected_packets", net.injectedPackets()); });
 }
 
 /**
@@ -916,15 +1005,28 @@ writeBenchResultsJson(std::ostream &os, const std::string &bench,
             os.put(',');
         buf.clear();
         Writer<Spelling::Plain> w(buf);
-        w.object({}, [&] {
-            w.str("key", it->first);
-            w.object("config", [&] { configFields(w, it->second.config); });
-            w.object("result", [&] { resultFields(w, it->second); });
-            w.object("host", [&] { hostFields(w, it->second.profile); });
-        });
+        benchRun(w, it->first, it->second);
         os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
     }
     os << "]}\n";
+}
+
+void
+writeStatsJson(std::ostream &os, const std::string &key, const RunResult &r,
+               Network &net, const PowerManager *mgr,
+               const std::vector<EventQueue *> &queues)
+{
+    std::string buf;
+    Writer<Spelling::Plain> w(buf);
+    w.object({}, [&] {
+        w.num("schema_version", kBenchJsonSchemaVersion);
+        w.str("bench", "stats");
+        w.array("runs", 1, [&](std::size_t) { benchRun(w, key, r); });
+        w.object("components",
+                 [&] { componentsFields(w, net, mgr, queues); });
+    });
+    buf += '\n';
+    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
 bool

@@ -28,8 +28,9 @@
  * produces, plus the older shapes that lack groups later versions
  * inserted (see docs/ROBUSTNESS.md for the member order and grammar).
  * The same list is the only place a RunResult field is named: the
- * bench --json output is each record with plain JSON numbers, and
- * forEachResultField() walks it for audit::diffRunResults.
+ * bench --json output and the stats dump are each record with plain
+ * JSON numbers, and forEachResultField() walks it for
+ * audit::diffRunResults.
  * A resumed sweep's final bench JSON is byte-identical to the same
  * sweep run uninterrupted (enforced by tests/test_journal.cc and the
  * crash-resume CI job via scripts/diff_runs.py).
@@ -65,6 +66,9 @@
 namespace memnet
 {
 
+class EventQueue;
+class Network;
+class PowerManager;
 struct RunFailure;
 
 /** Journal line format version (the "journal_version" member). */
@@ -125,6 +129,21 @@ constexpr int kBenchJsonSchemaVersion = 5;
 void writeBenchResultsJson(
     std::ostream &os, const std::string &bench,
     const std::map<std::string, RunResult> &results);
+
+/**
+ * A stats dump (SystemConfig::obs.statsJsonPath, memnet_run
+ * --stats-json): a bench JSON document whose one run is @p r under
+ * @p key, byte for byte what writeBenchResultsJson() writes for it,
+ * plus a top-level "components" object with the end-of-run counters of
+ * @p net, @p mgr (null: no "mgmt" member) and @p queues that no record
+ * keeps: per-link ledgers, per-module energy terms, manager and
+ * event-queue state. Call after Network::collectEnergy() at the run's
+ * final tick.
+ */
+void writeStatsJson(std::ostream &os, const std::string &key,
+                    const RunResult &r, Network &net,
+                    const PowerManager *mgr,
+                    const std::vector<EventQueue *> &queues);
 
 /** What loadJournal() found, for the resume progress message. */
 struct JournalLoadStats

@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 
+#include "memnet/experiment.hh"
+#include "memnet/journal.hh"
 #include "memnet/system.hh"
 #include "obs/debug_trace.hh"
 #include "obs/obs.hh"
+#include "sim/log.hh"
 
 namespace memnet
 {
@@ -191,7 +195,7 @@ Simulator::run()
     std::unique_ptr<obs::ObsHub> hub;
     if (cfg.obs.active())
         hub = std::make_unique<obs::ObsHub>(cfg.obs, *sys.nets[0],
-                                            sys.manager(0), sys.queues());
+                                            sys.manager(0));
 
     build.close();
     const auto wall_start = std::chrono::steady_clock::now();
@@ -244,10 +248,21 @@ Simulator::run()
         sys.auditors.empty() ? 0 : sys.auditors[0]->checksRun();
     r.eventsFired = p.eventsFired;
     if (hub)
-        hub->finish(sys.procEq.now());
-    // Close the capture last so the phase rows cover collect() and the
-    // obs flush as well as the dispatch loops.
+        hub->finish();
+    // The phase rows cover collect() and the obs flush as well as the
+    // dispatch loops.
     p.profPhases = capture.finish();
+    // Written last, so the dump's run is r byte for byte, host phases
+    // included. collect() flushed the energy ledgers at this tick.
+    if (!cfg.obs.statsJsonPath.empty()) {
+        std::ofstream f(cfg.obs.statsJsonPath);
+        if (!f)
+            memnet_warn("cannot open stats JSON path: ",
+                        cfg.obs.statsJsonPath);
+        else
+            writeStatsJson(f, Runner::key(cfg), r, *sys.nets[0],
+                           sys.manager(0), queues);
+    }
     return r;
 }
 

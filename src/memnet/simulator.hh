@@ -5,7 +5,8 @@
  *
  * A run is the one-channel case of the system builder runMultiChannel
  * also uses (memnet/system.hh), plus what only Simulator reports: the
- * obs hub, the host RunProfile and the per-module RunResult.
+ * obs hub, the host RunProfile, the per-module RunResult and the stats
+ * dump (writeStatsJson, memnet/journal.hh).
  *
  * Typical use:
  * @code

@@ -233,7 +233,7 @@ class Network : public TrafficTarget, public FaultTarget
     /**
      * One module's energy cause terms over [reset, now] — the same
      * expression collectEnergy folds per module, exposed for the
-     * per-module stat scopes. Does not flush link accounting.
+     * stats dump's per-module terms. Does not flush link accounting.
      */
     ModuleEnergyTerms moduleEnergy(int m, Tick now) const;
 

@@ -1,133 +1,21 @@
 /**
  * @file
- * Obs-side surface of the energy observatory: net.energy.* stat scopes
- * and the Chrome-trace counter-args renderer. The attribution ledger
- * itself is header-only (energy_observatory.hh) so the net layer can
- * fill it without linking this library.
+ * Obs-side surface of the energy observatory: the Chrome-trace
+ * counter-args renderer. The attribution ledger itself is header-only
+ * (energy_observatory.hh) so the net layer can fill it without linking
+ * this library.
  */
 
 #include "obs/energy_observatory.hh"
 
 #include <cstdio>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <utility>
-
-#include "net/network.hh"
-#include "obs/stats_registry.hh"
 
 namespace memnet
 {
 namespace obs
 {
-
-void
-registerEnergyStats(StatsRegistry &reg, Network &net)
-{
-    // Dump-time cache: the registry evaluates every getter at the same
-    // simulated instant, so materialize the attribution and the sketch
-    // summaries once per distinct timestamp instead of once per stat
-    // (the occupancy summary merges every per-link sketch).
-    struct Cache
-    {
-        bool filled = false;
-        Tick stamp = 0;
-        EnergyAttribution a;
-        LatencyPercentiles util;
-        LatencyPercentiles occ;
-    };
-    auto cache = std::make_shared<Cache>();
-    Network *n = &net;
-    auto fill = [cache, n]() -> const Cache & {
-        const Tick now = n->eventQueue().now();
-        if (!cache->filled || cache->stamp != now) {
-            cache->filled = true;
-            cache->stamp = now;
-            cache->a = n->energyAttribution(now);
-            const EnergySketches s = n->collectEnergySketches(now);
-            cache->util = summarizeSketch(s.utilization);
-            cache->occ = summarizeSketch(s.occupancy);
-        }
-        return *cache;
-    };
-
-    auto e = reg.scope("net.energy.");
-    struct Cause
-    {
-        const char *name;
-        const char *desc;
-        double (*get)(const EnergyAttribution &);
-    };
-    const Cause causes[] = {
-        {"tx_j", "link serialization energy (J)",
-         [](const EnergyAttribution &a) { return a.txJ; }},
-        {"retrain_j", "link retrain-window energy (J)",
-         [](const EnergyAttribution &a) { return a.retrainJ; }},
-        {"idle_floor_j", "link static-floor energy, all modes (J)",
-         [](const EnergyAttribution &a) { return a.idleFloorJ(); }},
-        {"sleep_j", "link ROO off-state energy (J)",
-         [](const EnergyAttribution &a) { return a.sleepJ; }},
-        {"wake_j", "link wake-transition energy (J)",
-         [](const EnergyAttribution &a) { return a.wakeJ; }},
-        {"serdes_leak_j", "module SerDes+logic leakage (J)",
-         [](const EnergyAttribution &a) { return a.serdesLeakJ; }},
-        {"router_j", "module router dynamic energy (J)",
-         [](const EnergyAttribution &a) { return a.routerJ; }},
-        {"dram_leak_j", "module DRAM leakage (J)",
-         [](const EnergyAttribution &a) { return a.dramLeakJ; }},
-        {"dram_dyn_j", "module DRAM dynamic energy (J)",
-         [](const EnergyAttribution &a) { return a.dramDynJ; }},
-        {"idle_io_j", "coarse anchor: idle link I/O energy (J)",
-         [](const EnergyAttribution &a) { return a.idleIoJ; }},
-        {"active_io_j", "coarse anchor: active link I/O energy (J)",
-         [](const EnergyAttribution &a) { return a.activeIoJ; }},
-        {"total_j", "all attributed energy (J)",
-         [](const EnergyAttribution &a) { return a.totalJ(); }},
-    };
-    for (const Cause &c : causes) {
-        e.add(c.name, c.desc,
-              [fill, get = c.get] { return get(fill().a); });
-    }
-    for (std::size_t i = 0; i < EnergyAttribution{}.idleModeJ.size();
-         ++i) {
-        std::ostringstream nm;
-        nm << "idle_mode" << i << "_j";
-        e.add(nm.str(),
-              "static-floor energy at bandwidth-mode index " +
-                  std::to_string(i) + " (J)",
-              [fill, i] { return fill().a.idleModeJ[i]; });
-    }
-
-    // Congestion telemetry: percentile summaries of the per-link
-    // utilization (ppm of full bandwidth) and enqueue-time queue-depth
-    // distributions.
-    struct Pct
-    {
-        const char *name;
-        std::uint64_t LatencyPercentiles::*field;
-    };
-    const Pct pcts[] = {
-        {"samples", &LatencyPercentiles::samples},
-        {"p50", &LatencyPercentiles::p50Ps},
-        {"p90", &LatencyPercentiles::p90Ps},
-        {"p99", &LatencyPercentiles::p99Ps},
-        {"p999", &LatencyPercentiles::p999Ps},
-        {"max", &LatencyPercentiles::maxPs},
-    };
-    auto util = reg.scope("net.energy.util_ppm.");
-    for (const Pct &p : pcts) {
-        util.addInt(p.name,
-                    std::string("per-link utilization (ppm) ") + p.name,
-                    [fill, f = p.field] { return fill().util.*f; });
-    }
-    auto occ = reg.scope("net.energy.occupancy.");
-    for (const Pct &p : pcts) {
-        occ.addInt(p.name,
-                   std::string("enqueue-time queue depth ") + p.name,
-                   [fill, f = p.field] { return fill().occ.*f; });
-    }
-}
 
 std::string
 renderEnergyCounterArgs(const EnergyAttribution &cur,

@@ -29,7 +29,7 @@
  *
  * Header-only so the net layer can embed it without linking the obs
  * library; energy_observatory.cc holds only obs-side surface code
- * (stats registry scopes, Chrome-trace counters).
+ * (the Chrome-trace counters).
  */
 
 #ifndef MEMNET_OBS_ENERGY_OBSERVATORY_HH
@@ -210,20 +210,8 @@ summarizeEnergy(const EnergyAttribution &a, const obs::EnergySketches &s)
     return e;
 }
 
-class Network;
-
 namespace obs
 {
-
-class StatsRegistry;
-
-/**
- * Register the net.energy.* stat scopes (system-level cause rollups
- * plus the congestion-sketch percentiles). Values are materialized at
- * dump time.
- * Implemented in energy_observatory.cc (obs library).
- */
-void registerEnergyStats(StatsRegistry &reg, Network &net);
 
 /**
  * Render the Chrome-trace counter args for one epoch: average watts

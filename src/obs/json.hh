@@ -2,8 +2,8 @@
  * @file
  * Minimal JSON support for the observability layer.
  *
- * JsonWriter is a streaming emitter used by the stats registry and
- * the epoch recorder (bench --json output has its own writer in
+ * JsonWriter is a streaming emitter used by the epoch recorder (bench
+ * --json output and stats dumps have their own writer in
  * memnet/journal.cc); it never builds a DOM, so arbitrarily long
  * time-series stream straight to disk. The json::Value parser is the
  * matching reader used by tests and tools to round-trip what the

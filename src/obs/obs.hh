@@ -3,9 +3,6 @@
  * ObsHub — the assembled observability subsystem for one simulation run.
  *
  * Construction wires everything the options ask for:
- *  - registers gem5-style named stats for the event queue, network,
- *    links, modules, and manager in a StatsRegistry (dumped to JSON/CSV
- *    at finish());
  *  - attaches a ChromeTraceWriter to the network as the PowerTraceSink;
  *  - attaches itself to the manager as the EpochObserver, feeding the
  *    EpochRecorder (JSONL) and epoch/violation trace instants.
@@ -14,7 +11,8 @@
  * simulation events, and the hub never schedules events of its own, so
  * an instrumented run produces bit-identical RunResults to a bare one.
  * When ObsOptions::active() is false the simulator does not construct a
- * hub at all.
+ * hub at all. The stats dump is not the hub's: Simulator::run writes it
+ * from the finished RunResult (writeStatsJson, memnet/journal.hh).
  */
 
 #ifndef MEMNET_OBS_OBS_HH
@@ -22,14 +20,12 @@
 
 #include <fstream>
 #include <memory>
-#include <vector>
 
 #include "mgmt/manager.hh"
 #include "net/network.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/epoch_recorder.hh"
 #include "obs/options.hh"
-#include "obs/stats_registry.hh"
 
 namespace memnet
 {
@@ -43,15 +39,9 @@ class ObsHub : public EpochObserver
      * @param opts which outputs to produce (paths may be empty).
      * @param net the network under observation.
      * @param mgr the power manager, or null (FullPower / StaticTaper);
-     *        without one there are no epoch records or mgmt stats.
-     * @param queues the run's event queues for sim.* health stats —
-     *        empty means the network's own queue (serial kernel). A
-     *        partitioned run passes all partition queues: the sim.eq.*
-     *        aggregates then sum/max across lanes and each lane gets a
-     *        sim.eq.pN.* scope.
+     *        without one there are no epoch records.
      */
-    ObsHub(const ObsOptions &opts, Network &net, PowerManager *mgr,
-           std::vector<EventQueue *> queues = {});
+    ObsHub(const ObsOptions &opts, Network &net, PowerManager *mgr);
     ~ObsHub() override;
 
     ObsHub(const ObsHub &) = delete;
@@ -60,8 +50,8 @@ class ObsHub : public EpochObserver
     /** Re-baseline epoch diffs after the network's stats reset. */
     void onMeasureStart(Tick now);
 
-    /** Flush and write every requested output file. */
-    void finish(Tick now);
+    /** Close the epoch records and write the trace file. */
+    void finish();
 
     // -- EpochObserver -----------------------------------------------------
 
@@ -69,19 +59,14 @@ class ObsHub : public EpochObserver
     void onViolation(PowerManager &pm, LinkMgmtState &s,
                      Tick now) override;
 
-    StatsRegistry &registry() { return reg; }
     ChromeTraceWriter *traceWriter() { return trace.get(); }
     EpochRecorder *recorder() { return rec.get(); }
 
   private:
-    void registerStats();
-
     ObsOptions opts;
     Network &net;
     PowerManager *mgr;
-    std::vector<EventQueue *> eqs;
 
-    StatsRegistry reg;
     std::unique_ptr<ChromeTraceWriter> trace;
     std::ofstream epochFile;
     std::unique_ptr<EpochRecorder> rec;

@@ -22,11 +22,11 @@ namespace memnet
 
 struct ObsOptions
 {
-    /** Dump the stats registry as flat JSON here at end of run. */
+    /**
+     * Write the run's stats dump here at end of run: its bench JSON
+     * record plus the end-of-run component counters (writeStatsJson).
+     */
     std::string statsJsonPath;
-
-    /** Dump the stats registry as name,value,description CSV here. */
-    std::string statsCsvPath;
 
     /** Stream one JSON object per management epoch (JSONL) here. */
     std::string epochJsonlPath;
@@ -40,12 +40,11 @@ struct ObsOptions
      */
     std::string traceSpec;
 
-    /** True when any file output is requested. */
+    /** True when the obs hub has a file to write (not the stats dump). */
     bool
     active() const
     {
-        return !statsJsonPath.empty() || !statsCsvPath.empty() ||
-               !epochJsonlPath.empty() || !chromeTracePath.empty();
+        return !epochJsonlPath.empty() || !chromeTracePath.empty();
     }
 };
 

@@ -3,7 +3,7 @@
  * Unit tests for the energy observatory's attribution ledger
  * (src/obs/energy_observatory.hh): cause-bucket folding, the derived
  * identities, exact merge, the bit-identity of the rollup against
- * Network::collectEnergy, the net.energy.* stat scopes, and the
+ * Network::collectEnergy, the stats dump's per-module terms, the
  * Chrome-trace counter renderer, and what a whole run reports. The
  * run-level guarantees (partitioned == serial, mutation-tested auditor
  * check) live in test_partition.cc / test_audit.cc.
@@ -16,11 +16,11 @@
 #include <string>
 
 #include "dram/dram_params.hh"
+#include "memnet/journal.hh"
 #include "memnet/simulator.hh"
 #include "net/network.hh"
 #include "obs/energy_observatory.hh"
 #include "obs/json.hh"
-#include "obs/stats_registry.hh"
 #include "sim/event_queue.hh"
 
 namespace memnet
@@ -162,30 +162,31 @@ TEST_F(EnergyObservatoryNet, SketchesCoverEveryLinkWhenEnabled)
     EXPECT_EQ(s.occupancy.samples, 0u);
 }
 
-TEST_F(EnergyObservatoryNet, StatScopesMaterializeTheLedger)
+TEST_F(EnergyObservatoryNet, StatsDumpCarriesEachModulesTerms)
 {
     eq.runUntil(us(10));
-    obs::StatsRegistry reg;
-    obs::registerEnergyStats(reg, *net);
-
+    net->collectEnergy(eq.now());
     std::ostringstream os;
-    reg.dumpJson(os);
+    writeStatsJson(os, "k", RunResult{}, *net, nullptr, {&eq});
     obs::json::Value doc;
     std::string err;
     ASSERT_TRUE(obs::json::parse(os.str(), &doc, &err)) << err;
 
-    const auto num = [&doc](const char *name) {
-        const obs::json::Value *v = doc.find(name);
-        EXPECT_TRUE(v != nullptr) << name;
-        return v ? v->number : -1.0;
-    };
-    const EnergyAttribution a = net->energyAttribution(eq.now());
-    EXPECT_EQ(num("net.energy.total_j"), a.totalJ());
-    EXPECT_EQ(num("net.energy.idle_floor_j"), a.idleFloorJ());
-    EXPECT_EQ(num("net.energy.tx_j"), 0.0);
-    EXPECT_EQ(num("net.energy.idle_mode0_j"), a.idleModeJ[0]);
-    EXPECT_EQ(num("net.energy.util_ppm.samples"), 14.0);
-    EXPECT_EQ(num("net.energy.occupancy.samples"), 0.0);
+    const obs::json::Value &c = *doc.find("components");
+    const auto &mods = c.find("modules")->array;
+    ASSERT_EQ(mods.size(), 7u);
+    for (int m = 0; m < 7; ++m) {
+        const ModuleEnergyTerms t = net->moduleEnergy(m, eq.now());
+        const obs::json::Value &v = mods[m];
+        EXPECT_EQ(v.find("id")->number, m);
+        EXPECT_GT(t.logicLeakJ, 0.0);
+        EXPECT_EQ(v.find("serdes_leak_j")->number, t.logicLeakJ) << m;
+        EXPECT_EQ(v.find("router_j")->number, t.logicDynJ) << m;
+        EXPECT_EQ(v.find("dram_leak_j")->number, t.dramLeakJ) << m;
+        EXPECT_EQ(v.find("dram_dyn_j")->number, t.dramDynJ) << m;
+    }
+    // No manager, no mgmt member.
+    EXPECT_EQ(c.find("mgmt"), nullptr);
 }
 
 /** Host that frees what the network hands back. */

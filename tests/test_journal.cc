@@ -24,6 +24,7 @@
 #include "memnet/journal.hh"
 #include "memnet/parallel.hh"
 #include "memnet/report.hh"
+#include "memnet/simulator.hh"
 #include "obs/json.hh"
 
 namespace memnet
@@ -990,6 +991,23 @@ TEST(SchemaDrift, JournalAndBenchJsonMatchTheirSchemas)
     ASSERT_TRUE(obs::json::parse(os.str(), &bench, &err)) << err;
     schemaDrift(parseFile(MEMNET_CI_DIR "/bench_schema.json"), bench,
                 "bench", &drift);
+    // Only a stats dump writes "components": the document below.
+    EXPECT_EQ(std::erase(drift, "bench.components: not written"), 1u);
+
+    // A stats dump of a managed policy writes every member of the
+    // schema, "mgmt" included.
+    SystemConfig cfg;
+    cfg.mechanism = BwMechanism::Vwl;
+    cfg.policy = Policy::Aware;
+    cfg.warmup = us(5);
+    cfg.measure = us(20);
+    cfg.obs.statsJsonPath = ::testing::TempDir() + "schema_drift_stats.json";
+    runSimulation(cfg);
+    const obs::json::Value stats = parseFile(cfg.obs.statsJsonPath);
+    ASSERT_TRUE(stats.find("components"));
+    ASSERT_TRUE(stats.find("components")->find("mgmt"));
+    schemaDrift(parseFile(MEMNET_CI_DIR "/bench_schema.json"), stats,
+                "stats", &drift);
     EXPECT_TRUE(drift.empty()) << ::testing::PrintToString(drift);
 
     // The bench run is the journal record's members, plus "host".
@@ -1010,6 +1028,7 @@ TEST(SchemaDrift, JournalAndBenchJsonMatchTheirSchemas)
         *property(benchSchema, "runs").find("items");
     EXPECT_TRUE(property(runSchema, "result").find("properties"));
     EXPECT_TRUE(property(runSchema, "config").find("properties"));
+    EXPECT_TRUE(property(benchSchema, "components").find("properties"));
 }
 
 TEST(BenchJson, RunIsTheJournalRecordWithPlainNumbers)

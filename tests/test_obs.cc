@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the observability subsystem: JSON writer/parser round-trip,
- * the stats registry, the epoch JSONL schema, Chrome-trace validity,
+ * the stats dump, the epoch JSONL schema, Chrome-trace validity,
  * debug-trace filtering, and — most importantly — that enabling any of
  * it does not perturb the simulation.
  */
@@ -19,10 +19,11 @@
 #include <string>
 #include <vector>
 
+#include "memnet/experiment.hh"
+#include "memnet/journal.hh"
 #include "memnet/simulator.hh"
 #include "obs/debug_trace.hh"
 #include "obs/json.hh"
-#include "obs/stats_registry.hh"
 #include "sim/log.hh"
 
 namespace memnet
@@ -182,56 +183,6 @@ TEST(ObsJson, ParserRejectsMalformedInput)
 }
 
 // ---------------------------------------------------------------------------
-// Stats registry
-
-TEST(StatsRegistry, RegisterFindAndScope)
-{
-    obs::StatsRegistry reg;
-    double live = 1.5;
-    reg.add("power.total_w", "total power", [&] { return live; });
-    auto link = reg.scope("link3.");
-    link.addInt("flits", "flits sent", [] { return std::uint64_t{7}; });
-
-    EXPECT_EQ(reg.size(), 2u);
-    ASSERT_NE(reg.find("link3.flits"), nullptr);
-    EXPECT_TRUE(reg.find("link3.flits")->integral);
-    EXPECT_EQ(reg.find("nope"), nullptr);
-
-    live = 2.5; // getters read the live value at dump time
-    std::ostringstream os;
-    reg.dumpJson(os);
-    Value v;
-    ASSERT_TRUE(obs::json::parse(os.str(), &v));
-    EXPECT_EQ(v.find("power.total_w")->number, 2.5);
-    EXPECT_EQ(v.find("link3.flits")->number, 7.0);
-}
-
-TEST(StatsRegistry, JsonDumpIsSortedByName)
-{
-    obs::StatsRegistry reg;
-    reg.add("zz", "", [] { return 1.0; });
-    reg.add("aa", "", [] { return 2.0; });
-    reg.add("mm", "", [] { return 3.0; });
-    std::ostringstream os;
-    reg.dumpJson(os);
-    const std::string s = os.str();
-    EXPECT_LT(s.find("\"aa\""), s.find("\"mm\""));
-    EXPECT_LT(s.find("\"mm\""), s.find("\"zz\""));
-}
-
-TEST(StatsRegistry, CsvDumpHasHeaderAndQuoting)
-{
-    obs::StatsRegistry reg;
-    reg.add("a.b", "desc, with comma", [] { return 1.0; });
-    std::ostringstream os;
-    reg.dumpCsv(os);
-    const std::string s = os.str();
-    EXPECT_EQ(s.rfind("name,value,description\n", 0), 0u);
-    EXPECT_NE(s.find("a.b"), std::string::npos);
-    EXPECT_NE(s.find("\"desc, with comma\""), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
 // End-to-end outputs of an instrumented run
 
 class ObsRunTest : public ::testing::Test
@@ -249,7 +200,6 @@ class ObsRunTest : public ::testing::Test
                 ->name() + "_";
         cfg = obsConfig();
         cfg.obs.statsJsonPath = dir + "stats.json";
-        cfg.obs.statsCsvPath = dir + "stats.csv";
         cfg.obs.epochJsonlPath = dir + "epochs.jsonl";
         cfg.obs.chromeTracePath = dir + "trace.json";
         result = runSimulation(cfg);
@@ -259,64 +209,37 @@ class ObsRunTest : public ::testing::Test
     RunResult result;
 };
 
-TEST_F(ObsRunTest, StatsJsonParsesAndCoversEveryLayer)
+TEST_F(ObsRunTest, StatsJsonIsTheBenchRunPlusComponents)
 {
+    // Up to the end of runs[0], the dump is byte for byte the bench
+    // JSON writeBenchResultsJson writes for the same key and result.
+    const std::string dump = readFile(cfg.obs.statsJsonPath);
+    std::ostringstream os;
+    writeBenchResultsJson(os, "stats", {{Runner::key(cfg), result}});
+    const std::string tail = "]}\n";
+    const std::string bench = os.str();
+    ASSERT_TRUE(bench.ends_with(tail));
+    const std::string head = bench.substr(0, bench.size() - tail.size());
+    EXPECT_EQ(dump.substr(0, head.size()), head);
+    EXPECT_EQ(dump.compare(head.size(), 15, "],\"components\":"), 0);
+
     Value v;
     std::string err;
-    ASSERT_TRUE(obs::json::parse(readFile(cfg.obs.statsJsonPath), &v,
-                                 &err))
-        << err;
-    ASSERT_TRUE(v.isObject());
-
-    const Value *fired = v.find("sim.events_fired");
-    ASSERT_NE(fired, nullptr);
-    EXPECT_GT(fired->number, 0.0);
-    EXPECT_EQ(static_cast<std::uint64_t>(fired->number),
-              result.profile.eventsFired);
-
-    // One stat per layer proves the whole hierarchy registered.
-    EXPECT_NE(v.find("net.injected_packets"), nullptr);
-    EXPECT_NE(v.find("link0.idle_energy_j"), nullptr);
-    EXPECT_NE(v.find("module0.dram_accesses"), nullptr);
-    EXPECT_NE(v.find("mgmt.epochs"), nullptr);
-    EXPECT_GT(v.find("mgmt.epochs")->number, 0.0);
-
-    // Every link of the 8-module network has its group, including the
-    // stall-attribution counters.
-    const int links = 2 * result.numModules;
-    for (int i = 0; i < links; ++i) {
-        const std::string prefix = "link" + std::to_string(i);
-        EXPECT_NE(v.find(prefix + ".flits"), nullptr) << prefix;
-        EXPECT_NE(v.find(prefix + ".wake_stall_s"), nullptr) << prefix;
-        EXPECT_NE(v.find(prefix + ".retrain_stall_s"), nullptr)
-            << prefix;
-        EXPECT_NE(v.find(prefix + ".queue_peak"), nullptr) << prefix;
-    }
-
-    // The latency observatory (on by default) registers its percentile
-    // counters for every component.
-    for (const char *comp :
-         {"end_to_end", "queue", "wake_stall", "retrain_stall",
-          "serialization", "dram"}) {
-        for (const char *k :
-             {"samples", "sum_ps", "p50_ps", "p99_ps", "max_ps"}) {
-            const std::string name =
-                std::string("net.lat.") + comp + "." + k;
-            ASSERT_NE(v.find(name), nullptr) << name;
-        }
-    }
-    EXPECT_EQ(
-        static_cast<std::uint64_t>(
-            v.find("net.lat.end_to_end.samples")->number),
-        result.completedReads);
-}
-
-TEST_F(ObsRunTest, StatsCsvMatchesJson)
-{
-    const std::string csv = readFile(cfg.obs.statsCsvPath);
-    EXPECT_EQ(csv.rfind("name,value,description\n", 0), 0u);
-    EXPECT_NE(csv.find("sim.events_fired"), std::string::npos);
-    EXPECT_NE(csv.find("mgmt.epochs"), std::string::npos);
+    ASSERT_TRUE(obs::json::parse(dump, &v, &err)) << err;
+    const Value *c = v.find("components");
+    ASSERT_NE(c, nullptr);
+    // Every link of the network (request and response per module) and
+    // every module, in id order.
+    const auto &links = c->find("links")->array;
+    ASSERT_EQ(links.size(), 2u * result.numModules);
+    for (std::size_t i = 0; i < links.size(); ++i)
+        EXPECT_EQ(links[i].find("id")->number, static_cast<double>(i));
+    EXPECT_EQ(c->find("modules")->array.size(),
+              static_cast<std::size_t>(result.numModules));
+    EXPECT_GT(c->find("mgmt")->find("epochs")->number, 0.0);
+    EXPECT_EQ(c->find("event_queue")->find("depth_hist_p2")->array.size(),
+              EventQueue::kDepthBuckets);
+    EXPECT_GT(c->find("net")->find("injected_packets")->number, 0.0);
 }
 
 TEST_F(ObsRunTest, EpochJsonlRecordsFollowSchema)
