@@ -18,25 +18,20 @@
  *   --measure-us <n>       measurement window            [400]
  *   --seed <n>             run seed                      [1]
  *   --seeds <k>            replicate over k seeds        [1]
- *   --jobs <n>             threads for the seed sweep
- *                          (0 = all hardware threads)    [1]
  *   --fer <p>              flit error rate (CRC retry)   [0]
  *   --audit                run the invariant auditor     [Debug: always]
  *   --report <list>        summary,power,modules,links   [summary]
  *   --partitions <n>       shard the run across n event-queue
  *                          partitions, bit-identical to the serial
  *                          kernel (docs/PERFORMANCE.md)   [1]
- *   --profile <path>       host-side profiler dump; ".json" gets the
- *                          phase tree, anything else FlameGraph
- *                          collapsed stacks (docs/PERFORMANCE.md)
  *
- * Numeric values must be whole numbers (decimals for --alpha, --fer and
- * --config-timeout); --measure-us and --seeds must be positive. A bad
- * value, like an unknown flag or name, exits 2 with a one-line usage
- * message.
- *
- * Crash-safety flags (docs/ROBUSTNESS.md; same semantics as the bench
- * binaries):
+ * Sweep flags, shared with the bench binaries (memnet::SweepOptions;
+ * docs/ROBUSTNESS.md):
+ *   --jobs <n>                threads for the seed sweep
+ *                             (0 = all hardware threads)    [1]
+ *   --profile <path>          host-side profiler dump; ".json" gets
+ *                             the phase tree, anything else FlameGraph
+ *                             collapsed stacks (docs/PERFORMANCE.md)
  *   --journal <path>          append completed runs to a checksummed
  *                             JSONL journal, flushed per record
  *   --resume <path>           pre-load results from a journal; only
@@ -46,10 +41,19 @@
  *                             watchdog); 0 disables          [0]
  *   --failure-manifest <path> isolate-policy failure report (JSON)
  *
- * With --seeds k > 1 the run is replicated over seeds seed..seed+k-1
+ * Numeric values must be whole numbers (finite decimals for --alpha,
+ * --fer and --config-timeout); --measure-us and --seeds must be
+ * positive, --config-timeout not negative. A bad value, like an unknown
+ * flag or name, exits 2 with a one-line usage message. An unwritable
+ * output path exits 1 before anything simulates.
+ *
+ * The run goes through the same sweep front end as a bench
+ * (memnet::SweepFrontEnd): one run is a one-config sweep, and with
+ * --seeds k > 1 the run is replicated over seeds seed..seed+k-1
  * (concurrently when --jobs > 1; results are identical to serial) and
  * a per-seed summary table plus the mean replaces the single-run
- * report.
+ * report. With --journal or --resume, a `crash-safety:` line on stderr
+ * counts the runs executed and resumed.
  *
  * Every run records the latency and energy observatories (per-access
  * latency decomposition, per-joule attribution); they reach the
@@ -64,21 +68,14 @@
  *   --debug-trace <spec>   MEMNET_TRACE filter, e.g. "LinkPM:2,ISP"
  */
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
-#include <fstream>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "memnet/experiment.hh"
-#include "memnet/journal.hh"
 #include "memnet/parallel.hh"
 #include "memnet/report.hh"
-#include "memnet/simulator.hh"
-#include "obs/prof.hh"
-#include "sim/log.hh"
 
 namespace
 {
@@ -86,24 +83,22 @@ namespace
 using namespace memnet;
 
 [[noreturn]] void
-usage(const char *msg)
+usage(const std::string &msg)
 {
     std::fprintf(stderr, "memnet_run: %s (see the header comment for "
                          "flags)\n",
-                 msg);
+                 msg.c_str());
     std::exit(2);
 }
 
-/** All of @p v as a T, or a usage error naming @p flag. */
+/** All of @p v as a finite T, or a usage error naming @p flag. */
 template <typename T>
 T
-parseNumber(const std::string &v, const char *flag)
+number(const std::string &v, const char *flag)
 {
     T out{};
-    const char *end = v.data() + v.size();
-    const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-    if (v.empty() || ec != std::errc() || ptr != end)
-        usage((std::string("bad ") + flag + " value: '" + v + "'").c_str());
+    if (!parseNumber(v, &out))
+        usage(std::string("bad ") + flag + " value: '" + v + "'");
     return out;
 }
 
@@ -157,114 +152,6 @@ parsePolicy(const std::string &v)
     usage("unknown policy");
 }
 
-/**
- * Fail fast on an unwritable output path instead of simulating for
- * minutes and then only warning. Opened for append, so an existing
- * file's contents survive the probe.
- */
-bool
-preflightWritable(const std::string &path, const char *flag)
-{
-    if (path.empty())
-        return true;
-    std::ofstream probe(path, std::ios::app);
-    if (!probe) {
-        std::fprintf(stderr, "memnet_run: cannot open %s output file: %s\n",
-                     flag, path.c_str());
-        return false;
-    }
-    return true;
-}
-
-/** Crash-safety options shared by the single-run and --seeds paths. */
-struct RobustnessOpts
-{
-    std::string journalPath;
-    std::string resumePath;
-    std::string manifestPath;
-    FailurePolicy policy = FailurePolicy::Abort;
-    double configTimeoutSec = 0.0;
-
-    /** Does the single-run path need the Runner/engine machinery? */
-    bool
-    engaged() const
-    {
-        return !journalPath.empty() || !resumePath.empty() ||
-               policy == FailurePolicy::Isolate || configTimeoutSec > 0.0;
-    }
-};
-
-/** --resume load + --journal attach; false = exit 1. */
-bool
-attachRunner(Runner &runner, RunJournal &journal,
-             const RobustnessOpts &opts)
-{
-    if (!opts.resumePath.empty()) {
-        std::map<std::string, RunResult> pool;
-        JournalLoadStats stats;
-        std::string err;
-        if (!loadJournal(opts.resumePath, &pool, &stats, &err)) {
-            std::fprintf(stderr, "memnet_run: --resume failed: %s\n",
-                         err.c_str());
-            return false;
-        }
-        memnet_inform("resume: loaded ", stats.loaded, " result(s) from ",
-                      opts.resumePath, " (", stats.corrupt,
-                      " damaged record(s) skipped)");
-        runner.addResumePool(std::move(pool));
-    }
-    if (!opts.journalPath.empty()) {
-        if (!journal.open())
-            return false;
-        runner.setJournal(&journal);
-    }
-    return true;
-}
-
-/** Warn + write the failure manifest; 1 when anything failed. */
-int
-reportFailures(const ParallelRunner &engine, const RobustnessOpts &opts)
-{
-    const std::vector<RunFailure> &failures = engine.failures();
-    if (failures.empty())
-        return 0;
-    for (const RunFailure &f : failures)
-        memnet_warn("failed: ", f.config.describe(),
-                    f.timeout ? " [watchdog]" : "", ": ", f.message);
-    if (!opts.manifestPath.empty()) {
-        std::ofstream os(opts.manifestPath);
-        if (!os) {
-            memnet_warn("cannot open --failure-manifest output file: ",
-                        opts.manifestPath);
-            return 1;
-        }
-        writeFailureManifest(os, "memnet_run",
-                             failurePolicyName(engine.failurePolicy()),
-                             engine.configTimeout(), failures);
-    }
-    return 1;
-}
-
-/**
- * One-line crash-safety accounting, printed whenever --journal or
- * --resume is active: how many runs this process actually simulated
- * versus how many were served from the resume pool. Makes a resumed
- * sweep's "did it skip the finished work?" question answerable from
- * the console instead of by diffing journals.
- */
-void
-printCrashSafetySummary(const Runner &runner, const RobustnessOpts &opts)
-{
-    if (opts.journalPath.empty() && opts.resumePath.empty())
-        return;
-    std::printf("crash-safety: %d run(s) executed, %llu resumed from "
-                "journal%s%s\n",
-                runner.runsExecuted(),
-                static_cast<unsigned long long>(runner.resumedHits()),
-                opts.journalPath.empty() ? "" : "; journaling to ",
-                opts.journalPath.c_str());
-}
-
 } // namespace
 
 int
@@ -274,10 +161,8 @@ main(int argc, char **argv)
     cfg.workload = "mixA";
     cfg.topology = TopologyKind::Star;
     std::string report = "summary";
-    std::string profilePath;
-    RobustnessOpts ropts;
+    SweepOptions sopts;
     int seeds = 1;
-    int jobs = 1;
 
     auto need = [&](int &i) -> std::string {
         if (i + 1 >= argc)
@@ -287,7 +172,11 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        if (a == "--workload") {
+        std::string err;
+        if (sopts.parseFlag(argc, argv, i, &err)) {
+            if (!err.empty())
+                usage(err);
+        } else if (a == "--workload") {
             cfg.workload = need(i);
         } else if (a == "--topology") {
             cfg.topology = parseTopology(need(i));
@@ -298,50 +187,34 @@ main(int argc, char **argv)
         } else if (a == "--roo") {
             cfg.roo = true;
         } else if (a == "--wakeup-ns") {
-            cfg.rooWakeupPs = ns(parseNumber<long>(need(i), "--wakeup-ns"));
+            cfg.rooWakeupPs = ns(number<long>(need(i), "--wakeup-ns"));
         } else if (a == "--policy") {
             cfg.policy = parsePolicy(need(i));
         } else if (a == "--alpha") {
-            cfg.alphaPct = parseNumber<double>(need(i), "--alpha");
+            cfg.alphaPct = number<double>(need(i), "--alpha");
         } else if (a == "--measure-us") {
-            const long v = parseNumber<long>(need(i), "--measure-us");
+            const long v = number<long>(need(i), "--measure-us");
             if (v <= 0)
                 usage("--measure-us must be positive");
             cfg.measure = us(v);
         } else if (a == "--seed") {
-            cfg.seed = parseNumber<std::uint64_t>(need(i), "--seed");
+            cfg.seed = number<std::uint64_t>(need(i), "--seed");
         } else if (a == "--seeds") {
-            seeds = parseNumber<int>(need(i), "--seeds");
+            seeds = number<int>(need(i), "--seeds");
             if (seeds <= 0)
                 usage("--seeds must be positive");
-        } else if (a == "--jobs") {
-            jobs = parseNumber<int>(need(i), "--jobs");
         } else if (a == "--fer") {
-            cfg.linkFlitErrorRate = parseNumber<double>(need(i), "--fer");
+            cfg.linkFlitErrorRate = number<double>(need(i), "--fer");
         } else if (a == "--interleave") {
             cfg.interleavePages = true;
         } else if (a == "--audit") {
             cfg.audit = true;
         } else if (a == "--partitions") {
-            cfg.partitions = parseNumber<int>(need(i), "--partitions");
+            cfg.partitions = number<int>(need(i), "--partitions");
             if (cfg.partitions < 1)
                 usage("--partitions must be >= 1");
         } else if (a == "--report") {
             report = need(i);
-        } else if (a == "--profile") {
-            profilePath = need(i);
-        } else if (a == "--journal") {
-            ropts.journalPath = need(i);
-        } else if (a == "--resume") {
-            ropts.resumePath = need(i);
-        } else if (a == "--failure-policy") {
-            if (!parseFailurePolicy(need(i), &ropts.policy))
-                usage("--failure-policy must be 'abort' or 'isolate'");
-        } else if (a == "--config-timeout") {
-            ropts.configTimeoutSec =
-                parseNumber<double>(need(i), "--config-timeout");
-        } else if (a == "--failure-manifest") {
-            ropts.manifestPath = need(i);
         } else if (a == "--stats-json") {
             cfg.obs.statsJsonPath = need(i);
         } else if (a == "--epoch-jsonl") {
@@ -353,52 +226,37 @@ main(int argc, char **argv)
         } else if (a == "--help" || a == "-h") {
             usage("help requested");
         } else {
-            usage(("unknown flag: " + a).c_str());
+            usage("unknown flag: " + a);
         }
     }
     if (cfg.policy == Policy::StaticTaper)
         cfg.interleavePages = true;
+    if (seeds > 1 &&
+        (!cfg.obs.statsJsonPath.empty() || !cfg.obs.epochJsonlPath.empty() ||
+         !cfg.obs.chromeTracePath.empty())) {
+        usage("observability outputs would collide across seed "
+              "replicas; use --seeds 1");
+    }
 
     // Fail before simulating, not after: a typo'd output directory used
     // to cost the whole run and exit 0 with only a warning.
-    if (!preflightWritable(cfg.obs.statsJsonPath, "--stats-json") ||
-        !preflightWritable(cfg.obs.epochJsonlPath, "--epoch-jsonl") ||
-        !preflightWritable(cfg.obs.chromeTracePath, "--chrome-trace"))
+    SweepFrontEnd sweep("memnet_run", sopts);
+    if (!sweep.preflight({{"--stats-json", cfg.obs.statsJsonPath},
+                          {"--epoch-jsonl", cfg.obs.epochJsonlPath},
+                          {"--chrome-trace", cfg.obs.chromeTracePath}}))
         return 1;
 
-    if (!profilePath.empty())
-        prof::setEnabled(true);
-
-    RunJournal journal(ropts.journalPath);
+    std::vector<SystemConfig> replicas;
+    for (int s = 0; s < seeds; ++s) {
+        SystemConfig c = cfg;
+        c.seed = cfg.seed + static_cast<std::uint64_t>(s);
+        replicas.push_back(c);
+    }
+    Runner runner;
+    if (!sweep.run(runner, replicas))
+        return 1;
 
     if (seeds > 1) {
-        if (!cfg.obs.statsJsonPath.empty() ||
-            !cfg.obs.epochJsonlPath.empty() ||
-            !cfg.obs.chromeTracePath.empty()) {
-            usage("observability outputs would collide across seed "
-                  "replicas; use --seeds 1");
-        }
-        std::vector<SystemConfig> replicas;
-        for (int s = 0; s < seeds; ++s) {
-            SystemConfig c = cfg;
-            c.seed = cfg.seed + static_cast<std::uint64_t>(s);
-            replicas.push_back(c);
-        }
-        Runner runner;
-        if (!attachRunner(runner, journal, ropts))
-            return 1;
-        ParallelRunner engine(runner, jobs);
-        engine.setFailurePolicy(ropts.policy);
-        engine.setConfigTimeout(ropts.configTimeoutSec);
-        try {
-            engine.run(replicas);
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "memnet_run: sweep failed: %s\n",
-                         e.what());
-            return 1;
-        }
-        const int failRc = reportFailures(engine, ropts);
-
         TextTable t({"seed", "reads/s", "net power (W)", "per-HMC (W)"});
         double sumReads = 0.0, sumPower = 0.0, sumHmc = 0.0;
         std::vector<const RunResult *> runs;
@@ -417,46 +275,17 @@ main(int argc, char **argv)
         t.addRow({"mean", TextTable::fmt(sumReads / n, 0),
                   TextTable::fmt(sumPower / n),
                   TextTable::fmt(sumHmc / n)});
+        const int threads = resolveJobs(sopts.jobs);
         std::printf("%s x%d seeds (%d thread%s)\n", cfg.describe().c_str(),
-                    seeds, resolveJobs(jobs),
-                    resolveJobs(jobs) == 1 ? "" : "s");
+                    seeds, threads, threads == 1 ? "" : "s");
         t.print();
-        printCrashSafetySummary(runner, ropts);
         printSeedProfileSummary(summarizeSeedProfiles(runs));
-        // The snapshot merges every seed replica's phases, including
-        // worker threads already joined (their trees are retained).
-        if (!profilePath.empty() && !prof::writeSnapshotFile(profilePath))
-            return 1;
-        return failRc;
+        return sweep.finish(runner);
     }
 
-    RunResult r;
-    if (ropts.engaged()) {
-        // Route the single run through a Runner so the journal, resume
-        // pool, watchdog, and failure policy all apply to it.
-        Runner runner;
-        if (!attachRunner(runner, journal, ropts))
-            return 1;
-        ParallelRunner engine(runner, 1);
-        engine.setFailurePolicy(ropts.policy);
-        engine.setConfigTimeout(ropts.configTimeoutSec);
-        try {
-            engine.run({cfg});
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "memnet_run: run failed: %s\n",
-                         e.what());
-            return 1;
-        }
-        if (reportFailures(engine, ropts) != 0)
-            return 1;
-        r = runner.get(cfg);
-        printCrashSafetySummary(runner, ropts);
-    } else {
-        r = runSimulation(cfg);
-    }
-    if (!profilePath.empty() && !prof::writeSnapshotFile(profilePath))
-        return 1;
-
+    if (!sweep.failures().empty())
+        return sweep.finish(runner); // nothing to report
+    const RunResult &r = runner.get(cfg);
     const bool all = report.find("all") != std::string::npos;
     if (all || report.find("summary") != std::string::npos)
         printRunSummary(r);
@@ -472,5 +301,5 @@ main(int argc, char **argv)
         std::printf("\n");
         printLinkHours(r);
     }
-    return 0;
+    return sweep.finish(runner);
 }

@@ -4,7 +4,7 @@
 #
 #     scripts/ci_crash_resume.sh [build-dir] [out-dir]
 #
-# Four legs:
+# Five legs:
 #   1. Start a journaled sweep, SIGKILL it once the journal holds a
 #      few records, and confirm the process died mid-run.
 #   2. Resume from the (possibly torn) journal into the same file and
@@ -62,7 +62,7 @@ echo "== leg 2: resume from the journal (same file) =="
     --journal "$OUT/sweep.jsonl" \
     --json "$OUT/resumed.json" >"$OUT/resumed.log" 2>&1
 grep "resume: loaded" "$OUT/resumed.log"
-grep "journal: appended" "$OUT/resumed.log"
+grep "crash-safety: .* appended" "$OUT/resumed.log"
 
 echo "== leg 3: uninterrupted reference sweep =="
 "$BENCH" --json "$OUT/reference.json" >"$OUT/reference.log" 2>&1

@@ -5,6 +5,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <exception>
+#include <filesystem>
+#include <fstream>
+#include <limits>
+#include <map>
 #include <memory>
 #include <thread>
 
@@ -72,6 +76,22 @@ steadyNowNs()
         .count();
 }
 
+/**
+ * The steady-clock tick @p seconds after @p startNs, saturating at
+ * the largest tick: a huge budget must never wrap into the past and
+ * kill the config at its first poll.
+ */
+std::int64_t
+deadlineAfter(std::int64_t startNs, double seconds)
+{
+    constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
+    const double budgetNs = seconds * 1e9;
+    if (!(budgetNs < 9e18)) // 285 years; also nan
+        return kNever;
+    const auto budget = static_cast<std::int64_t>(budgetNs);
+    return startNs > kNever - budget ? kNever : startNs + budget;
+}
+
 } // namespace
 
 void
@@ -119,9 +139,6 @@ ParallelRunner::run(const std::vector<SystemConfig> &configs)
         MEMNET_PROF_SCOPE("parallel/worker");
         WatchSlot &ws = slots[slot];
         const ScopedCancelFlag scoped(watchdog ? &ws.cancel : nullptr);
-        const std::int64_t budgetNs =
-            watchdog ? static_cast<std::int64_t>(configTimeoutSec_ * 1e9)
-                     : 0;
         for (;;) {
             const std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);
@@ -133,8 +150,9 @@ ParallelRunner::run(const std::vector<SystemConfig> &configs)
                 // arming, so a flag raised for the previous config
                 // cannot kill this one at its first poll.
                 ws.cancel.store(false, std::memory_order_relaxed);
-                ws.deadlineNs.store(startNs + budgetNs,
-                                    std::memory_order_release);
+                ws.deadlineNs.store(
+                    deadlineAfter(startNs, configTimeoutSec_),
+                    std::memory_order_release);
             }
             const auto wall = [startNs] {
                 return static_cast<double>(steadyNowNs() - startNs) /
@@ -166,9 +184,9 @@ ParallelRunner::run(const std::vector<SystemConfig> &configs)
     bool monDone = false;
     std::thread monitor;
     if (watchdog) {
-        const auto interval = std::chrono::milliseconds(std::clamp(
-            static_cast<std::int64_t>(configTimeoutSec_ * 1e3 / 8),
-            std::int64_t{2}, std::int64_t{100}));
+        const auto interval = std::chrono::milliseconds(
+            static_cast<std::int64_t>(
+                std::clamp(configTimeoutSec_ * 1e3 / 8, 2.0, 100.0)));
         monitor = std::thread([&, interval] {
             std::unique_lock<std::mutex> lock(monMu);
             while (!monDone) {
@@ -221,6 +239,179 @@ ParallelRunner::run(const std::vector<SystemConfig> &configs)
         }
         std::rethrow_exception(firstError);
     }
+}
+
+const char *
+SweepOptions::usage()
+{
+    return "[--jobs <n>] [--profile <path>] [--journal <path>] "
+           "[--resume <path>] [--failure-policy <abort|isolate>] "
+           "[--config-timeout <seconds>] [--failure-manifest <path>]";
+}
+
+bool
+SweepOptions::parseFlag(int argc, char **argv, int &i, std::string *err)
+{
+    const std::string flag = argv[i];
+    std::string *path = flag == "--profile"            ? &profilePath
+                        : flag == "--journal"          ? &journalPath
+                        : flag == "--resume"           ? &resumePath
+                        : flag == "--failure-manifest" ? &manifestPath
+                                                       : nullptr;
+    if (!path && flag != "--jobs" && flag != "--failure-policy" &&
+        flag != "--config-timeout")
+        return false;
+    if (i + 1 >= argc) {
+        *err = "missing value for " + flag;
+        return true;
+    }
+    const std::string value = argv[++i];
+    if (path) {
+        *path = value;
+    } else if (flag == "--jobs") {
+        if (!parseNumber(value, &jobs))
+            *err = "bad --jobs value: '" + value + "'";
+    } else if (flag == "--failure-policy") {
+        if (!parseFailurePolicy(value, &policy))
+            *err = "--failure-policy must be 'abort' or 'isolate' (got '" +
+                   value + "')";
+    } else if (!parseNumber(value, &configTimeoutSec) ||
+               configTimeoutSec < 0.0) {
+        *err = "--config-timeout must be finite seconds >= 0 (got '" +
+               value + "')";
+    }
+    return true;
+}
+
+namespace
+{
+
+/**
+ * Can @p path be opened for writing? Opened for append, so an existing
+ * file's contents survive; a file the probe created is removed again.
+ */
+bool
+preflightWritable(const std::string &path, const char *flag)
+{
+    if (path.empty())
+        return true;
+    std::error_code ec;
+    const bool existed =
+        std::filesystem::exists(std::filesystem::symlink_status(path, ec));
+    if (!std::ofstream(path, std::ios::app)) {
+        memnet_warn("cannot open ", flag, " output file: ", path);
+        return false;
+    }
+    if (!existed)
+        std::filesystem::remove(path, ec);
+    return true;
+}
+
+} // namespace
+
+SweepFrontEnd::SweepFrontEnd(std::string tool, SweepOptions opts)
+    : tool_(std::move(tool)), opts_(std::move(opts)),
+      journal_(opts_.journalPath)
+{
+}
+
+bool
+SweepFrontEnd::preflight(
+    const std::vector<std::pair<const char *, std::string>> &extra) const
+{
+    std::vector<std::pair<const char *, std::string>> outputs = {
+        {"--profile", opts_.profilePath},
+        {"--journal", opts_.journalPath},
+        {"--failure-manifest", opts_.manifestPath}};
+    outputs.insert(outputs.end(), extra.begin(), extra.end());
+    for (const auto &[flag, path] : outputs) {
+        if (!preflightWritable(path, flag))
+            return false;
+    }
+    return true;
+}
+
+bool
+SweepFrontEnd::run(Runner &runner, const std::vector<SystemConfig> &configs)
+{
+    if (!opts_.profilePath.empty())
+        prof::setEnabled(true);
+
+    if (!opts_.resumePath.empty()) {
+        std::map<std::string, RunResult> pool;
+        JournalLoadStats stats;
+        std::string err;
+        if (!loadJournal(opts_.resumePath, &pool, &stats, &err)) {
+            memnet_warn("--resume failed: ", err);
+            return false;
+        }
+        memnet_inform("resume: loaded ", stats.loaded, " result(s) from ",
+                      opts_.resumePath, " (", stats.corrupt,
+                      " damaged record(s) skipped)");
+        runner.addResumePool(std::move(pool));
+    }
+    if (!opts_.journalPath.empty()) {
+        if (!journal_.open())
+            return false;
+        runner.setJournal(&journal_);
+    }
+
+    ParallelRunner engine(runner, opts_.jobs);
+    engine.setFailurePolicy(opts_.policy);
+    engine.setConfigTimeout(opts_.configTimeoutSec);
+    try {
+        engine.run(configs);
+    } catch (const std::exception &e) {
+        runner.setJournal(nullptr);
+        memnet_warn("sweep failed: ", e.what());
+        return false;
+    }
+    failures_ = engine.failures();
+    return true;
+}
+
+int
+SweepFrontEnd::finish(Runner &runner)
+{
+    runner.setJournal(nullptr);
+    int rc = 0;
+    if (!failures_.empty()) {
+        rc = 1;
+        memnet_warn("sweep finished with ", failures_.size(),
+                    " failed config(s); they report zeros and are "
+                    "absent from JSON output");
+        for (const RunFailure &f : failures_)
+            memnet_warn("  failed: ", f.config.describe(),
+                        f.timeout ? " [watchdog]" : "", ": ", f.message);
+        if (!opts_.manifestPath.empty()) {
+            std::ofstream os(opts_.manifestPath);
+            if (os)
+                writeFailureManifest(os, tool_,
+                                     failurePolicyName(opts_.policy),
+                                     opts_.configTimeoutSec, failures_);
+            else
+                memnet_warn("cannot open --failure-manifest output file: ",
+                            opts_.manifestPath);
+        }
+    }
+    // Did a resumed sweep skip the finished work? One line answers it
+    // without diffing journals.
+    if (!opts_.journalPath.empty() || !opts_.resumePath.empty()) {
+        const std::string appended =
+            opts_.journalPath.empty()
+                ? ""
+                : "; appended " + std::to_string(journal_.appended()) +
+                      " record(s) to " + opts_.journalPath;
+        memnet_inform("crash-safety: ", runner.runsExecuted(),
+                      " run(s) executed, ", runner.resumedHits(),
+                      " resumed from journal", appended);
+    }
+    // The snapshot merges the whole sweep: worker threads' trees are
+    // retained past the join.
+    if (!opts_.profilePath.empty() &&
+        !prof::writeSnapshotFile(opts_.profilePath))
+        rc = 1;
+    return rc;
 }
 
 } // namespace memnet

@@ -32,19 +32,24 @@
  * worker that spends its budget blocked on a peer's in-flight result
  * re-runs the config itself afterwards with a fresh budget.
  *
- * Sweep benches don't use this class directly — bench::BenchIo::run()
- * drives it from the shared `--jobs N` flag (see bench/bench_common.hh)
- * with a collect/execute/replay pass structure. memnet_run uses it for
- * seed-replica sweeps (`--seeds K --jobs N`).
+ * Both sweep front ends, the bench binaries and memnet_run, drive this
+ * class through SweepFrontEnd below. With one job, no watchdog and the
+ * abort policy, run() is a plain serial loop.
  */
 
 #ifndef MEMNET_MEMNET_PARALLEL_HH
 #define MEMNET_MEMNET_PARALLEL_HH
 
+#include <charconv>
+#include <cmath>
 #include <string>
+#include <system_error>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "memnet/experiment.hh"
+#include "memnet/journal.hh"
 
 namespace memnet
 {
@@ -114,12 +119,8 @@ class ParallelRunner
 
     void setFailurePolicy(FailurePolicy p) { policy_ = p; }
 
-    FailurePolicy failurePolicy() const { return policy_; }
-
     /** Per-config wall-clock budget in seconds; <= 0 disables. */
     void setConfigTimeout(double seconds) { configTimeoutSec_ = seconds; }
-
-    double configTimeout() const { return configTimeoutSec_; }
 
     /**
      * Failures accumulated across run() calls, sorted by canonical key
@@ -133,6 +134,109 @@ class ParallelRunner
     int jobs_;
     FailurePolicy policy_ = FailurePolicy::Abort;
     double configTimeoutSec_ = 0.0;
+    std::vector<RunFailure> failures_;
+};
+
+/**
+ * Parse all of @p text as a T: no blanks, no trailing junk, nothing
+ * out of T's range, and for floating point no nan or inf (which
+ * std::from_chars accepts). @return false, leaving @p out alone, for
+ * anything else.
+ */
+template <typename T>
+bool
+parseNumber(const std::string &text, T *out)
+{
+    T v{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (text.empty() || ec != std::errc() || ptr != end)
+        return false;
+    if constexpr (std::is_floating_point_v<T>) {
+        if (!std::isfinite(v))
+            return false;
+    }
+    *out = v;
+    return true;
+}
+
+/** The command-line flags every sweep front end shares. */
+struct SweepOptions
+{
+    /** --jobs: worker threads (0 = all hardware threads). */
+    int jobs = 1;
+    /** --profile: host profiler dump (".json" = tree, else stacks). */
+    std::string profilePath;
+    /** --journal: append every executed run to this journal. */
+    std::string journalPath;
+    /** --resume: pre-load results from this journal. */
+    std::string resumePath;
+    /** --failure-policy. */
+    FailurePolicy policy = FailurePolicy::Abort;
+    /** --config-timeout: per-config wall-clock budget; 0 disables. */
+    double configTimeoutSec = 0.0;
+    /** --failure-manifest: where isolate writes its failure report. */
+    std::string manifestPath;
+
+    /** The shared flags, spelled as a usage-line fragment. */
+    static const char *usage();
+
+    /**
+     * Parse argv[i] when it is one of the shared flags: store its value
+     * and advance @p i past it. A missing or malformed value sets
+     * *err to a one-line message. @return false, touching nothing,
+     * when argv[i] is not a shared flag.
+     */
+    bool parseFlag(int argc, char **argv, int &i, std::string *err);
+};
+
+/**
+ * The sweep front end of the bench binaries and memnet_run: output
+ * preflight, --resume and --journal, the ParallelRunner run, the
+ * failure report and manifest, and the accounting line. In order:
+ * preflight(), run(), print from the Runner, finish().
+ */
+class SweepFrontEnd
+{
+  public:
+    /** @param tool names the sweep in the failure manifest. */
+    SweepFrontEnd(std::string tool, SweepOptions opts);
+
+    /**
+     * Probe every output path — --profile, --journal,
+     * --failure-manifest and the caller's (flag, path) pairs — so an
+     * unwritable one fails before anything simulates. A probe leaves
+     * no file behind that was not there before. @return false, with a
+     * warning naming the first unwritable path.
+     */
+    bool preflight(const std::vector<std::pair<const char *, std::string>>
+                       &extra = {}) const;
+
+    /**
+     * Enable the profiler, load --resume, attach --journal (kept until
+     * finish(), so a replay that simulates is journaled too) and run
+     * @p configs on a ParallelRunner. @return false, with a warning,
+     * when the sweep cannot go on: the resume journal does not load,
+     * the journal does not open, or a config failed under the abort
+     * policy. Isolated failures return true; finish() reports them.
+     */
+    bool run(Runner &runner, const std::vector<SystemConfig> &configs);
+
+    /** Configs that failed under the isolate policy, by key. */
+    const std::vector<RunFailure> &failures() const { return failures_; }
+
+    /**
+     * Detach the journal, warn about failed configs and write the
+     * failure manifest, log the accounting line (with --journal or
+     * --resume) and write the profile. @return the exit code: 1 when
+     * a config failed or a file could not be written, else 0.
+     */
+    int finish(Runner &runner);
+
+  private:
+    std::string tool_;
+    SweepOptions opts_;
+    RunJournal journal_;
     std::vector<RunFailure> failures_;
 };
 

@@ -29,8 +29,9 @@
  * every simulation-determined field (tests/test_differential.cc).
  *
  * Exports: FlameGraph/speedscope collapsed stacks ("a;b;c <self-ns>"
- * per line) and a nested JSON tree. Wired into `memnet_run --profile`
- * and the shared bench `--profile` flag (bench/bench_common.hh).
+ * per line) and a nested JSON tree. Wired into the `--profile` flag
+ * that memnet_run and every bench share (memnet::SweepFrontEnd,
+ * memnet/parallel.hh).
  */
 
 #ifndef MEMNET_OBS_PROF_HH

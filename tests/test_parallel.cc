@@ -1,13 +1,17 @@
 /**
  * @file
  * Tests for the parallel sweep engine: bit-identical results versus
- * serial execution, concurrent cache deduplication, collect mode, and
- * thread-safe logging under worker contention.
+ * serial execution, concurrent cache deduplication, collect mode,
+ * thread-safe logging under worker contention, and the shared sweep
+ * front end (flag parser, output preflight, journal and resume).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -319,6 +323,233 @@ TEST(ParallelRunner, WatchdogLeavesFastConfigsAlone)
 
     EXPECT_TRUE(engine.failures().empty());
     EXPECT_EQ(jsonWithoutWallClock(plain), jsonWithoutWallClock(watched));
+}
+
+TEST(ParallelRunner, HugeWatchdogBudgetNeverExpires)
+{
+    // 1e300 s overflows any nanosecond tick count; the deadline must
+    // saturate rather than wrap into the past and kill every config.
+    // The runs outlast the monitor's longest poll interval (100 ms), so
+    // a deadline in the past cannot go unnoticed.
+    std::vector<SystemConfig> configs = {sweepConfigs()[0],
+                                         sweepConfigs()[1]};
+    for (SystemConfig &cfg : configs)
+        cfg.measure = us(1000);
+    Runner runner;
+    ParallelRunner engine(runner, 2);
+    engine.setFailurePolicy(FailurePolicy::Isolate);
+    engine.setConfigTimeout(1e300);
+    engine.run(configs);
+    EXPECT_TRUE(engine.failures().empty());
+    EXPECT_EQ(runner.results().size(), 2u);
+}
+
+TEST(ParseNumber, TakesWholeFiniteValuesOnly)
+{
+    int i = 7;
+    EXPECT_TRUE(parseNumber("42", &i));
+    EXPECT_EQ(i, 42);
+    EXPECT_TRUE(parseNumber("-3", &i));
+    EXPECT_EQ(i, -3);
+    for (const char *bad : {"", "abc", "2x", "1.5", " 4", "4 ", "+4",
+                            "99999999999"}) {
+        EXPECT_FALSE(parseNumber(bad, &i)) << bad;
+    }
+    EXPECT_EQ(i, -3); // refusals leave the target alone
+
+    double d = 0.0;
+    EXPECT_TRUE(parseNumber("2.5e-3", &d));
+    EXPECT_EQ(d, 2.5e-3);
+    EXPECT_TRUE(parseNumber("1e300", &d));
+    for (const char *bad : {"nan", "NaN", "inf", "-inf", "infinity",
+                            "1e999", "soon", "0.5s"}) {
+        EXPECT_FALSE(parseNumber(bad, &d)) << bad;
+    }
+}
+
+/** Run SweepOptions::parseFlag over one command line; "" = all ok. */
+std::string
+parseSweepArgs(std::vector<std::string> args, SweepOptions *opts)
+{
+    args.insert(args.begin(), "prog");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    const int argc = static_cast<int>(argv.size());
+    for (int i = 1; i < argc; ++i) {
+        std::string err;
+        if (!opts->parseFlag(argc, argv.data(), i, &err))
+            return "not a sweep flag: " + std::string(argv[i]);
+        if (!err.empty())
+            return err;
+    }
+    return "";
+}
+
+TEST(SweepOptions, AcceptsEverySharedFlag)
+{
+    SweepOptions o;
+    EXPECT_EQ(parseSweepArgs({"--jobs", "3", "--profile", "p.folded",
+                              "--journal", "j.jsonl", "--resume",
+                              "r.jsonl", "--failure-policy", "isolate",
+                              "--config-timeout", "2.5",
+                              "--failure-manifest", "m.json"},
+                             &o),
+              "");
+    EXPECT_EQ(o.jobs, 3);
+    EXPECT_EQ(o.profilePath, "p.folded");
+    EXPECT_EQ(o.journalPath, "j.jsonl");
+    EXPECT_EQ(o.resumePath, "r.jsonl");
+    EXPECT_EQ(o.policy, FailurePolicy::Isolate);
+    EXPECT_EQ(o.configTimeoutSec, 2.5);
+    EXPECT_EQ(o.manifestPath, "m.json");
+
+    SweepOptions zero;
+    EXPECT_EQ(parseSweepArgs({"--jobs", "0", "--config-timeout", "0"},
+                             &zero),
+              "");
+    EXPECT_EQ(zero.jobs, 0);
+    EXPECT_EQ(zero.configTimeoutSec, 0.0);
+}
+
+TEST(SweepOptions, RefusesBadValuesWithAMessage)
+{
+    const std::vector<std::pair<std::vector<std::string>, std::string>>
+        cases = {
+            {{"--jobs", "abc"}, "bad --jobs value: 'abc'"},
+            {{"--jobs", "2x"}, "bad --jobs value: '2x'"},
+            {{"--jobs", "1.5"}, "bad --jobs value: '1.5'"},
+            {{"--config-timeout", "soon"},
+             "--config-timeout must be finite seconds >= 0 (got 'soon')"},
+            {{"--config-timeout", "-1"},
+             "--config-timeout must be finite seconds >= 0 (got '-1')"},
+            {{"--config-timeout", "inf"},
+             "--config-timeout must be finite seconds >= 0 (got 'inf')"},
+            {{"--config-timeout", "nan"},
+             "--config-timeout must be finite seconds >= 0 (got 'nan')"},
+            {{"--failure-policy", "explode"},
+             "--failure-policy must be 'abort' or 'isolate' (got "
+             "'explode')"},
+            {{"--journal"}, "missing value for --journal"},
+            {{"--jobs"}, "missing value for --jobs"},
+        };
+    for (const auto &[args, message] : cases) {
+        SweepOptions o;
+        EXPECT_EQ(parseSweepArgs(args, &o), message) << args[0];
+    }
+}
+
+TEST(SweepOptions, LeavesOtherFlagsToTheCaller)
+{
+    SweepOptions o;
+    EXPECT_EQ(parseSweepArgs({"--json", "x.json"}, &o),
+              "not a sweep flag: --json");
+    EXPECT_EQ(parseSweepArgs({"--partitions", "2"}, &o),
+              "not a sweep flag: --partitions");
+}
+
+/** A fresh, empty directory under the system temp dir. */
+std::filesystem::path
+freshTempDir(const std::string &name)
+{
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("memnet_test_parallel_" + name);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
+TEST(SweepFrontEnd, PreflightRefusesUnwritablePathsAndLeavesNoProbe)
+{
+    const std::filesystem::path dir = freshTempDir("preflight");
+    const std::string fresh = (dir / "fresh.json").string();
+    const std::string kept = (dir / "kept.json").string();
+    std::ofstream(kept) << "old contents";
+
+    SweepOptions o;
+    o.manifestPath = fresh;
+    const SweepFrontEnd ok("test", o);
+    EXPECT_TRUE(ok.preflight({{"--json", kept}}));
+    EXPECT_FALSE(std::filesystem::exists(fresh));
+    std::ifstream in(kept);
+    std::string line;
+    std::getline(in, line);
+    EXPECT_EQ(line, "old contents");
+
+    const CapturedLog log;
+    const std::string missing = (dir / "no-such-dir" / "x.json").string();
+    EXPECT_FALSE(ok.preflight({{"--json", missing}}));
+    EXPECT_TRUE(log.contains("cannot open --json output file"));
+    o.profilePath = missing;
+    EXPECT_FALSE(SweepFrontEnd("test", o).preflight());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SweepFrontEnd, JournalThenResumeSkipsFinishedRuns)
+{
+    const std::filesystem::path dir = freshTempDir("resume");
+    const std::vector<SystemConfig> configs = {sweepConfigs()[0],
+                                               sweepConfigs()[3]};
+    SweepOptions o;
+    o.journalPath = (dir / "j.jsonl").string();
+
+    std::string firstJson;
+    {
+        SweepFrontEnd sweep("test", o);
+        Runner runner;
+        ASSERT_TRUE(sweep.run(runner, configs));
+        const CapturedLog log;
+        EXPECT_EQ(sweep.finish(runner), 0);
+        EXPECT_TRUE(log.contains("crash-safety: 2 run(s) executed, 0 "
+                                 "resumed from journal; appended 2"));
+        firstJson = jsonWithoutWallClock(runner);
+    }
+
+    o.resumePath = o.journalPath;
+    o.journalPath.clear();
+    SweepFrontEnd sweep("test", o);
+    Runner runner;
+    ASSERT_TRUE(sweep.run(runner, configs));
+    const CapturedLog log;
+    EXPECT_EQ(sweep.finish(runner), 0);
+    EXPECT_TRUE(log.contains(
+        "crash-safety: 0 run(s) executed, 2 resumed from journal"));
+    EXPECT_EQ(runner.runsExecuted(), 0);
+    EXPECT_EQ(jsonWithoutWallClock(runner), firstJson);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SweepFrontEnd, IsolatedFailuresExitOneAndWriteTheManifest)
+{
+    const ScopedThrowOnError guard;
+    const std::filesystem::path dir = freshTempDir("manifest");
+    SweepOptions o;
+    o.policy = FailurePolicy::Isolate;
+    o.manifestPath = (dir / "manifest.json").string();
+    SweepFrontEnd sweep("test", o);
+    Runner runner;
+    SystemConfig good;
+    good.warmup = us(10);
+    good.measure = us(50);
+    ASSERT_TRUE(sweep.run(runner, {badConfig(), good}));
+    ASSERT_EQ(sweep.failures().size(), 1u);
+    EXPECT_EQ(sweep.finish(runner), 1);
+    std::ifstream in(o.manifestPath);
+    const std::string manifest((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+    EXPECT_NE(manifest.find("no-such-workload"), std::string::npos);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SweepFrontEnd, AbortPolicyFailureStopsTheSweep)
+{
+    const ScopedThrowOnError guard;
+    const CapturedLog log;
+    SweepFrontEnd sweep("test", SweepOptions{});
+    Runner runner;
+    EXPECT_FALSE(sweep.run(runner, {badConfig()}));
+    EXPECT_TRUE(log.contains("sweep failed: "));
 }
 
 TEST(LogSink, ConcurrentWarningsStayIntact)
