@@ -78,7 +78,7 @@ main(int argc, char **argv)
     eq.run();
     const Tick end = eq.now();
 
-    const EnergyBreakdown e = net.collectEnergy(end);
+    const EnergyAttribution e = net.energyAttribution(end);
     const double secs = toSeconds(end);
 
     std::printf("Replay finished at %.1f us simulated time "
@@ -93,12 +93,12 @@ main(int argc, char **argv)
               std::to_string(player.retiredWrites())});
     t.addRow({"avg read latency",
               TextTable::fmt(player.avgReadLatencyNs(), 0) + " ns"});
-    t.addRow({"network energy", TextTable::fmt(e.totalJ() * 1e3, 2) +
+    t.addRow({"network energy", TextTable::fmt(e.anchorsJ() * 1e3, 2) +
                                     " mJ"});
     t.addRow({"avg network power",
-              TextTable::fmt(e.totalJ() / secs, 2) + " W"});
+              TextTable::fmt(e.anchorsJ() / secs, 2) + " W"});
     t.addRow({"idle I/O share",
-              TextTable::pct(e.idleIoJ / e.totalJ())});
+              TextTable::pct(e.idleIoJ / e.anchorsJ())});
     t.addRow({"modules traversed/access",
               TextTable::fmt(net.avgModulesTraversed(), 2)});
     t.print();

@@ -128,26 +128,6 @@ Auditor::checkEnergyAttribution(Tick now)
                      " J (drift ", causes - expected, " J)"));
         }
     }
-
-    // System level: the attribution ledger's coarse anchors and module
-    // terms must equal the aggregate EnergyBreakdown bit-identically —
-    // both sides run the same arithmetic over the same iteration order,
-    // so any divergence is a real bug and the comparison is exact.
-    ++checks_;
-    const EnergyAttribution a = net_.energyAttribution(now);
-    const EnergyBreakdown e = net_.collectEnergy(now);
-    if (a.idleIoJ != e.idleIoJ || a.activeIoJ != e.activeIoJ ||
-        a.serdesLeakJ != e.logicLeakJ || a.routerJ != e.logicDynJ ||
-        a.dramLeakJ != e.dramLeakJ || a.dramDynJ != e.dramDynJ) {
-        fail("energy-attribution",
-             detail::formatMessage(
-                 "attribution ledger diverges from the energy "
-                 "breakdown: io ",
-                 a.idleIoJ + a.activeIoJ, " vs ", e.idleIoJ + e.activeIoJ,
-                 " J, modules ", a.moduleJ(), " vs ",
-                 e.logicLeakJ + e.logicDynJ + e.dramLeakJ + e.dramDynJ,
-                 " J (must match bit-identically)"));
-    }
 }
 
 void

@@ -12,9 +12,7 @@
  *    tolerance;
  *  - energy attribution: per link, the fine cause buckets (tx, retrain,
  *    per-mode floor, sleep, wake) must sum to the same physics
- *    prediction, and the system-level attribution ledger must equal the
- *    aggregate EnergyBreakdown with exact double equality (both are
- *    produced by the same arithmetic over the same iteration order);
+ *    prediction;
  *  - residency conservation: per link, the modeSeconds buckets must sum
  *    to the elapsed measured time;
  *  - packet conservation: packets issued == packets retired + packets

@@ -436,7 +436,7 @@ benchRun(Writer<Spelling::Plain> &w, const std::string &key,
 /**
  * A stats dump's "components": the end-of-run counters of one channel
  * that no record keeps. Each link's cause buckets must already be
- * flushed to now (Network::collectEnergy); module terms are computed
+ * flushed to now (Network::energyAttribution); module terms are computed
  * at now.
  */
 void

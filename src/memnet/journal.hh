@@ -137,8 +137,8 @@ void writeBenchResultsJson(
  * plus a top-level "components" object with the end-of-run counters of
  * @p net, @p mgr (null: no "mgmt" member) and @p queues that no record
  * keeps: per-link ledgers, per-module energy terms, manager and
- * event-queue state. Call after Network::collectEnergy() at the run's
- * final tick.
+ * event-queue state. Call after Network::energyAttribution() at the
+ * run's final tick.
  */
 void writeStatsJson(std::ostream &os, const std::string &key,
                     const RunResult &r, Network &net,

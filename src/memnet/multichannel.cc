@@ -67,9 +67,17 @@ runMultiChannel(const MultiChannelConfig &mcfg)
     r.config = mcfg;
     const double secs = toSeconds(sys.measure);
     double idle = 0.0;
+    // Exact cross-channel merge: the ledger adds field-wise in channel
+    // order, the congestion sketches merge bucket-wise — both lossless,
+    // so the multi-channel summary is bit-identical to a whole-system
+    // ledger.
+    EnergyAttribution ledger;
+    obs::EnergySketches sk;
     for (auto &n : sys.nets) {
-        const EnergyBreakdown e = n->collectEnergy(end);
-        const PowerBreakdown p = PowerBreakdown::fromEnergy(e, secs);
+        const EnergyAttribution a = n->energyAttribution(end);
+        ledger += a;
+        sk.merge(n->collectEnergySketches(end));
+        const PowerBreakdown p = PowerBreakdown::fromEnergy(a, secs);
         r.channelPower.push_back(p);
         r.totalPowerW += p.totalW();
         idle += p.idleIoW;
@@ -97,18 +105,7 @@ runMultiChannel(const MultiChannelConfig &mcfg)
         if (b.queuePeak > r.latency.queuePeak)
             r.latency.queuePeak = b.queuePeak;
     }
-
-    // Exact cross-channel merge: the attribution ledger adds
-    // field-wise in channel order, the congestion sketches merge
-    // bucket-wise — both lossless, so the multi-channel summary is
-    // bit-identical to a whole-system ledger.
-    EnergyAttribution a;
-    obs::EnergySketches sk;
-    for (auto &n : sys.nets) {
-        a += n->energyAttribution(end);
-        sk.merge(n->collectEnergySketches(end));
-    }
-    r.energy = summarizeEnergy(a, sk);
+    r.energy = summarizeEnergy(ledger, sk);
     return r;
 }
 

@@ -10,6 +10,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 
 #include "obs/prof.hh"
@@ -327,6 +328,12 @@ SweepFrontEnd::preflight(
     for (const auto &[flag, path] : outputs) {
         if (!preflightWritable(path, flag))
             return false;
+    }
+    try {
+        effectiveMeasure(SystemConfig{});
+    } catch (const std::invalid_argument &e) {
+        memnet_warn(e.what());
+        return false;
     }
     return true;
 }

@@ -204,10 +204,11 @@ class SweepFrontEnd
 
     /**
      * Probe every output path — --profile, --journal,
-     * --failure-manifest and the caller's (flag, path) pairs — so an
-     * unwritable one fails before anything simulates. A probe leaves
-     * no file behind that was not there before. @return false, with a
-     * warning naming the first unwritable path.
+     * --failure-manifest and the caller's (flag, path) pairs — and the
+     * MEMNET_SIM_US override, so an unwritable path or a malformed
+     * window fails before anything simulates. A probe leaves no file
+     * behind that was not there before. @return false, with a warning
+     * naming the first unwritable path or the bad override.
      */
     bool preflight(const std::vector<std::pair<const char *, std::string>>
                        &extra = {}) const;

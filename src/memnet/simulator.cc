@@ -5,9 +5,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "memnet/experiment.hh"
 #include "memnet/journal.hh"
+#include "memnet/parallel.hh"
 #include "memnet/system.hh"
 #include "obs/debug_trace.hh"
 #include "obs/obs.hh"
@@ -91,8 +94,8 @@ collect(System &sys)
     r.numModules = net.numModules();
     const double secs = toSeconds(sys.measure);
 
-    const EnergyBreakdown e = net.collectEnergy(now);
-    const PowerBreakdown total = PowerBreakdown::fromEnergy(e, secs);
+    const EnergyAttribution ledger = net.energyAttribution(now);
+    const PowerBreakdown total = PowerBreakdown::fromEnergy(ledger, secs);
     r.totalNetworkPowerW = total.totalW();
     r.perHmc = total.scaled(1.0 / r.numModules);
     r.idleIoFrac = r.totalNetworkPowerW > 0
@@ -134,7 +137,7 @@ collect(System &sys)
         r.reliability.faultEvents = sys.injectors[0]->stats().total();
 
     r.latency = net.latencySummary();
-    r.energy = net.energySummary(now);
+    r.energy = summarizeEnergy(ledger, net.collectEnergySketches(now));
 
     const double link_full_w = net.powerModel().linkFullPowerW();
     for (int m = 0; m < net.numModules(); ++m) {
@@ -165,12 +168,15 @@ collect(System &sys)
 Tick
 effectiveMeasure(const SystemConfig &cfg)
 {
-    if (const char *env = std::getenv("MEMNET_SIM_US")) {
-        const long v = std::atol(env);
-        if (v > 0)
-            return us(v);
-    }
-    return cfg.measure;
+    const char *env = std::getenv("MEMNET_SIM_US");
+    if (!env || !*env)
+        return cfg.measure;
+    long v = 0;
+    if (!parseNumber(env, &v) || v <= 0)
+        throw std::invalid_argument(
+            std::string("MEMNET_SIM_US='") + env +
+            "' is not a positive whole number of microseconds");
+    return us(v);
 }
 
 RunResult

@@ -23,6 +23,7 @@
 #include "linkpm/modes.hh"
 #include "net/packet.hh"
 #include "obs/quantile_sketch.hh"
+#include "power/power_breakdown.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
@@ -172,6 +173,24 @@ struct LinkStats
     /** High-water mark of the waiting queue (excludes in-flight). */
     std::uint64_t queuePeak = 0;
 };
+
+/**
+ * Fold one link's ledger into @p a: its cause buckets, and the coarse
+ * anchors from its derived idleIoJ()/activeIoJ() (fold in allLinks()
+ * order, so every reader of the ledger sees the same rounding).
+ */
+inline void
+addLink(EnergyAttribution &a, const LinkStats &ls)
+{
+    a.txJ += ls.txJ;
+    a.retrainJ += ls.retrainJ;
+    for (std::size_t i = 0; i < a.idleModeJ.size(); ++i)
+        a.idleModeJ[i] += ls.idleFloorJ[i];
+    a.sleepJ += ls.sleepJ;
+    a.wakeJ += ls.wakeJ;
+    a.idleIoJ += ls.idleIoJ();
+    a.activeIoJ += ls.activeIoJ();
+}
 
 class Link
 {

@@ -176,44 +176,16 @@ Network::resetStats()
         m->resetStats();
 }
 
-EnergyBreakdown
-Network::collectEnergy(Tick now)
-{
-    EnergyBreakdown e;
-    const double secs = toSeconds(now - measureStart);
-    for (auto *l : allLinks()) {
-        l->finishAccounting(now);
-        e.idleIoJ += l->stats().idleIoJ();
-        e.activeIoJ += l->stats().activeIoJ();
-    }
-    for (auto &m : modules_) {
-        const ModuleEnergyTerms t =
-            moduleEnergyTerms(pm_.params(m->radix()), secs,
-                              m->flitsRouted(), m->dramAccesses());
-        e.logicLeakJ += t.logicLeakJ;
-        e.dramLeakJ += t.dramLeakJ;
-        e.logicDynJ += t.logicDynJ;
-        e.dramDynJ += t.dramDynJ;
-    }
-    return e;
-}
-
 EnergyAttribution
 Network::energyAttribution(Tick now)
 {
     EnergyAttribution a;
-    const double secs = toSeconds(now - measureStart);
-    // Same iteration order and arithmetic as collectEnergy, so the
-    // coarse anchors (and module terms) match it bit-identically.
     for (auto *l : allLinks()) {
         l->finishAccounting(now);
-        a.addLink(l->stats());
+        addLink(a, l->stats());
     }
-    for (auto &m : modules_) {
-        a.addModule(moduleEnergyTerms(pm_.params(m->radix()), secs,
-                                      m->flitsRouted(),
-                                      m->dramAccesses()));
-    }
+    for (int m = 0; m < numModules(); ++m)
+        a.addModule(moduleEnergy(m, now));
     return a;
 }
 
@@ -238,13 +210,6 @@ Network::moduleEnergy(int m, Tick now) const
     return moduleEnergyTerms(pm_.params(mod.radix()),
                              toSeconds(now - measureStart),
                              mod.flitsRouted(), mod.dramAccesses());
-}
-
-EnergySummary
-Network::energySummary(Tick now)
-{
-    return summarizeEnergy(energyAttribution(now),
-                           collectEnergySketches(now));
 }
 
 void

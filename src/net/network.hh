@@ -152,12 +152,6 @@ class Network : public TrafficTarget, public FaultTarget
     /** Reset all measurement statistics (start of measure window). */
     void resetStats();
 
-    /**
-     * Total network energy over the window [reset, now], combining link
-     * I/O energy and module leakage/dynamic energy.
-     */
-    EnergyBreakdown collectEnergy(Tick now);
-
     /** Attach observers to every link and module. */
     void setObservers(LinkObserver *lo, ModuleObserver *mo);
 
@@ -212,11 +206,10 @@ class Network : public TrafficTarget, public FaultTarget
     // -- Energy observatory ------------------------------------------------
 
     /**
-     * The exact attribution ledger over [reset, now]: link cause
-     * buckets, module cause terms, and the coarse idle/active anchors.
-     * Accumulated by the same arithmetic as collectEnergy, so the
-     * anchors match the EnergyBreakdown bit-identically (the runtime
-     * auditor enforces this).
+     * The run's energy ledger over [reset, now]: link cause buckets,
+     * module cause terms, and the coarse idle/active anchors Figure 5
+     * reports. Flushes every link's accounting to @p now; read it once
+     * per sample point.
      */
     EnergyAttribution energyAttribution(Tick now);
 
@@ -227,12 +220,9 @@ class Network : public TrafficTarget, public FaultTarget
      */
     obs::EnergySketches collectEnergySketches(Tick now);
 
-    /** RunResult-ready summary of the ledger and the sketches. */
-    EnergySummary energySummary(Tick now);
-
     /**
      * One module's energy cause terms over [reset, now] — the same
-     * expression collectEnergy folds per module, exposed for the
+     * expression energyAttribution folds per module, exposed for the
      * stats dump's per-module terms. Does not flush link accounting.
      */
     ModuleEnergyTerms moduleEnergy(int m, Tick now) const;

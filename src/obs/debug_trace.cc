@@ -1,9 +1,11 @@
 #include "obs/debug_trace.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <system_error>
 
 namespace memnet
 {
@@ -71,11 +73,17 @@ applySpecLocked(const std::string &spec)
         int level = 1;
         const std::size_t colon = item.find(':');
         if (colon != std::string::npos) {
-            level = std::atoi(item.c_str() + colon + 1);
+            const char *first = item.data() + colon + 1;
+            const char *last = item.data() + item.size();
+            const auto [ptr, ec] = std::from_chars(first, last, level);
+            if (first == last || ec != std::errc() || ptr != last ||
+                level < 0) {
+                memnet_warn("bad trace level in trace spec item '", item,
+                            "' (want a whole number >= 0)");
+                continue;
+            }
             item.resize(colon);
         }
-        if (level < 0)
-            level = 0;
 
         if (item == "all" || item == "ALL" || item == "All") {
             for (auto &l : detail::traceLevels)

@@ -59,8 +59,9 @@ const char *traceCompName(TraceComp c);
 
 /**
  * Configure filtering from a spec string ("LinkPM:2,ISP" or "all").
- * Unknown component names are reported with memnet_warn and skipped.
- * An empty spec disables everything.
+ * Unknown component names and levels that are not whole numbers >= 0
+ * ("LinkPM:x", "LinkPM:1x", "LinkPM:-1") are reported with memnet_warn
+ * and their item is skipped. An empty spec disables everything.
  */
 void setTraceSpec(const std::string &spec);
 

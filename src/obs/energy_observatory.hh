@@ -20,12 +20,9 @@
  *  - merges (multichannel, partition lanes) are exact: attribution adds
  *    field-wise in channel order, sketches merge bucket-wise.
  *
- * Exactness contract (enforced by src/audit's "energy-attribution"
- * check and the CI differential tests): the attribution's coarse
- * anchors equal Network::collectEnergy's EnergyBreakdown bit-identically
- * because both are accumulated by the same expressions over the same
- * iteration order, and the cause buckets sum to the coarse anchors by
- * construction (LinkStats derives idleIoJ()/activeIoJ() from them).
+ * The ledger itself (EnergyAttribution, power/power_breakdown.hh) is
+ * also the run's only energy total: Figure 5's power split, the epoch
+ * records and the trace counters all read it.
  *
  * Header-only so the net layer can embed it without linking the obs
  * library; energy_observatory.cc holds only obs-side surface code
@@ -35,12 +32,11 @@
 #ifndef MEMNET_OBS_ENERGY_OBSERVATORY_HH
 #define MEMNET_OBS_ENERGY_OBSERVATORY_HH
 
-#include <array>
 #include <cstdint>
+#include <string>
 
-#include "net/link.hh"
 #include "obs/quantile_sketch.hh"
-#include "power/hmc_power_model.hh"
+#include "power/power_breakdown.hh"
 
 namespace memnet
 {
@@ -61,13 +57,6 @@ struct EnergySketches
     QuantileSketch occupancy;
 
     void
-    reset()
-    {
-        utilization.reset();
-        occupancy.reset();
-    }
-
-    void
     merge(const EnergySketches &o)
     {
         utilization.merge(o.utilization);
@@ -76,112 +65,6 @@ struct EnergySketches
 };
 
 } // namespace obs
-
-/**
- * The attribution ledger: every joule of a run filed under exactly one
- * cause, alongside the coarse idle/active anchors the rest of the
- * system reports. Field-wise addition is the exact merge.
- */
-struct EnergyAttribution
-{
-    // -- Link I/O causes (sum == idleIoJ + activeIoJ exactly) ----------
-    /** Serialization: lanes driving payload flits. */
-    double txJ = 0.0;
-    /** Retrain windows: training sequences at on-state power. */
-    double retrainJ = 0.0;
-    /** Static floor per bandwidth-mode index (on, idle, not waking). */
-    std::array<double, 8> idleModeJ{};
-    /** ROO off-state residual. */
-    double sleepJ = 0.0;
-    /** Wake transitions (Off -> On sequences). */
-    double wakeJ = 0.0;
-
-    // -- Module causes (mirror EnergyBreakdown's module fields) --------
-    /** SerDes + logic-die leakage. */
-    double serdesLeakJ = 0.0;
-    /** Router/logic dynamic energy (per routed flit hop). */
-    double routerJ = 0.0;
-    /** DRAM die leakage. */
-    double dramLeakJ = 0.0;
-    /** DRAM activate/IO dynamic energy (per array access). */
-    double dramDynJ = 0.0;
-
-    // -- Coarse anchors ------------------------------------------------
-    // Accumulated per link via LinkStats::idleIoJ()/activeIoJ() in
-    // allLinks() order — the exact arithmetic Network::collectEnergy
-    // performs, so these match the EnergyBreakdown bit-identically.
-    double idleIoJ = 0.0;
-    double activeIoJ = 0.0;
-
-    /** Fold one link's ledger in (allLinks() order for exactness). */
-    void
-    addLink(const LinkStats &ls)
-    {
-        txJ += ls.txJ;
-        retrainJ += ls.retrainJ;
-        for (std::size_t i = 0; i < idleModeJ.size(); ++i)
-            idleModeJ[i] += ls.idleFloorJ[i];
-        sleepJ += ls.sleepJ;
-        wakeJ += ls.wakeJ;
-        idleIoJ += ls.idleIoJ();
-        activeIoJ += ls.activeIoJ();
-    }
-
-    /** Fold one module's window terms in (module-index order). */
-    void
-    addModule(const ModuleEnergyTerms &t)
-    {
-        serdesLeakJ += t.logicLeakJ;
-        routerJ += t.logicDynJ;
-        dramLeakJ += t.dramLeakJ;
-        dramDynJ += t.dramDynJ;
-    }
-
-    /** Idle-floor causes summed (canonical order, matches idleIoJ()). */
-    double
-    idleFloorJ() const
-    {
-        double floor = 0.0;
-        for (double j : idleModeJ)
-            floor += j;
-        return floor;
-    }
-
-    /** Link I/O energy by cause. */
-    double
-    linkIoJ() const
-    {
-        return txJ + retrainJ + ((idleFloorJ() + sleepJ) + wakeJ);
-    }
-
-    /** Module energy by cause. */
-    double
-    moduleJ() const
-    {
-        return serdesLeakJ + routerJ + dramLeakJ + dramDynJ;
-    }
-
-    double totalJ() const { return linkIoJ() + moduleJ(); }
-
-    /** Exact field-wise merge (multichannel: apply in channel order). */
-    EnergyAttribution &
-    operator+=(const EnergyAttribution &o)
-    {
-        txJ += o.txJ;
-        retrainJ += o.retrainJ;
-        for (std::size_t i = 0; i < idleModeJ.size(); ++i)
-            idleModeJ[i] += o.idleModeJ[i];
-        sleepJ += o.sleepJ;
-        wakeJ += o.wakeJ;
-        serdesLeakJ += o.serdesLeakJ;
-        routerJ += o.routerJ;
-        dramLeakJ += o.dramLeakJ;
-        dramDynJ += o.dramDynJ;
-        idleIoJ += o.idleIoJ;
-        activeIoJ += o.activeIoJ;
-        return *this;
-    }
-};
 
 /**
  * RunResult's energy decomposition: the attribution ledger plus

@@ -11,15 +11,13 @@ namespace obs
 EpochRecorder::EpochRecorder(std::ostream &os, Network &net)
     : os(os), net(net)
 {
-    snapshot(net.eventQueue().now());
+    snapshot(0);
 }
 
 void
-EpochRecorder::snapshot(Tick now)
+EpochRecorder::snapshot(std::uint64_t violations)
 {
-    lastTick = now;
-    lastEnergy = net.collectEnergy(now);
-    lastAttr = net.energyAttribution(now);
+    lastViolations = violations;
     lastLink.clear();
     for (Link *l : net.allLinks())
         lastLink.push_back(l->stats());
@@ -27,19 +25,10 @@ EpochRecorder::snapshot(Tick now)
 }
 
 void
-EpochRecorder::onMeasureStart(Tick now)
+EpochRecorder::onEpoch(PowerManager &pm, Tick now,
+                       const EnergyAttribution &ledger,
+                       const EnergyAttribution &last, double inv)
 {
-    // The network's cumulative counters were just reset; any diff
-    // against pre-reset snapshots would go negative.
-    snapshot(now);
-    lastViolations = 0;
-}
-
-void
-EpochRecorder::onEpoch(PowerManager &pm, Tick now)
-{
-    const double dt = toSeconds(now - lastTick);
-    const EnergyBreakdown e = net.collectEnergy(now);
     const std::vector<Link *> links = net.allLinks();
     const int n = net.numModules();
 
@@ -49,35 +38,32 @@ EpochRecorder::onEpoch(PowerManager &pm, Tick now)
     w.field("epoch", static_cast<std::uint64_t>(pm.epochs()));
     w.field("t_ps", static_cast<std::int64_t>(now));
 
-    const double inv = dt > 0.0 ? 1.0 / dt : 0.0;
+    // Figure 5's six terms from the ledger's anchors.
     w.key("power_w");
     w.beginObject();
-    w.field("idle_io", (e.idleIoJ - lastEnergy.idleIoJ) * inv);
-    w.field("active_io", (e.activeIoJ - lastEnergy.activeIoJ) * inv);
-    w.field("logic_leak", (e.logicLeakJ - lastEnergy.logicLeakJ) * inv);
-    w.field("dram_leak", (e.dramLeakJ - lastEnergy.dramLeakJ) * inv);
-    w.field("logic_dyn", (e.logicDynJ - lastEnergy.logicDynJ) * inv);
-    w.field("dram_dyn", (e.dramDynJ - lastEnergy.dramDynJ) * inv);
-    w.field("total", (e.totalJ() - lastEnergy.totalJ()) * inv);
+    w.field("idle_io", (ledger.idleIoJ - last.idleIoJ) * inv);
+    w.field("active_io", (ledger.activeIoJ - last.activeIoJ) * inv);
+    w.field("logic_leak", (ledger.serdesLeakJ - last.serdesLeakJ) * inv);
+    w.field("dram_leak", (ledger.dramLeakJ - last.dramLeakJ) * inv);
+    w.field("logic_dyn", (ledger.routerJ - last.routerJ) * inv);
+    w.field("dram_dyn", (ledger.dramDynJ - last.dramDynJ) * inv);
+    w.field("total", (ledger.anchorsJ() - last.anchorsJ()) * inv);
     w.endObject();
 
     // Energy observatory (v3): average power per attribution cause,
     // from exact ledger deltas — splits power_w's idle_io/active_io by
     // why the joules were spent.
-    const EnergyAttribution a = net.energyAttribution(now);
     w.key("energy_w");
     w.beginObject();
-    w.field("tx", (a.txJ - lastAttr.txJ) * inv);
-    w.field("retrain", (a.retrainJ - lastAttr.retrainJ) * inv);
-    w.field("idle_floor",
-            (a.idleFloorJ() - lastAttr.idleFloorJ()) * inv);
-    w.field("sleep", (a.sleepJ - lastAttr.sleepJ) * inv);
-    w.field("wake", (a.wakeJ - lastAttr.wakeJ) * inv);
-    w.field("serdes_leak",
-            (a.serdesLeakJ - lastAttr.serdesLeakJ) * inv);
-    w.field("router", (a.routerJ - lastAttr.routerJ) * inv);
-    w.field("dram_leak", (a.dramLeakJ - lastAttr.dramLeakJ) * inv);
-    w.field("dram_dyn", (a.dramDynJ - lastAttr.dramDynJ) * inv);
+    w.field("tx", (ledger.txJ - last.txJ) * inv);
+    w.field("retrain", (ledger.retrainJ - last.retrainJ) * inv);
+    w.field("idle_floor", (ledger.idleFloorJ() - last.idleFloorJ()) * inv);
+    w.field("sleep", (ledger.sleepJ - last.sleepJ) * inv);
+    w.field("wake", (ledger.wakeJ - last.wakeJ) * inv);
+    w.field("serdes_leak", (ledger.serdesLeakJ - last.serdesLeakJ) * inv);
+    w.field("router", (ledger.routerJ - last.routerJ) * inv);
+    w.field("dram_leak", (ledger.dramLeakJ - last.dramLeakJ) * inv);
+    w.field("dram_dyn", (ledger.dramDynJ - last.dramDynJ) * inv);
     w.endObject();
 
     w.key("mgmt");
@@ -205,14 +191,7 @@ EpochRecorder::onEpoch(PowerManager &pm, Tick now)
     w.endObject();
     os << '\n';
 
-    ++nRecords;
-    lastTick = now;
-    lastEnergy = e;
-    lastAttr = a;
-    for (std::size_t i = 0; i < links.size(); ++i)
-        lastLink[i] = links[i]->stats();
-    lastLat = net.latencySketches();
-    lastViolations = pm.violations();
+    snapshot(pm.violations());
 }
 
 } // namespace obs

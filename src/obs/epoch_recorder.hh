@@ -2,11 +2,12 @@
  * @file
  * Per-epoch time-series recorder (JSONL).
  *
- * Rides the management epoch boundary (EpochObserver): at every epoch it
- * diffs the network's cumulative energy and per-link counters against
- * the previous boundary and appends one self-contained JSON object per
- * line. Runs under the FullPower policy have no epoch machinery and
- * therefore produce no records — epoch observability presumes a manager.
+ * Rides the management epoch boundary (ObsHub forwards each epoch): at
+ * every epoch it diffs the energy ledger sample the hub hands it and the
+ * network's per-link counters against the previous boundary and appends
+ * one self-contained JSON object per line. Runs under the FullPower
+ * policy have no epoch machinery and therefore produce no records —
+ * epoch observability presumes a manager.
  *
  * The recorder only *reads* simulation state (energy collection is an
  * idempotent flush of piecewise-constant integration) and never
@@ -82,28 +83,29 @@ class EpochRecorder
      * Re-baseline the diffs at measurement start (the network's own
      * counters are reset there; our snapshots must follow).
      */
-    void onMeasureStart(Tick now);
+    void onMeasureStart() { snapshot(0); }
 
-    /** Append one record for the epoch ending at @p now. */
-    void onEpoch(PowerManager &pm, Tick now);
-
-    std::uint64_t records() const { return nRecords; }
+    /**
+     * Append one record for the epoch ending at @p now. @p ledger and
+     * @p last are the energy ledger at @p now and at the previous
+     * boundary; @p inv is 1 / the window between them in seconds (0
+     * renders zero watts).
+     */
+    void onEpoch(PowerManager &pm, Tick now,
+                 const EnergyAttribution &ledger,
+                 const EnergyAttribution &last, double inv);
 
   private:
-    void snapshot(Tick now);
+    /** Take the diff baselines, with @p violations as the count. */
+    void snapshot(std::uint64_t violations);
 
     std::ostream &os;
     Network &net;
 
-    Tick lastTick = 0;
     std::uint64_t lastViolations = 0;
-    EnergyBreakdown lastEnergy;
-    /** Attribution-ledger snapshot (exact per-cause delta basis). */
-    EnergyAttribution lastAttr;
     std::vector<LinkStats> lastLink;
     /** Sketch snapshot at the previous boundary (exact delta basis). */
     LatencySketches lastLat;
-    std::uint64_t nRecords = 0;
 };
 
 } // namespace obs

@@ -47,9 +47,9 @@ void
 ObsHub::onMeasureStart(Tick now)
 {
     if (rec)
-        rec->onMeasureStart(now);
-    // Re-baseline the energy-counter deltas: the network's ledgers
-    // were just reset, so the previous attribution no longer applies.
+        rec->onMeasureStart();
+    // Re-baseline the energy deltas: the network's ledgers were just
+    // reset, so the previous sample no longer applies.
     lastEnergy = EnergyAttribution{};
     lastEnergyTick = now;
 }
@@ -57,18 +57,18 @@ ObsHub::onMeasureStart(Tick now)
 void
 ObsHub::onEpoch(PowerManager &pm, Tick now)
 {
+    const EnergyAttribution ledger = net.energyAttribution(now);
+    const double secs = toSeconds(now - lastEnergyTick);
+    const double inv = secs > 0.0 ? 1.0 / secs : 0.0;
     if (rec)
-        rec->onEpoch(pm, now);
+        rec->onEpoch(pm, now, ledger, lastEnergy, inv);
     if (trace) {
         trace->epochMarker(now, pm.epochs());
-        const EnergyAttribution a = net.energyAttribution(now);
-        const double secs = toSeconds(now - lastEnergyTick);
         trace->energyCounters(
-            now, renderEnergyCounterArgs(a, lastEnergy,
-                                         secs > 0.0 ? 1.0 / secs : 0.0));
-        lastEnergy = a;
-        lastEnergyTick = now;
+            now, renderEnergyCounterArgs(ledger, lastEnergy, inv));
     }
+    lastEnergy = ledger;
+    lastEnergyTick = now;
 }
 
 void

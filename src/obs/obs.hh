@@ -4,8 +4,10 @@
  *
  * Construction wires everything the options ask for:
  *  - attaches a ChromeTraceWriter to the network as the PowerTraceSink;
- *  - attaches itself to the manager as the EpochObserver, feeding the
- *    EpochRecorder (JSONL) and epoch/violation trace instants.
+ *  - attaches itself to the manager as the EpochObserver: it reads the
+ *    energy ledger once per epoch and feeds that sample to the
+ *    EpochRecorder (JSONL) and the trace's energy counters, plus the
+ *    epoch/violation trace instants.
  *
  * Everything is passive: hooks are synchronous callbacks from existing
  * simulation events, and the hub never schedules events of its own, so
@@ -59,9 +61,6 @@ class ObsHub : public EpochObserver
     void onViolation(PowerManager &pm, LinkMgmtState &s,
                      Tick now) override;
 
-    ChromeTraceWriter *traceWriter() { return trace.get(); }
-    EpochRecorder *recorder() { return rec.get(); }
-
   private:
     ObsOptions opts;
     Network &net;
@@ -72,9 +71,9 @@ class ObsHub : public EpochObserver
     std::unique_ptr<EpochRecorder> rec;
 
     /**
-     * Energy-counter baselines for the trace's "energy_w" track: the
-     * attribution and timestamp at the previous epoch, so each sample
-     * renders the epoch's average watts per cause (delta / window).
+     * The energy ledger and its tick at the previous epoch boundary:
+     * the one baseline both the epoch records and the trace's
+     * "energy_w" track diff against (delta / window = average watts).
      */
     EnergyAttribution lastEnergy;
     Tick lastEnergyTick = 0;

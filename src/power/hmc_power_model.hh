@@ -67,11 +67,8 @@ struct HmcPowerParams
 };
 
 /**
- * Energy drawn by one module over a measurement window, split by cause.
- * Computed in one place so the aggregate ledger (Network::collectEnergy)
- * and the energy observatory's attribution (Network::energyAttribution)
- * are bit-identical by construction — the runtime auditor compares the
- * two with exact double equality.
+ * Energy drawn by one module over a measurement window, split by cause
+ * (Network::moduleEnergy; the run's ledger folds one per module).
  */
 struct ModuleEnergyTerms
 {

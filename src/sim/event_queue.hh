@@ -362,7 +362,7 @@ class EventQueue
     /**
      * Advance now() to @p t without dispatching (must not skip pending
      * events). The partitioned kernel uses this at sync points so
-     * phase-boundary accounting (resetStats, collectEnergy) sees the
+     * phase-boundary accounting (resetStats, energyAttribution) sees the
      * same now() the serial runUntil(limit) would have left.
      */
     void

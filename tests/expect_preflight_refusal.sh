@@ -1,7 +1,7 @@
 #!/bin/sh
-# Run a command line naming an unwritable output path: it must exit 1
-# before printing anything to stdout (no banner, no table), which also
-# means nothing was simulated.
+# Run a command line naming an unwritable output path (or under a
+# malformed MEMNET_SIM_US): it must exit 1 before printing anything to
+# stdout (no banner, no table), which also means nothing was simulated.
 #
 #     tests/expect_preflight_refusal.sh path/to/bench --json /no/such/dir/x.json
 out=$("$@")

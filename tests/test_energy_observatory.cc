@@ -1,12 +1,13 @@
 /**
  * @file
- * Unit tests for the energy observatory's attribution ledger
- * (src/obs/energy_observatory.hh): cause-bucket folding, the derived
- * identities, exact merge, the bit-identity of the rollup against
- * Network::collectEnergy, the stats dump's per-module terms, the
- * Chrome-trace counter renderer, and what a whole run reports. The
- * run-level guarantees (partitioned == serial, mutation-tested auditor
- * check) live in test_partition.cc / test_audit.cc.
+ * Unit tests for the energy observatory: the attribution ledger
+ * (EnergyAttribution, src/power/power_breakdown.hh) — cause-bucket
+ * folding, the derived identities, exact merge — plus the congestion
+ * sketches (src/obs/energy_observatory.hh), the stats dump's
+ * per-module terms, the Chrome-trace counter renderer, and what a
+ * whole run reports. The run-level guarantees (partitioned == serial,
+ * mutation-tested auditor check) live in test_partition.cc /
+ * test_audit.cc.
  */
 
 #include <gtest/gtest.h>
@@ -45,7 +46,7 @@ TEST(EnergyAttributionLedger, AddLinkFoldsEveryCauseBucket)
 {
     const LinkStats ls = syntheticStats(1.0);
     EnergyAttribution a;
-    a.addLink(ls);
+    addLink(a, ls);
 
     EXPECT_DOUBLE_EQ(a.txJ, ls.txJ);
     EXPECT_DOUBLE_EQ(a.retrainJ, ls.retrainJ);
@@ -86,16 +87,16 @@ TEST(EnergyAttributionLedger, AddModuleFoldsTerms)
 TEST(EnergyAttributionLedger, MergeIsFieldWiseExact)
 {
     EnergyAttribution a, b;
-    a.addLink(syntheticStats(1.0));
-    b.addLink(syntheticStats(2.0));
+    addLink(a, syntheticStats(1.0));
+    addLink(b, syntheticStats(2.0));
 
     EnergyAttribution sum = a;
     sum += b;
     // Dyadic values again: field-wise addition must be exact, and the
     // merged ledger must equal folding both links into one.
     EnergyAttribution both;
-    both.addLink(syntheticStats(1.0));
-    both.addLink(syntheticStats(2.0));
+    addLink(both, syntheticStats(1.0));
+    addLink(both, syntheticStats(2.0));
     EXPECT_EQ(sum.txJ, both.txJ);
     EXPECT_EQ(sum.retrainJ, both.retrainJ);
     EXPECT_EQ(sum.idleFloorJ(), both.idleFloorJ());
@@ -128,32 +129,12 @@ class EnergyObservatoryNet : public ::testing::Test
     std::unique_ptr<Network> net;
 };
 
-TEST_F(EnergyObservatoryNet, AnchorsMatchCollectEnergyBitIdentically)
-{
-    eq.runUntil(us(10)); // accrue idle floor on every link
-    const EnergyAttribution a = net->energyAttribution(eq.now());
-    const EnergyBreakdown e = net->collectEnergy(eq.now());
-
-    // The exactness contract the auditor enforces every epoch: same
-    // expressions, same iteration order, so == on doubles.
-    EXPECT_EQ(a.idleIoJ, e.idleIoJ);
-    EXPECT_EQ(a.activeIoJ, e.activeIoJ);
-    EXPECT_EQ(a.serdesLeakJ, e.logicLeakJ);
-    EXPECT_EQ(a.routerJ, e.logicDynJ);
-    EXPECT_EQ(a.dramLeakJ, e.dramLeakJ);
-    EXPECT_EQ(a.dramDynJ, e.dramDynJ);
-    EXPECT_GT(a.totalJ(), 0.0);
-
-    // The cause-level and anchor-level views agree to float-summation
-    // tolerance (their addition orders differ across links).
-    EXPECT_NEAR(a.linkIoJ(), a.idleIoJ + a.activeIoJ,
-                1e-12 * a.linkIoJ());
-}
-
 TEST_F(EnergyObservatoryNet, SketchesCoverEveryLinkWhenEnabled)
 {
     eq.runUntil(us(10));
-    const EnergySummary s = net->energySummary(eq.now());
+    const EnergySummary s = summarizeEnergy(
+        net->energyAttribution(eq.now()),
+        net->collectEnergySketches(eq.now()));
     EXPECT_TRUE(s.enabled);
     // One utilization sample per link; an idle net has all-zero ppm
     // and no enqueues.
@@ -165,7 +146,7 @@ TEST_F(EnergyObservatoryNet, SketchesCoverEveryLinkWhenEnabled)
 TEST_F(EnergyObservatoryNet, StatsDumpCarriesEachModulesTerms)
 {
     eq.runUntil(us(10));
-    net->collectEnergy(eq.now());
+    net->energyAttribution(eq.now());
     std::ostringstream os;
     writeStatsJson(os, "k", RunResult{}, *net, nullptr, {&eq});
     obs::json::Value doc;
@@ -225,7 +206,9 @@ TEST_F(EnergyObservatoryNet, BareNetworkRecordsBothObservatories)
     EXPECT_TRUE(lat.enabled);
     EXPECT_EQ(lat.endToEnd.samples, 3u);
     EXPECT_GT(lat.dram.sumPs, 0u);
-    const EnergySummary e = net->energySummary(eq.now());
+    const EnergySummary e = summarizeEnergy(
+        net->energyAttribution(eq.now()),
+        net->collectEnergySketches(eq.now()));
     EXPECT_TRUE(e.enabled);
     EXPECT_GT(e.occupancy.samples, 0u);
     EXPECT_GT(e.attribution.txJ, 0.0);

@@ -172,10 +172,10 @@ TEST_F(NetworkTest, EnergyIncludesLeakageWithNoTraffic)
     build(TopologyKind::TernaryTree, 4);
     net->resetStats();
     eq.runUntil(us(10));
-    const EnergyBreakdown e = net->collectEnergy(eq.now());
+    const EnergyAttribution e = net->energyAttribution(eq.now());
     const HmcPowerParams &p = pm.params(Radix::High);
     // Four high-radix modules leak for 10 us.
-    EXPECT_NEAR(e.logicLeakJ, 4 * p.idleLogicW * 1e-5, 1e-12);
+    EXPECT_NEAR(e.serdesLeakJ, 4 * p.idleLogicW * 1e-5, 1e-12);
     EXPECT_NEAR(e.dramLeakJ, 4 * p.idleDramW * 1e-5, 1e-12);
     // All eight connectivity links idle at full power.
     EXPECT_NEAR(e.idleIoJ, 8 * pm.linkFullPowerW() * 1e-5, 1e-10);
@@ -190,12 +190,12 @@ TEST_F(NetworkTest, EnergyCountsDynamicPerAccess)
     for (int i = 0; i < 10; ++i)
         inject(PacketType::ReadReq, 64 * i, i);
     eq.run();
-    const EnergyBreakdown e = net->collectEnergy(eq.now());
+    const EnergyAttribution e = net->energyAttribution(eq.now());
     const HmcPowerParams &p = pm.params(Radix::Low);
     EXPECT_NEAR(e.dramDynJ, 10 * p.dramAccessJ, 1e-12);
     // Router crossings: 10 requests (1 flit) + 10 responses counted
     // twice at the home module (vault -> link) = 10*1 + 10*5 flits.
-    EXPECT_NEAR(e.logicDynJ, (10 + 50) * p.flitHopJ, 1e-12);
+    EXPECT_NEAR(e.routerJ, (10 + 50) * p.flitHopJ, 1e-12);
 }
 
 TEST_F(NetworkTest, ResetStatsClearsCounters)
@@ -205,7 +205,7 @@ TEST_F(NetworkTest, ResetStatsClearsCounters)
     eq.run();
     net->resetStats();
     EXPECT_EQ(net->injectedPackets(), 0u);
-    const EnergyBreakdown e = net->collectEnergy(eq.now());
+    const EnergyAttribution e = net->energyAttribution(eq.now());
     EXPECT_NEAR(e.totalJ(), 0.0, 1e-12);
 }
 

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -335,6 +336,71 @@ TEST_F(ObsRunTest, EpochJsonlRecordsFollowSchema)
     EXPECT_GT(total_link_entries, 0u);
 }
 
+TEST_F(ObsRunTest, EpochEnergyValuesAddUpAndMatchTheTrace)
+{
+    const char *const kPower[] = {"idle_io",   "active_io", "logic_leak",
+                                  "logic_dyn", "dram_leak", "dram_dyn"};
+    const char *const kCauses[] = {"tx",          "retrain", "idle_floor",
+                                   "sleep",       "wake",    "serdes_leak",
+                                   "router",      "dram_leak", "dram_dyn"};
+
+    // The trace's energy_w samples by timestamp (ps).
+    Value trace;
+    std::string err;
+    ASSERT_TRUE(obs::json::parse(readFile(cfg.obs.chromeTracePath),
+                                 &trace, &err))
+        << err;
+    std::map<std::int64_t, const Value *> samples;
+    for (const Value &e : trace.find("traceEvents")->array) {
+        if (e.find("ph")->string == "C" &&
+            e.find("name")->string == "energy_w")
+            samples[std::llround(e.find("ts")->number * 1e6)] =
+                e.find("args");
+    }
+    const auto nine_decimals = [](double v) {
+        char buf[64];
+        std::snprintf(buf, sizeof buf, "%.9f", v);
+        return std::string(buf);
+    };
+
+    std::ifstream is(cfg.obs.epochJsonlPath);
+    std::string line;
+    std::size_t records = 0;
+    while (std::getline(is, line)) {
+        Value v;
+        ASSERT_TRUE(obs::json::parse(line, &v, &err)) << err;
+        const auto t = static_cast<std::int64_t>(v.find("t_ps")->number);
+        const Value &power = *v.find("power_w");
+        const Value &energy = *v.find("energy_w");
+        const double total = power.find("total")->number;
+        EXPECT_GT(total, 0.0) << t;
+
+        // power_w.total is the sum of its six Figure-5 components.
+        double six = 0.0;
+        for (const char *k : kPower)
+            six += power.find(k)->number;
+        EXPECT_NEAR(six, total, 1e-12 * total) << t;
+
+        // The nine causes split the same joules.
+        double nine = 0.0;
+        for (const char *k : kCauses)
+            nine += energy.find(k)->number;
+        EXPECT_NEAR(nine, total, 1e-9 * total) << t;
+
+        // The trace sample at the same tick renders the same watts at
+        // its 9-decimal precision.
+        const auto it = samples.find(t);
+        ASSERT_NE(it, samples.end()) << "no energy_w sample at " << t;
+        for (const char *k : kCauses)
+            EXPECT_EQ(nine_decimals(it->second->find(k)->number),
+                      nine_decimals(energy.find(k)->number))
+                << k << " at " << t;
+        ++records;
+    }
+    EXPECT_GE(records, 2u);
+    EXPECT_EQ(records, samples.size());
+}
+
 TEST_F(ObsRunTest, ChromeTraceIsValidAndTimeOrdered)
 {
     Value v;
@@ -451,6 +517,33 @@ TEST(DebugTrace, SpecParsingSetsVerbosity)
     obs::setTraceSpec("");
     EXPECT_EQ(obs::traceVerbosity(obs::TraceComp::LinkPM), 0);
     EXPECT_EQ(obs::traceVerbosity(obs::TraceComp::Workload), 0);
+
+    // A malformed or negative level warns and skips its item, like an
+    // unknown component; the rest of the spec still applies.
+    std::vector<std::string> warnings;
+    LogSink prev = setLogSink([&](LogLevel level, const std::string &m) {
+        if (level == LogLevel::Warn)
+            warnings.push_back(m);
+    });
+    for (const char *bad : {"x", "1x", "-1", ""}) {
+        warnings.clear();
+        obs::setTraceSpec(std::string("ISP:3,LinkPM:") + bad);
+        EXPECT_EQ(obs::traceVerbosity(obs::TraceComp::LinkPM), 0) << bad;
+        EXPECT_EQ(obs::traceVerbosity(obs::TraceComp::ISP), 3) << bad;
+        ASSERT_EQ(warnings.size(), 1u) << bad;
+        EXPECT_NE(warnings[0].find("LinkPM"), std::string::npos)
+            << warnings[0];
+    }
+    warnings.clear();
+    obs::setTraceSpec("Bogus");
+    EXPECT_EQ(warnings.size(), 1u);
+    warnings.clear();
+    obs::setTraceSpec("LinkPM:0,Net:2");
+    EXPECT_TRUE(warnings.empty());
+    EXPECT_EQ(obs::traceVerbosity(obs::TraceComp::LinkPM), 0);
+    EXPECT_EQ(obs::traceVerbosity(obs::TraceComp::Net), 2);
+    obs::setTraceSpec("");
+    setLogSink(prev);
 }
 
 TEST(DebugTrace, EnabledPointsReachTheLogSink)

@@ -94,16 +94,17 @@ TEST(HmcPowerModel, LogicDynamicEnergyRecoversPeakPower)
 
 TEST(PowerBreakdown, EnergyToPowerConversion)
 {
-    EnergyBreakdown e;
+    EnergyAttribution e;
     e.idleIoJ = 2.0;
     e.activeIoJ = 1.0;
-    e.logicLeakJ = 0.5;
+    e.serdesLeakJ = 0.5;
     const PowerBreakdown p = PowerBreakdown::fromEnergy(e, 2.0);
     EXPECT_DOUBLE_EQ(p.idleIoW, 1.0);
     EXPECT_DOUBLE_EQ(p.activeIoW, 0.5);
     EXPECT_DOUBLE_EQ(p.logicLeakW, 0.25);
     EXPECT_DOUBLE_EQ(p.totalW(), 1.75);
     EXPECT_DOUBLE_EQ(p.ioW(), 1.5);
+    EXPECT_DOUBLE_EQ(e.anchorsJ(), 3.5);
 }
 
 TEST(PowerBreakdown, ScaledDividesUniformly)
@@ -116,20 +117,9 @@ TEST(PowerBreakdown, ScaledDividesUniformly)
     EXPECT_DOUBLE_EQ(s.dramDynW, 1.0);
 }
 
-TEST(EnergyBreakdown, AccumulateAndTotal)
-{
-    EnergyBreakdown a, b;
-    a.idleIoJ = 1;
-    b.idleIoJ = 2;
-    b.dramLeakJ = 3;
-    a += b;
-    EXPECT_DOUBLE_EQ(a.idleIoJ, 3.0);
-    EXPECT_DOUBLE_EQ(a.totalJ(), 6.0);
-}
-
 TEST(PowerBreakdown, ZeroWindowYieldsZeroPower)
 {
-    EnergyBreakdown e;
+    EnergyAttribution e;
     e.idleIoJ = 5.0;
     const PowerBreakdown p = PowerBreakdown::fromEnergy(e, 0.0);
     EXPECT_DOUBLE_EQ(p.totalW(), 0.0);
