@@ -65,7 +65,6 @@
  *                          event-queue counters
  *   --epoch-jsonl <path>   per-epoch time-series (JSON Lines)
  *   --chrome-trace <path>  Chrome/Perfetto trace of link power states
- *   --debug-trace <spec>   MEMNET_TRACE filter, e.g. "LinkPM:2,ISP"
  */
 
 #include <cstdio>
@@ -221,8 +220,6 @@ main(int argc, char **argv)
             cfg.obs.epochJsonlPath = need(i);
         } else if (a == "--chrome-trace") {
             cfg.obs.chromeTracePath = need(i);
-        } else if (a == "--debug-trace") {
-            cfg.obs.traceSpec = need(i);
         } else if (a == "--help" || a == "-h") {
             usage("help requested");
         } else {

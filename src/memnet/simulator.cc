@@ -12,7 +12,6 @@
 #include "memnet/journal.hh"
 #include "memnet/parallel.hh"
 #include "memnet/system.hh"
-#include "obs/debug_trace.hh"
 #include "obs/obs.hh"
 #include "sim/log.hh"
 
@@ -196,8 +195,6 @@ Simulator::run()
     // Observability: all hooks are passive callbacks from existing
     // events, so an instrumented run is bit-identical to a bare one;
     // with nothing requested no hub is constructed at all.
-    if (!cfg.obs.traceSpec.empty())
-        obs::setTraceSpec(cfg.obs.traceSpec);
     std::unique_ptr<obs::ObsHub> hub;
     if (cfg.obs.active())
         hub = std::make_unique<obs::ObsHub>(cfg.obs, *sys.nets[0],
@@ -262,12 +259,17 @@ Simulator::run()
     // included. collect() flushed the energy ledgers at this tick.
     if (!cfg.obs.statsJsonPath.empty()) {
         std::ofstream f(cfg.obs.statsJsonPath);
-        if (!f)
+        if (!f) {
             memnet_warn("cannot open stats JSON path: ",
                         cfg.obs.statsJsonPath);
-        else
-            writeStatsJson(f, Runner::key(cfg), r, *sys.nets[0],
-                           sys.manager(0), queues);
+            return r;
+        }
+        writeStatsJson(f, Runner::key(cfg), r, *sys.nets[0],
+                       sys.manager(0), queues);
+        f.close();
+        if (!f)
+            memnet_warn("stats JSON write failed (disk full?): ",
+                        cfg.obs.statsJsonPath);
     }
     return r;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/debug_trace.hh"
 #include "obs/prof.hh"
 #include "sim/log.hh"
 
@@ -201,6 +200,7 @@ AwareManager::redistribute(Tick)
 {
     // Network-level Equation 1 with the congestion discount applied
     // while gathering the overhead sum to the head module.
+    ispUnusedPs_.clear();
     double fel_sum = 0.0;
     for (int m = 0; m < numModules; ++m)
         fel_sum += mods[m].felPs;
@@ -220,14 +220,11 @@ AwareManager::redistribute(Tick)
         s.dsrc = 0;
     }
 
-    lastIspRounds_ = 0;
     for (int iter = 0; iter < opts.ispIterations && unused > 0.0;
          ++iter) {
         MEMNET_PROF_SCOPE("mgmt/isp_round");
-        ++lastIspRounds_;
+        ispUnusedPs_.push_back(unused);
         ++ispRounds_;
-        MEMNET_TRACE_V(ISP, 2, "iteration ", iter, ": unused AMS ",
-                       unused, " ps");
         computeDsrc(LinkType::Request);
         computeDsrc(LinkType::Response);
 
@@ -277,8 +274,6 @@ AwareManager::redistribute(Tick)
     // Whatever is left backs mid-epoch AMS-request grants.
     grantPoolPs = unused;
     grantUnitPs = unused * kGrantFraction;
-    MEMNET_TRACE(ISP, lastIspRounds_, " rounds, grant pool ",
-                 grantPoolPs, " ps");
 }
 
 void
@@ -297,9 +292,6 @@ AwareManager::handleViolation(LinkMgmtState &s, Tick now)
         } else {
             ++nViolations;
             s.forcedFullPower = true;
-            MEMNET_TRACE(Mgmt, "link ", s.link().id(),
-                         " AMS violation at ", now,
-                         " (grant pool exhausted)");
             s.link().forceFullPower();
             notifyViolation(s, now);
             return;

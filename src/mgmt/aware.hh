@@ -51,7 +51,11 @@ class AwareManager : public PowerManager
 
     // -- Observability accessors (src/obs) ---------------------------------
 
-    int lastIspRounds() const override { return lastIspRounds_; }
+    std::span<const double>
+    lastIspUnusedPs() const override
+    {
+        return ispUnusedPs_;
+    }
     std::uint64_t ispRoundsTotal() const override { return ispRounds_; }
     double grantPoolRemaining() const override { return grantPoolPs; }
 
@@ -105,8 +109,9 @@ class AwareManager : public PowerManager
     double cumOverNetPs = 0.0;
     double grantPoolPs = 0.0;
     double grantUnitPs = 0.0;
-    /** ISP iterations executed at the last epoch / in total. */
-    int lastIspRounds_ = 0;
+    /** Unused AMS at the start of each ISP iteration of the last epoch. */
+    std::vector<double> ispUnusedPs_;
+    /** ISP iterations executed across all epochs. */
     std::uint64_t ispRounds_ = 0;
 };
 

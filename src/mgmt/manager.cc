@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "dram/dram_params.hh"
-#include "obs/debug_trace.hh"
 #include "obs/prof.hh"
 #include "sim/log.hh"
 
@@ -91,8 +90,6 @@ PowerManager::handleViolation(LinkMgmtState &s, Tick now)
     // Section V: on AMS violation, run at full power until epoch end.
     ++nViolations;
     s.forcedFullPower = true;
-    MEMNET_TRACE(Mgmt, "link ", s.link().id(), " AMS violation at ",
-                 now, ", forced to full power");
     s.link().forceFullPower();
     notifyViolation(s, now);
 }
@@ -139,7 +136,6 @@ PowerManager::epochTick()
     applySelections(now);
 
     ++nEpochs;
-    MEMNET_TRACE_V(Mgmt, 2, "epoch ", nEpochs, " processed at ", now);
     notifyEpoch(now);
     eq.schedule(&epochEvent, now + params.epochLen);
 }

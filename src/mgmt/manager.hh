@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "mgmt/link_state.hh"
@@ -127,8 +128,15 @@ class PowerManager : public LinkObserver, public ModuleObserver
     /** Last epoch's actual latency for module @p m (ps). */
     double moduleAelPs(int m) const { return mods[m].aelPs; }
 
+    /** Unused AMS (ps) at the start of each ISP round of the last epoch. */
+    virtual std::span<const double> lastIspUnusedPs() const { return {}; }
+
     /** ISP iterations executed at the last epoch (aware policy only). */
-    virtual int lastIspRounds() const { return 0; }
+    int
+    lastIspRounds() const
+    {
+        return static_cast<int>(lastIspUnusedPs().size());
+    }
 
     /** ISP iterations executed across all epochs (aware policy only). */
     virtual std::uint64_t ispRoundsTotal() const { return 0; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "net/power_trace.hh"
-#include "obs/debug_trace.hh"
 #include "sim/log.hh"
 
 namespace memnet
@@ -362,8 +361,6 @@ Link::onSleepTimer()
     pstate.turnOff();
     if (trace_)
         sleepStart_ = now;
-    MEMNET_TRACE(LinkPM, "link ", id_, " off at ", now, " after ",
-                 now - idleStart, " ps idle");
     observer->onSleep(*this, now);
 }
 
@@ -387,7 +384,6 @@ Link::beginWakeInternal(Tick now)
     wakeStart_ = now;
     if (trace_)
         trace_->linkOff(*this, sleepStart_, now);
-    MEMNET_TRACE(LinkPM, "link ", id_, " wake at ", now, ", up at ", end);
     observer->onWakeBegin(*this, now);
     eq.schedule(&wakeEvent, end);
 }
@@ -427,8 +423,6 @@ Link::applyModes(std::size_t bw_idx, std::size_t roo_idx)
         lastTraceBw_ = bw_idx;
         lastTraceRoo_ = roo_idx;
     }
-    MEMNET_TRACE_V(LinkPM, 2, "link ", id_, " modes bw=", bw_idx,
-                   " roo=", roo_idx, " at ", now);
     const Tick trans_end = pstate.setMode(now, bw_idx);
     if (trans_end > now)
         eq.reschedule(&checkpointEvent, trans_end);
@@ -484,7 +478,6 @@ Link::beginRetrain(Tick window)
         retraining_ = true;
         ++stats_.retrains;
         retrainStart_ = now;
-        MEMNET_TRACE(LinkPM, "link ", id_, " retrain begins at ", now);
         observer->onRetrainBegin(*this, now);
     }
     retrainEnd_ = std::max(retrainEnd_, now + window);
@@ -524,8 +517,6 @@ Link::setLaneLimit(int lanes)
     pstate.setLaneClamp(lanes);
     if (trace_)
         trace_->linkDegrade(*this, now, lanes);
-    MEMNET_TRACE(LinkPM, "link ", id_, " degraded to ", lanes,
-                 " lanes at ", now);
     observer->onDegrade(*this, lanes, now);
 }
 

@@ -229,6 +229,21 @@ ChromeTraceWriter::violation(int link_id, Tick now)
 }
 
 void
+ChromeTraceWriter::ispRounds(Tick now, std::span<const double> unused_ps)
+{
+    std::ostringstream args;
+    JsonWriter w(args);
+    w.beginObject();
+    w.key("unused_ps");
+    w.beginArray();
+    for (double v : unused_ps)
+        w.value(v);
+    w.endArray();
+    w.endObject();
+    instant(kSimPid, kMgmtTid, "mgmt", "isp", now, args.str());
+}
+
+void
 ChromeTraceWriter::writeTo(std::ostream &os)
 {
     if (nDropped) {

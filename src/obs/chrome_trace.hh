@@ -6,8 +6,8 @@
  * Implements the net layer's PowerTraceSink: link power-state spans
  * (tx / off / wake / retrain) become complete ('X') duration events on
  * one track per link, instants (mode changes, degrades, CRC retries,
- * fault injections, AMS violations, epoch boundaries) become instant
- * ('i') events. Packet lifetimes land on a shared "packets" track.
+ * fault injections, AMS violations, epoch boundaries, ISP rounds)
+ * become instants ('i'). Packet lifetimes land on a shared "packets" track.
  * Stall attribution (latency observatory) is exported as counter ('C')
  * tracks: cumulative wake/retrain stall seconds and the waiting-queue
  * high-water per link. The energy observatory adds a sim-wide
@@ -37,6 +37,7 @@
 #include <map>
 #include <mutex>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,8 @@ class ChromeTraceWriter : public PowerTraceSink
 
     void epochMarker(Tick now, std::uint64_t epoch);
     void violation(int link_id, Tick now);
+    /** The epoch's ISP rounds: unused AMS (ps) at the start of each. */
+    void ispRounds(Tick now, std::span<const double> unused_ps);
 
     /**
      * One sample on the simulator-wide "energy_w" counter track: @p args

@@ -5,7 +5,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "sim/log.hh"
 
@@ -211,7 +210,7 @@ JsonWriter::null()
 }
 
 // ---------------------------------------------------------------------
-// Parser
+// String literals
 // ---------------------------------------------------------------------
 
 namespace json
@@ -220,243 +219,96 @@ namespace json
 namespace
 {
 
-struct Parser
+/** Value of hex digit @p h, or -1. */
+int
+hexDigit(char h)
 {
-    const char *p;
-    const char *end;
-    std::string err;
+    if (h >= '0' && h <= '9')
+        return h - '0';
+    if (h >= 'a' && h <= 'f')
+        return h - 'a' + 10;
+    if (h >= 'A' && h <= 'F')
+        return h - 'A' + 10;
+    return -1;
+}
 
-    bool
-    fail(const std::string &msg)
-    {
-        if (err.empty())
-            err = msg;
-        return false;
+/** Append code point @p v (< 0x10000) to @p out as UTF-8. */
+void
+appendUtf8(std::string &out, unsigned v)
+{
+    // Surrogate pairs are not recombined; the writers never emit them.
+    if (v < 0x80) {
+        out += static_cast<char>(v);
+    } else if (v < 0x800) {
+        out += static_cast<char>(0xC0 | (v >> 6));
+        out += static_cast<char>(0x80 | (v & 0x3F));
+    } else {
+        out += static_cast<char>(0xE0 | (v >> 12));
+        out += static_cast<char>(0x80 | ((v >> 6) & 0x3F));
+        out += static_cast<char>(0x80 | (v & 0x3F));
     }
-
-    void
-    skipWs()
-    {
-        while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' ||
-                           *p == '\r')) {
-            ++p;
-        }
-    }
-
-    bool
-    literal(const char *lit)
-    {
-        const char *q = lit;
-        const char *s = p;
-        while (*q) {
-            if (s >= end || *s != *q)
-                return fail(std::string("expected '") + lit + "'");
-            ++s;
-            ++q;
-        }
-        p = s;
-        return true;
-    }
-
-    bool
-    parseString(std::string *out)
-    {
-        if (p >= end || *p != '"')
-            return fail("expected string");
-        ++p;
-        out->clear();
-        while (p < end && *p != '"') {
-            char c = *p++;
-            if (c != '\\') {
-                *out += c;
-                continue;
-            }
-            if (p >= end)
-                return fail("truncated escape");
-            const char e = *p++;
-            switch (e) {
-              case '"':
-                *out += '"';
-                break;
-              case '\\':
-                *out += '\\';
-                break;
-              case '/':
-                *out += '/';
-                break;
-              case 'b':
-                *out += '\b';
-                break;
-              case 'f':
-                *out += '\f';
-                break;
-              case 'n':
-                *out += '\n';
-                break;
-              case 'r':
-                *out += '\r';
-                break;
-              case 't':
-                *out += '\t';
-                break;
-              case 'u': {
-                if (end - p < 4)
-                    return fail("truncated \\u escape");
-                unsigned v = 0;
-                for (int i = 0; i < 4; ++i) {
-                    const char h = *p++;
-                    v <<= 4;
-                    if (h >= '0' && h <= '9')
-                        v |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        v |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        v |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        return fail("bad \\u escape");
-                }
-                // Encode as UTF-8 (surrogate pairs are not recombined;
-                // the writers never emit them).
-                if (v < 0x80) {
-                    *out += static_cast<char>(v);
-                } else if (v < 0x800) {
-                    *out += static_cast<char>(0xC0 | (v >> 6));
-                    *out += static_cast<char>(0x80 | (v & 0x3F));
-                } else {
-                    *out += static_cast<char>(0xE0 | (v >> 12));
-                    *out += static_cast<char>(0x80 | ((v >> 6) & 0x3F));
-                    *out += static_cast<char>(0x80 | (v & 0x3F));
-                }
-                break;
-              }
-              default:
-                return fail("bad escape");
-            }
-        }
-        if (p >= end)
-            return fail("unterminated string");
-        ++p; // closing quote
-        return true;
-    }
-
-    bool
-    parseValue(Value *out)
-    {
-        skipWs();
-        if (p >= end)
-            return fail("unexpected end of input");
-        switch (*p) {
-          case '{': {
-            ++p;
-            out->kind = Value::Kind::Object;
-            skipWs();
-            if (p < end && *p == '}') {
-                ++p;
-                return true;
-            }
-            while (true) {
-                skipWs();
-                std::string k;
-                if (!parseString(&k))
-                    return false;
-                skipWs();
-                if (p >= end || *p != ':')
-                    return fail("expected ':'");
-                ++p;
-                Value v;
-                if (!parseValue(&v))
-                    return false;
-                out->object.emplace(std::move(k), std::move(v));
-                skipWs();
-                if (p < end && *p == ',') {
-                    ++p;
-                    continue;
-                }
-                if (p < end && *p == '}') {
-                    ++p;
-                    return true;
-                }
-                return fail("expected ',' or '}'");
-            }
-          }
-          case '[': {
-            ++p;
-            out->kind = Value::Kind::Array;
-            skipWs();
-            if (p < end && *p == ']') {
-                ++p;
-                return true;
-            }
-            while (true) {
-                Value v;
-                if (!parseValue(&v))
-                    return false;
-                out->array.push_back(std::move(v));
-                skipWs();
-                if (p < end && *p == ',') {
-                    ++p;
-                    continue;
-                }
-                if (p < end && *p == ']') {
-                    ++p;
-                    return true;
-                }
-                return fail("expected ',' or ']'");
-            }
-          }
-          case '"':
-            out->kind = Value::Kind::String;
-            return parseString(&out->string);
-          case 't':
-            out->kind = Value::Kind::Bool;
-            out->boolean = true;
-            return literal("true");
-          case 'f':
-            out->kind = Value::Kind::Bool;
-            out->boolean = false;
-            return literal("false");
-          case 'n':
-            out->kind = Value::Kind::Null;
-            return literal("null");
-          default: {
-            // Number.
-            char *num_end = nullptr;
-            const double v = std::strtod(p, &num_end);
-            if (num_end == p || num_end > end)
-                return fail("bad number");
-            out->kind = Value::Kind::Number;
-            out->number = v;
-            p = num_end;
-            return true;
-          }
-        }
-    }
-};
+}
 
 } // namespace
-
-bool
-parse(const std::string &text, Value *out, std::string *err)
-{
-    Parser ps{text.data(), text.data() + text.size(), {}};
-    *out = Value{};
-    bool ok = ps.parseValue(out);
-    if (ok) {
-        ps.skipWs();
-        if (ps.p != ps.end)
-            ok = ps.fail("trailing content after document");
-    }
-    if (!ok && err)
-        *err = ps.err;
-    return ok;
-}
 
 std::size_t
 parseString(std::string_view text, std::string *out)
 {
-    Parser ps{text.data(), text.data() + text.size(), {}};
-    return ps.parseString(out) ? static_cast<std::size_t>(ps.p - text.data())
-                               : 0;
+    const char *p = text.data();
+    const char *const end = p + text.size();
+    if (p >= end || *p != '"')
+        return 0;
+    ++p;
+    out->clear();
+    while (p < end && *p != '"') {
+        const char c = *p++;
+        if (c != '\\') {
+            *out += c;
+            continue;
+        }
+        if (p >= end)
+            return 0;
+        switch (const char e = *p++) {
+          case '"':
+          case '\\':
+          case '/':
+            *out += e;
+            break;
+          case 'b':
+            *out += '\b';
+            break;
+          case 'f':
+            *out += '\f';
+            break;
+          case 'n':
+            *out += '\n';
+            break;
+          case 'r':
+            *out += '\r';
+            break;
+          case 't':
+            *out += '\t';
+            break;
+          case 'u': {
+            if (end - p < 4)
+                return 0;
+            unsigned v = 0;
+            for (int i = 0; i < 4; ++i) {
+                const int d = hexDigit(*p++);
+                if (d < 0)
+                    return 0;
+                v = v << 4 | static_cast<unsigned>(d);
+            }
+            appendUtf8(*out, v);
+            break;
+          }
+          default:
+            return 0;
+        }
+    }
+    if (p >= end)
+        return 0; // unterminated
+    return static_cast<std::size_t>(p + 1 - text.data());
 }
 
 } // namespace json

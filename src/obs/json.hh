@@ -2,21 +2,19 @@
  * @file
  * Minimal JSON support for the observability layer.
  *
- * JsonWriter is a streaming emitter used by the epoch recorder (bench
- * --json output and stats dumps have their own writer in
- * memnet/journal.cc); it never builds a DOM, so arbitrarily long
- * time-series stream straight to disk. The json::Value parser is the
- * matching reader used by tests and tools to round-trip what the
- * writers produce — a strict (no comments, no trailing commas)
- * recursive-descent parser over the JSON grammar, small enough to
- * avoid any third-party dependency.
+ * JsonWriter is a streaming emitter used by the epoch recorder and the
+ * Chrome trace's args (bench --json output and stats dumps have their
+ * own writer in memnet/journal.cc); it never builds a DOM, so
+ * arbitrarily long time-series stream straight to disk.
+ * json::parseString is the one JSON string-literal lexer: the journal
+ * reader uses it, and so does the tests' DOM parser
+ * (tests/json_dom.hh), so no second copy of the escape rules exists.
  */
 
 #ifndef MEMNET_OBS_JSON_HH
 #define MEMNET_OBS_JSON_HH
 
 #include <cstdint>
-#include <map>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -89,52 +87,6 @@ class JsonWriter
 
 namespace json
 {
-
-/** Parsed JSON value (DOM), for tests and validators. */
-struct Value
-{
-    enum class Kind
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object,
-    };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::vector<Value> array;
-    std::map<std::string, Value> object;
-
-    bool isObject() const { return kind == Kind::Object; }
-    bool isArray() const { return kind == Kind::Array; }
-    bool isNumber() const { return kind == Kind::Number; }
-    bool isString() const { return kind == Kind::String; }
-
-    /** Object member lookup; nullptr when absent or not an object. */
-    const Value *
-    find(const std::string &k) const
-    {
-        if (kind != Kind::Object)
-            return nullptr;
-        auto it = object.find(k);
-        return it == object.end() ? nullptr : &it->second;
-    }
-};
-
-/**
- * Parse one JSON document.
- * @param text the document; trailing whitespace is allowed, any other
- *        trailing content is an error.
- * @param out parsed value (valid only on success).
- * @param err optional: receives a one-line error description.
- * @return true on success.
- */
-bool parse(const std::string &text, Value *out, std::string *err = nullptr);
 
 /**
  * Parse the JSON string literal at the start of @p text into @p out.

@@ -64,6 +64,8 @@ ObsHub::onEpoch(PowerManager &pm, Tick now)
         rec->onEpoch(pm, now, ledger, lastEnergy, inv);
     if (trace) {
         trace->epochMarker(now, pm.epochs());
+        if (!pm.lastIspUnusedPs().empty())
+            trace->ispRounds(now, pm.lastIspUnusedPs());
         trace->energyCounters(
             now, renderEnergyCounterArgs(ledger, lastEnergy, inv));
     }
@@ -81,15 +83,24 @@ ObsHub::onViolation(PowerManager &pm, LinkMgmtState &s, Tick now)
 void
 ObsHub::finish()
 {
-    if (epochFile.is_open())
+    if (epochFile.is_open()) {
         epochFile.close();
+        if (!epochFile)
+            memnet_warn("epoch JSONL write failed (disk full?): ",
+                        opts.epochJsonlPath);
+    }
     if (trace) {
         std::ofstream f(opts.chromeTracePath);
-        if (!f)
+        if (!f) {
             memnet_warn("cannot open chrome trace path: ",
                         opts.chromeTracePath);
-        else
-            trace->writeTo(f);
+            return;
+        }
+        trace->writeTo(f);
+        f.close();
+        if (!f)
+            memnet_warn("chrome trace write failed (disk full?): ",
+                        opts.chromeTracePath);
     }
 }
 

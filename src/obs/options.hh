@@ -34,12 +34,6 @@ struct ObsOptions
     /** Write a Chrome trace-event file (chrome://tracing, Perfetto). */
     std::string chromeTracePath;
 
-    /**
-     * Debug-trace spec applied at run start (see obs/debug_trace.hh),
-     * e.g. "LinkPM:2,ISP". Empty leaves the MEMNET_TRACE env in charge.
-     */
-    std::string traceSpec;
-
     /** True when the obs hub has a file to write (not the stats dump). */
     bool
     active() const

@@ -32,8 +32,6 @@ const char *
 logLevelName(LogLevel level)
 {
     switch (level) {
-      case LogLevel::Trace:
-        return "trace";
       case LogLevel::Inform:
         return "info";
       case LogLevel::Warn:

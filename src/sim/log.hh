@@ -6,9 +6,9 @@
  * is for user errors (bad configuration). Both terminate. warn() and
  * inform() only print.
  *
- * Non-fatal output (warn/inform, and the obs debug-trace lines) is
- * routed through a replaceable LogSink so harnesses can capture and
- * assert on it; the default sink writes to stderr.
+ * Non-fatal output (warn/inform) is routed through a replaceable
+ * LogSink so harnesses can capture and assert on it; the default sink
+ * writes to stderr.
  *
  * Sink replacement and line delivery are serialized by one process-wide
  * mutex, so concurrent simulation runs (see memnet/parallel.hh) neither
@@ -32,7 +32,6 @@ namespace memnet
 /** Severity of one non-fatal log line. */
 enum class LogLevel
 {
-    Trace,  ///< obs debug-trace output (MEMNET_TRACE)
     Inform, ///< status messages
     Warn,   ///< non-fatal warnings
 };
@@ -70,7 +69,7 @@ formatMessage(Args &&...args)
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 
-/** Deliver one line to the active sink (used by warn/inform/trace). */
+/** Deliver one line to the active sink (used by warn/inform). */
 void logLine(LogLevel level, const std::string &msg);
 
 /** Test hook: panic/fatal throw std::runtime_error instead of aborting. */

@@ -21,8 +21,9 @@
 #include "memnet/simulator.hh"
 #include "net/network.hh"
 #include "obs/energy_observatory.hh"
-#include "obs/json.hh"
 #include "sim/event_queue.hh"
+
+#include "json_dom.hh"
 
 namespace memnet
 {

@@ -25,7 +25,8 @@
 #include "memnet/parallel.hh"
 #include "memnet/report.hh"
 #include "memnet/simulator.hh"
-#include "obs/json.hh"
+
+#include "json_dom.hh"
 
 namespace memnet
 {

@@ -105,7 +105,6 @@ TEST(Log, SetLogSinkReturnsPreviousAndEmptyRestoresDefault)
 
 TEST(Log, LevelNames)
 {
-    EXPECT_STREQ(logLevelName(LogLevel::Trace), "trace");
     EXPECT_STREQ(logLevelName(LogLevel::Inform), "info");
     EXPECT_STREQ(logLevelName(LogLevel::Warn), "warn");
 }

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the observability subsystem: JSON writer/parser round-trip,
- * the stats dump, the epoch JSONL schema, Chrome-trace validity,
- * debug-trace filtering, and — most importantly — that enabling any of
- * it does not perturb the simulation.
+ * the stats dump, the epoch JSONL schema, Chrome-trace validity, the
+ * ISP instants, and — most importantly — that enabling any of it does
+ * not perturb the simulation.
  */
 
 #include <gtest/gtest.h>
@@ -23,9 +23,9 @@
 #include "memnet/experiment.hh"
 #include "memnet/journal.hh"
 #include "memnet/simulator.hh"
-#include "obs/debug_trace.hh"
 #include "obs/json.hh"
-#include "sim/log.hh"
+
+#include "json_dom.hh"
 
 namespace memnet
 {
@@ -95,6 +95,22 @@ TEST(ObsJson, WriterParserRoundTrip)
     ASSERT_TRUE(v.find("arr")->isArray());
     ASSERT_EQ(v.find("arr")->array.size(), 2u);
     EXPECT_EQ(v.find("arr")->array[1].find("nested")->boolean, false);
+}
+
+TEST(ObsJson, StringLiteralsAreWrittenAsStrings)
+{
+    // Without the const char * overload a literal would convert to
+    // bool and silently write `true`; memnet_bench's trace writes
+    // literals through field().
+    std::ostringstream os;
+    obs::JsonWriter w(os);
+    w.beginArray();
+    w.value("x");
+    w.beginObject();
+    w.field("ph", "X");
+    w.endObject();
+    w.endArray();
+    EXPECT_EQ(os.str(), R"(["x",{"ph":"X"}])");
 }
 
 TEST(ObsJson, NonFiniteDoublesBecomeNull)
@@ -473,6 +489,61 @@ TEST_F(ObsRunTest, ChromeTraceIsValidAndTimeOrdered)
     EXPECT_TRUE(saw_energy);  // epoch average-watts per cause
 }
 
+/** The trace's `isp` instants, keyed by timestamp in ps. */
+std::multimap<std::int64_t, Value>
+ispInstants(const std::string &tracePath)
+{
+    Value trace;
+    std::string err;
+    EXPECT_TRUE(obs::json::parse(readFile(tracePath), &trace, &err))
+        << err;
+    std::multimap<std::int64_t, Value> out;
+    if (const Value *events = trace.find("traceEvents"))
+        for (const Value &e : events->array)
+            if (e.find("ph")->string == "i" &&
+                e.find("name")->string == "isp")
+                out.emplace(std::llround(e.find("ts")->number * 1e6), e);
+    return out;
+}
+
+TEST_F(ObsRunTest, IspInstantsMatchEpochRecords)
+{
+    const auto isp = ispInstants(cfg.obs.chromeTracePath);
+    std::ifstream is(cfg.obs.epochJsonlPath);
+    std::string line, err;
+    std::size_t records = 0;
+    while (std::getline(is, line)) {
+        Value v;
+        ASSERT_TRUE(obs::json::parse(line, &v, &err)) << err;
+        const auto t = static_cast<std::int64_t>(v.find("t_ps")->number);
+        ASSERT_EQ(isp.count(t), 1u) << "isp instants at " << t;
+        const Value &e = isp.find(t)->second;
+        EXPECT_EQ(e.find("cat")->string, "mgmt");
+        EXPECT_EQ(e.find("tid")->number, 900.0); // the mgmt track
+        const Value *unused = e.find("args")->find("unused_ps");
+        ASSERT_NE(unused, nullptr);
+        ASSERT_TRUE(unused->isArray());
+        EXPECT_EQ(static_cast<double>(unused->array.size()),
+                  v.find("mgmt")->find("isp_rounds")->number)
+            << t;
+        // ISP iterates only while unused AMS remains.
+        for (const Value &u : unused->array)
+            EXPECT_GT(u.number, 0.0) << t;
+        ++records;
+    }
+    EXPECT_GE(records, 2u);
+    EXPECT_EQ(records, isp.size());
+
+    // The unaware policy runs no ISP, so its trace has no isp instant.
+    SystemConfig unaware = cfg;
+    unaware.policy = Policy::Unaware;
+    unaware.obs.chromeTracePath += ".unaware";
+    unaware.obs.epochJsonlPath.clear();
+    unaware.obs.statsJsonPath.clear();
+    runSimulation(unaware);
+    EXPECT_TRUE(ispInstants(unaware.obs.chromeTracePath).empty());
+}
+
 // ---------------------------------------------------------------------------
 // The determinism guarantee: observability never perturbs a run
 
@@ -499,89 +570,6 @@ TEST(ObsDeterminism, InstrumentedRunMatchesBareRun)
     EXPECT_EQ(bare.avgReadLatencyNs, inst.avgReadLatencyNs);
     EXPECT_EQ(bare.avgLinkUtil, inst.avgLinkUtil);
     EXPECT_EQ(bare.channelUtil, inst.channelUtil);
-}
-
-// ---------------------------------------------------------------------------
-// Debug tracing
-
-TEST(DebugTrace, SpecParsingSetsVerbosity)
-{
-    obs::setTraceSpec("LinkPM:2,ISP");
-    EXPECT_EQ(obs::traceVerbosity(obs::TraceComp::LinkPM), 2);
-    EXPECT_EQ(obs::traceVerbosity(obs::TraceComp::ISP), 1);
-    EXPECT_EQ(obs::traceVerbosity(obs::TraceComp::Net), 0);
-
-    obs::setTraceSpec("all:3");
-    EXPECT_EQ(obs::traceVerbosity(obs::TraceComp::Workload), 3);
-
-    obs::setTraceSpec("");
-    EXPECT_EQ(obs::traceVerbosity(obs::TraceComp::LinkPM), 0);
-    EXPECT_EQ(obs::traceVerbosity(obs::TraceComp::Workload), 0);
-
-    // A malformed or negative level warns and skips its item, like an
-    // unknown component; the rest of the spec still applies.
-    std::vector<std::string> warnings;
-    LogSink prev = setLogSink([&](LogLevel level, const std::string &m) {
-        if (level == LogLevel::Warn)
-            warnings.push_back(m);
-    });
-    for (const char *bad : {"x", "1x", "-1", ""}) {
-        warnings.clear();
-        obs::setTraceSpec(std::string("ISP:3,LinkPM:") + bad);
-        EXPECT_EQ(obs::traceVerbosity(obs::TraceComp::LinkPM), 0) << bad;
-        EXPECT_EQ(obs::traceVerbosity(obs::TraceComp::ISP), 3) << bad;
-        ASSERT_EQ(warnings.size(), 1u) << bad;
-        EXPECT_NE(warnings[0].find("LinkPM"), std::string::npos)
-            << warnings[0];
-    }
-    warnings.clear();
-    obs::setTraceSpec("Bogus");
-    EXPECT_EQ(warnings.size(), 1u);
-    warnings.clear();
-    obs::setTraceSpec("LinkPM:0,Net:2");
-    EXPECT_TRUE(warnings.empty());
-    EXPECT_EQ(obs::traceVerbosity(obs::TraceComp::LinkPM), 0);
-    EXPECT_EQ(obs::traceVerbosity(obs::TraceComp::Net), 2);
-    obs::setTraceSpec("");
-    setLogSink(prev);
-}
-
-TEST(DebugTrace, EnabledPointsReachTheLogSink)
-{
-    std::vector<std::string> captured;
-    LogSink prev = setLogSink([&](LogLevel level, const std::string &m) {
-        if (level == LogLevel::Trace)
-            captured.push_back(m);
-    });
-    obs::setTraceSpec("LinkPM");
-
-    MEMNET_TRACE(LinkPM, "link ", 3, " slept");
-    MEMNET_TRACE(Net, "filtered out");
-    MEMNET_TRACE_V(LinkPM, 2, "too verbose for level 1");
-
-    obs::setTraceSpec("");
-    setLogSink(prev);
-
-    ASSERT_EQ(captured.size(), 1u);
-    EXPECT_EQ(captured[0], "LinkPM: link 3 slept");
-}
-
-TEST(DebugTrace, ManagedRunEmitsLinkPmTraffic)
-{
-    std::vector<std::string> captured;
-    LogSink prev = setLogSink([&](LogLevel level, const std::string &m) {
-        if (level == LogLevel::Trace)
-            captured.push_back(m);
-    });
-    SystemConfig cfg = obsConfig();
-    cfg.obs.traceSpec = "LinkPM";
-    runSimulation(cfg);
-    obs::setTraceSpec("");
-    setLogSink(prev);
-
-    EXPECT_FALSE(captured.empty());
-    for (const std::string &m : captured)
-        EXPECT_EQ(m.rfind("LinkPM: ", 0), 0u) << m;
 }
 
 } // namespace
