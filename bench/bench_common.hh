@@ -101,7 +101,7 @@ class BenchIo
             return 1;
         }
         writeBenchResultsJson(os, bench, runner.results());
-        return os ? rc : 1;
+        return closeOutput(os, "bench JSON", jsonPath) ? rc : 1;
     }
 
   private:

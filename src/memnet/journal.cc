@@ -5,7 +5,12 @@
 #include <bit>
 #include <charconv>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <exception>
+#include <filesystem>
+#include <limits>
+#include <mutex>
 #include <set>
 #include <type_traits>
 #include <utility>
@@ -871,6 +876,59 @@ writeCrcHex(char *o, std::uint32_t crc)
         o[i] = kHexDigits[crc & 0xFu];
 }
 
+/** Bench JSON runs formatted per batch by one thread. */
+constexpr std::size_t kRunsPerBatch = 16;
+
+/** Journal bytes parsed per range by one thread. */
+constexpr std::uintmax_t kLoadGrain = std::uintmax_t{1} << 20;
+
+/** What one byte range of a journal holds. */
+struct JournalRange
+{
+    std::map<std::string, RunResult> results;
+    /** Lines that start in the range. */
+    std::size_t lines = 0;
+    std::size_t records = 0;
+    /** Records whose key an earlier line of the range already had. */
+    std::size_t duplicates = 0;
+    /** (line number within the range, why) per damaged line. */
+    std::vector<std::pair<std::size_t, std::string>> skipped;
+    /** The range's own stream did not open. */
+    bool unreadable = false;
+};
+
+/** Parse the lines of @p is whose first byte lies in [begin, end). */
+void
+parseRange(std::istream &is, std::uintmax_t begin, std::uintmax_t end,
+           JournalRange *out)
+{
+    std::string line;
+    std::uintmax_t at = begin;
+    if (begin > 0) {
+        // Skip the rest of the line holding byte begin - 1: it started
+        // in an earlier range (or is empty, when begin starts a line).
+        is.seekg(static_cast<std::streamoff>(begin - 1));
+        std::getline(is, line);
+        at += line.size();
+    }
+    while (at < end && std::getline(is, line)) {
+        ++out->lines;
+        at += line.size() + 1;
+        if (line.empty())
+            continue;
+        std::string key, lineErr;
+        RunResult r;
+        if (!parseJournalLine(line, &key, &r, &lineErr)) {
+            out->skipped.emplace_back(out->lines, std::move(lineErr));
+            continue;
+        }
+        ++out->records;
+        if (!out->results.insert_or_assign(std::move(key), std::move(r))
+                 .second)
+            ++out->duplicates;
+    }
+}
+
 } // namespace
 
 std::uint32_t
@@ -994,20 +1052,49 @@ void
 writeBenchResultsJson(std::ostream &os, const std::string &bench,
                       const std::map<std::string, RunResult> &results)
 {
-    std::string buf;
-    obs::appendJsonEscaped(buf, bench);
+    std::string head;
+    obs::appendJsonEscaped(head, bench);
     os << "{\"schema_version\":" << kBenchJsonSchemaVersion
-       << ",\"bench\":\"" << buf << "\",\"runs\":[";
-    // One stream write per run: a sweep's document can be tens of MB,
-    // and buffering it whole would add all of it to peak memory.
-    for (auto it = results.begin(); it != results.end(); ++it) {
-        if (it != results.begin())
-            os.put(',');
-        buf.clear();
-        Writer<Spelling::Plain> w(buf);
-        benchRun(w, it->first, it->second);
-        os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-    }
+       << ",\"bench\":\"" << head << "\",\"runs\":[";
+    // Runs are formatted in batches on every core and written in map
+    // order: each batch waits for its turn, so the threads hold at most
+    // one batch each, never the whole document (tens of MB for a sweep).
+    std::vector<std::map<std::string, RunResult>::const_iterator> starts;
+    std::size_t n = 0;
+    for (auto it = results.begin(); it != results.end(); ++it, ++n)
+        if (n % kRunsPerBatch == 0)
+            starts.push_back(it);
+    starts.push_back(results.end());
+    std::mutex mu;
+    std::condition_variable turnCv;
+    std::size_t turn = 0;
+    bool failed = false;
+    forEachChunk(starts.size() - 1, [&](std::size_t b) {
+        std::string text;
+        std::exception_ptr error;
+        try {
+            // The writer puts the comma between two runs of one batch.
+            Writer<Spelling::Plain> w(text);
+            for (auto it = starts[b]; it != starts[b + 1]; ++it)
+                benchRun(w, it->first, it->second);
+        } catch (...) {
+            error = std::current_exception();
+        }
+        std::unique_lock<std::mutex> lock(mu);
+        turnCv.wait(lock, [&] { return turn == b; });
+        // After a failed batch nothing more is written, as when the
+        // runs were formatted one after another.
+        failed = failed || error;
+        if (!failed) {
+            if (b > 0)
+                os.put(',');
+            os.write(text.data(), static_cast<std::streamsize>(text.size()));
+        }
+        ++turn;
+        turnCv.notify_all();
+        if (error)
+            std::rethrow_exception(error);
+    });
     os << "]}\n";
 }
 
@@ -1088,30 +1175,62 @@ loadJournal(const std::string &path,
             std::map<std::string, RunResult> *out,
             JournalLoadStats *stats, std::string *err)
 {
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    const fs::file_status st = fs::status(path, ec);
+    if (fs::is_directory(st)) {
+        if (err)
+            *err = "journal path is a directory: " + path;
+        return false;
+    }
     std::ifstream is(path);
     if (!is) {
         if (err)
             *err = "cannot open journal: " + path;
         return false;
     }
-    JournalLoadStats local;
-    std::string line;
-    std::size_t lineNo = 0;
-    while (std::getline(is, line)) {
-        ++lineNo;
-        if (line.empty())
-            continue;
-        std::string key, lineErr;
-        RunResult r;
-        if (!parseJournalLine(line, &key, &r, &lineErr)) {
-            ++local.corrupt;
-            memnet_warn("journal ", path, " line ", lineNo,
-                        " skipped: ", lineErr);
-            continue;
+    // A regular file splits into one range per kLoadGrain bytes, the
+    // last reading to EOF; anything else (a pipe) is one range.
+    const std::uintmax_t size =
+        fs::is_regular_file(st) ? fs::file_size(path, ec) : 0;
+    std::vector<JournalRange> ranges(
+        std::max<std::uintmax_t>(1, ec ? 0 : size / kLoadGrain));
+    forEachChunk(ranges.size(), [&](std::size_t i) {
+        std::ifstream own;
+        if (i > 0) {
+            own.open(path);
+            ranges[i].unreadable = !own;
         }
-        ++local.records;
-        if (!out->insert_or_assign(std::move(key), std::move(r)).second)
-            ++local.duplicates;
+        parseRange(i > 0 ? own : is, i * kLoadGrain,
+                   i + 1 < ranges.size()
+                       ? (i + 1) * kLoadGrain
+                       : std::numeric_limits<std::uintmax_t>::max(),
+                   &ranges[i]);
+    });
+    if (std::any_of(ranges.begin(), ranges.end(),
+                    [](const JournalRange &r) { return r.unreadable; })) {
+        if (err)
+            *err = "cannot open journal: " + path;
+        return false;
+    }
+    // Merge in file order, so warnings come in line order and a later
+    // record replaces an earlier one with the same key.
+    JournalLoadStats local;
+    std::size_t lineBase = 0;
+    for (JournalRange &r : ranges) {
+        for (const auto &[lineNo, lineErr] : r.skipped)
+            memnet_warn("journal ", path, " line ", lineBase + lineNo,
+                        " skipped: ", lineErr);
+        lineBase += r.lines;
+        local.corrupt += r.skipped.size();
+        local.records += r.records;
+        local.duplicates += r.duplicates;
+        // merge() moves the nodes of new keys; what stays behind are
+        // keys already loaded, which this range's record replaces.
+        out->merge(r.results);
+        local.duplicates += r.results.size();
+        for (auto &[key, result] : r.results)
+            out->find(key)->second = std::move(result);
     }
     local.loaded = local.records - local.duplicates;
     if (stats)

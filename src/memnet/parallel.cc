@@ -10,7 +10,9 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 
 #include "obs/prof.hh"
@@ -28,6 +30,41 @@ resolveJobs(int jobs)
         return hw > 0 ? static_cast<int>(hw) : 1;
     }
     return jobs < 1 ? 1 : jobs;
+}
+
+void
+forEachChunk(std::size_t chunks, const std::function<void(std::size_t)> &fn)
+{
+    std::atomic<std::size_t> next{0};
+    std::exception_ptr firstError;
+    std::mutex errorMu;
+    const auto work = [&] {
+        for (std::size_t i; (i = next.fetch_add(1)) < chunks;) {
+            try {
+                fn(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(errorMu);
+                if (!firstError)
+                    firstError = std::current_exception();
+            }
+        }
+    };
+    const std::size_t threads =
+        std::min<std::size_t>(resolveJobs(0), chunks);
+    std::vector<std::thread> helpers;
+    helpers.reserve(threads);
+    for (std::size_t t = 1; t < threads; ++t) {
+        try {
+            helpers.emplace_back(work);
+        } catch (const std::system_error &) {
+            break; // the threads already running take the rest
+        }
+    }
+    work();
+    for (std::thread &th : helpers)
+        th.join();
+    if (firstError)
+        std::rethrow_exception(firstError);
 }
 
 const char *
@@ -392,13 +429,15 @@ SweepFrontEnd::finish(Runner &runner)
                         f.timeout ? " [watchdog]" : "", ": ", f.message);
         if (!opts_.manifestPath.empty()) {
             std::ofstream os(opts_.manifestPath);
-            if (os)
+            if (os) {
                 writeFailureManifest(os, tool_,
                                      failurePolicyName(opts_.policy),
                                      opts_.configTimeoutSec, failures_);
-            else
+                closeOutput(os, "failure manifest", opts_.manifestPath);
+            } else {
                 memnet_warn("cannot open --failure-manifest output file: ",
                             opts_.manifestPath);
+            }
         }
     }
     // Did a resumed sweep skip the finished work? One line answers it

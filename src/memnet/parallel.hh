@@ -42,6 +42,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <functional>
 #include <string>
 #include <system_error>
 #include <type_traits>
@@ -59,6 +60,18 @@ namespace memnet
  * anything else is clamped to at least 1.
  */
 int resolveJobs(int jobs);
+
+/**
+ * Call @p fn(0) .. @p fn(chunks - 1), each exactly once, on up to
+ * min(hardware threads, chunks) threads, the calling thread included.
+ * Chunks are claimed in index order from one shared counter, so a
+ * chunk is only ever claimed after every lower one. A helper thread
+ * that cannot be started leaves its share to the threads that did
+ * start. Blocks until every chunk is done; then rethrows the first
+ * exception @p fn threw (the remaining chunks still run).
+ */
+void forEachChunk(std::size_t chunks,
+                  const std::function<void(std::size_t)> &fn);
 
 /** What run() does when a config throws or trips the hang watchdog. */
 enum class FailurePolicy

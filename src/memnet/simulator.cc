@@ -266,10 +266,7 @@ Simulator::run()
         }
         writeStatsJson(f, Runner::key(cfg), r, *sys.nets[0],
                        sys.manager(0), queues);
-        f.close();
-        if (!f)
-            memnet_warn("stats JSON write failed (disk full?): ",
-                        cfg.obs.statsJsonPath);
+        closeOutput(f, "stats JSON", cfg.obs.statsJsonPath);
     }
     return r;
 }

@@ -83,12 +83,8 @@ ObsHub::onViolation(PowerManager &pm, LinkMgmtState &s, Tick now)
 void
 ObsHub::finish()
 {
-    if (epochFile.is_open()) {
-        epochFile.close();
-        if (!epochFile)
-            memnet_warn("epoch JSONL write failed (disk full?): ",
-                        opts.epochJsonlPath);
-    }
+    if (epochFile.is_open())
+        closeOutput(epochFile, "epoch JSONL", opts.epochJsonlPath);
     if (trace) {
         std::ofstream f(opts.chromeTracePath);
         if (!f) {
@@ -97,10 +93,7 @@ ObsHub::finish()
             return;
         }
         trace->writeTo(f);
-        f.close();
-        if (!f)
-            memnet_warn("chrome trace write failed (disk full?): ",
-                        opts.chromeTracePath);
+        closeOutput(f, "chrome trace", opts.chromeTracePath);
     }
 }
 

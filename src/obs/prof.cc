@@ -133,7 +133,7 @@ writeSnapshotFile(const std::string &path)
         writeJson(os, tree);
     else
         writeCollapsed(os, tree);
-    return static_cast<bool>(os);
+    return closeOutput(os, "profile", path);
 }
 
 #if MEMNET_PROFILE

@@ -1,5 +1,6 @@
 #include "sim/log.hh"
 
+#include <fstream>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
@@ -47,6 +48,16 @@ setLogSink(LogSink sink)
     LogSink prev = std::move(activeSink);
     activeSink = std::move(sink);
     return prev;
+}
+
+bool
+closeOutput(std::ofstream &os, const char *output, const std::string &path)
+{
+    os.close();
+    if (os)
+        return true;
+    memnet_warn(output, " write failed (disk full?): ", path);
+    return false;
 }
 
 namespace detail

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <iosfwd>
 #include <sstream>
 #include <string>
 
@@ -48,6 +49,15 @@ using LogSink = std::function<void(LogLevel, const std::string &)>;
  * default was active) so scoped captures can restore it.
  */
 LogSink setLogSink(LogSink sink);
+
+/**
+ * Close @p os, an output file, and check that everything written to it
+ * reached @p path: a full disk often fails only the flush at close.
+ * @return false, with the warning "<output> write failed (disk full?):
+ * <path>", when it did not.
+ */
+bool closeOutput(std::ofstream &os, const char *output,
+                 const std::string &path);
 
 namespace detail
 {

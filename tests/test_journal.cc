@@ -732,6 +732,174 @@ TEST(JournalLoad, MissingFileFails)
     EXPECT_FALSE(err.empty());
 }
 
+TEST(JournalLoad, DirectoryPathFails)
+{
+    // A directory opens as a stream that reads nothing; loading it must
+    // not pass for an empty journal.
+    const std::string dir = ::testing::TempDir();
+    std::map<std::string, RunResult> pool;
+    std::string err;
+    EXPECT_FALSE(loadJournal(dir, &pool, nullptr, &err));
+    EXPECT_NE(err.find("is a directory"), std::string::npos) << err;
+    EXPECT_NE(err.find(dir), std::string::npos) << err;
+}
+
+/**
+ * loadJournal() parses a regular file in ranges of this many bytes (a
+ * line belongs to the range that holds its first byte; the last range
+ * reads to EOF). The split test below places damage at its multiples.
+ */
+constexpr std::size_t kLoadGrain = std::size_t{1} << 20;
+
+/** What loadJournal() loads from @p path, built line by line. */
+struct ReferenceLoad
+{
+    std::map<std::string, RunResult> pool;
+    JournalLoadStats stats;
+    std::vector<std::string> warnings;
+};
+
+ReferenceLoad
+referenceLoad(const std::string &path, const std::string &text,
+              std::map<std::string, RunResult> pool)
+{
+    ReferenceLoad ref{std::move(pool), {}, {}};
+    std::size_t lineNo = 0;
+    for (std::size_t at = 0; at < text.size();) {
+        const std::size_t nl = std::min(text.find('\n', at), text.size());
+        const std::string_view line(text.data() + at, nl - at);
+        at = nl + 1;
+        ++lineNo;
+        if (line.empty())
+            continue;
+        std::string key, err;
+        RunResult r;
+        if (!parseJournalLine(line, &key, &r, &err)) {
+            ++ref.stats.corrupt;
+            ref.warnings.push_back("journal " + path + " line " +
+                                   std::to_string(lineNo) +
+                                   " skipped: " + err);
+            continue;
+        }
+        ++ref.stats.records;
+        if (!ref.pool.insert_or_assign(key, std::move(r)).second)
+            ++ref.stats.duplicates;
+    }
+    ref.stats.loaded = ref.stats.records - ref.stats.duplicates;
+    return ref;
+}
+
+TEST(JournalLoad, SplitRangesMatchALineByLineReference)
+{
+    // Records of varying length, each with its own power value so a
+    // replaced duplicate shows.
+    std::vector<std::string> keys;
+    int serial = 0;
+    const auto record = [&](std::size_t keyIndex) {
+        RunResult r = fancyResult();
+        r.config.seed = keyIndex;
+        r.modules.resize(keyIndex % 6, r.modules.front());
+        r.totalNetworkPowerW = ++serial;
+        const std::string k = Runner::key(r.config);
+        if (keyIndex == keys.size())
+            keys.push_back(k);
+        return journalRecordLine(k, r);
+    };
+    const auto fresh = [&] { return record(keys.size()); };
+    const auto dup = [&](std::size_t keyIndex) { return record(keyIndex); };
+
+    std::string text;
+    // The next line starts at @p at: a garbage line (or an empty one,
+    // when one byte is left) fills the gap.
+    const auto padTo = [&](std::size_t at) {
+        ASSERT_GT(at, text.size());
+        text += std::string(at - text.size() - 1, 'x') + "\n";
+    };
+    // Records with damage every few lines: garbage, empty lines and
+    // duplicates of keys from anywhere earlier in the file.
+    const auto fillTo = [&](std::size_t at) {
+        for (std::size_t i = 0; text.size() < at; ++i) {
+            if (i % 5 == 1)
+                text += "not a journal line\n";
+            else if (i % 7 == 3)
+                text += "\n";
+            else if (i % 4 == 2)
+                text += dup((i * 7919) % keys.size());
+            else
+                text += fresh();
+        }
+    };
+    text += fresh();
+    fillTo(kLoadGrain - 20000);
+    // Boundary 1: a duplicate ends at it, a fresh record starts on it.
+    {
+        const std::string before = dup(0);
+        padTo(kLoadGrain - before.size());
+        text += before;
+        text += fresh();
+        text += "garbage after the first boundary\n\n";
+    }
+    fillTo(2 * kLoadGrain - 20000);
+    // Boundary 2: garbage ends at it, an empty line sits on it, then a
+    // duplicate of a key from the first range.
+    padTo(2 * kLoadGrain);
+    text += "\n";
+    text += dup(1);
+    fillTo(3 * kLoadGrain - 20000);
+    // Boundary 3: a duplicate starts on the byte before it, then
+    // garbage.
+    padTo(3 * kLoadGrain - 1);
+    text += dup(2);
+    text += "garbage after the third boundary\n";
+    fillTo(4 * kLoadGrain + 30000);
+    // A torn tail: half a record, no newline.
+    const std::string torn = fresh();
+    text += torn.substr(0, torn.size() / 2);
+    ASSERT_GE(text.size(), 4 * kLoadGrain);
+    // Boundary 1 starts a record, 2 is an empty line, 3 is the second
+    // byte of a record.
+    EXPECT_EQ(text.substr(kLoadGrain - 1, 2), "\n{");
+    EXPECT_EQ(text.substr(2 * kLoadGrain - 1, 2), "\n\n");
+    EXPECT_EQ(text.substr(3 * kLoadGrain - 2, 3), "\n{\"");
+
+    const std::string path = tempPath("split_ranges.jsonl");
+    {
+        std::ofstream os(path, std::ios::binary);
+        os << text;
+    }
+    // The map may hold results already: one key the file holds, one it
+    // does not.
+    std::map<std::string, RunResult> pool;
+    pool[keys[3]] = fancyResult();
+    pool["not in the journal"] = fancyResult();
+    const ReferenceLoad ref = referenceLoad(path, text, pool);
+    ASSERT_GT(ref.stats.corrupt, 10u);
+    ASSERT_GT(ref.stats.duplicates, 10u);
+
+    std::vector<std::string> warnings;
+    LogSink prev = setLogSink([&](LogLevel level, const std::string &m) {
+        if (level == LogLevel::Warn)
+            warnings.push_back(m);
+    });
+    JournalLoadStats stats;
+    std::string err;
+    const bool ok = loadJournal(path, &pool, &stats, &err);
+    setLogSink(std::move(prev));
+    ASSERT_TRUE(ok) << err;
+
+    EXPECT_EQ(stats.loaded, ref.stats.loaded);
+    EXPECT_EQ(stats.records, ref.stats.records);
+    EXPECT_EQ(stats.corrupt, ref.stats.corrupt);
+    EXPECT_EQ(stats.duplicates, ref.stats.duplicates);
+    EXPECT_EQ(warnings, ref.warnings);
+    ASSERT_EQ(pool.size(), ref.pool.size());
+    for (const auto &[k, r] : ref.pool) {
+        ASSERT_TRUE(pool.count(k)) << k;
+        EXPECT_EQ(journalRecordLine(k, pool.at(k)), journalRecordLine(k, r))
+            << k;
+    }
+}
+
 TEST(RunJournal, OpenFailsOnUnwritablePath)
 {
     RunJournal j(tempPath("no/such/dir/journal.jsonl"));
@@ -1053,6 +1221,39 @@ TEST(BenchJson, RunIsTheJournalRecordWithPlainNumbers)
           "\"policy\":2,", "\"host\":{\"prof_phases\":[],"
                            "\"partition_lanes\":[]}}]}\n"})
         EXPECT_NE(doc.find(member), std::string::npos) << member;
+}
+
+TEST(BenchJson, BatchedRunsEqualEachRunWrittenAlone)
+{
+    // More runs than one formatting batch: the document must be the
+    // runs, each exactly as written alone, joined in key order.
+    std::map<std::string, RunResult> results;
+    for (int i = 0; i < 300; ++i) {
+        RunResult r = fancyResult();
+        r.config.seed = i;
+        r.modules.resize(i % 4, r.modules.front());
+        r.readsPerSec = i * 1.5e6;
+        results.emplace(Runner::key(r.config), r);
+    }
+    const std::string head = "{\"schema_version\":" +
+                             std::to_string(kBenchJsonSchemaVersion) +
+                             ",\"bench\":\"batched\",\"runs\":[";
+    const std::string tail = "]}\n";
+    std::string expected = head;
+    for (const auto &[k, r] : results) {
+        std::ostringstream one;
+        writeBenchResultsJson(one, "batched", {{k, r}});
+        const std::string doc = one.str();
+        ASSERT_TRUE(doc.starts_with(head) && doc.ends_with(tail));
+        if (expected.size() > head.size())
+            expected += ',';
+        expected += doc.substr(head.size(),
+                               doc.size() - head.size() - tail.size());
+    }
+    expected += tail;
+    std::ostringstream all;
+    writeBenchResultsJson(all, "batched", results);
+    EXPECT_EQ(all.str(), expected);
 }
 
 } // namespace
