@@ -5,7 +5,8 @@
  * own queue shape), packet pool
  * versus heap churn, link serialization, vault service, delay-monitor,
  * end-to-end simulation cost, result serialization (journal append and
- * load, bench JSON), and the parallel sweep engine.
+ * load, and apart from the file: record formatting, record parsing and
+ * the CRC-32; bench JSON), and the parallel sweep engine.
  *
  * BM_EndToEndSimulation reports the headline counters used by the CI
  * perf-smoke job: events_per_s, packets_per_s, and the per-run heap
@@ -372,6 +373,58 @@ BM_JournalLoad(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_JournalLoad)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+/** journalRecordLine alone: format and checksum, no file. */
+void
+BM_JournalRecordLine(benchmark::State &state)
+{
+    const std::map<std::string, RunResult> &records = serialRecords();
+    for (auto _ : state)
+        for (const auto &[key, r] : records)
+            benchmark::DoNotOptimize(journalRecordLine(key, r));
+    state.counters["records_per_s"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * kSerialRecords),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_JournalRecordLine)->Unit(benchmark::kMillisecond);
+
+/** parseJournalLine alone: checksum, parse and key check, no file. */
+void
+BM_ParseJournalLine(benchmark::State &state)
+{
+    std::vector<std::string> lines;
+    for (const auto &[key, r] : serialRecords())
+        lines.push_back(journalRecordLine(key, r));
+    for (auto _ : state) {
+        for (const std::string &line : lines) {
+            std::string key;
+            RunResult r;
+            if (!parseJournalLine(line, &key, &r, nullptr))
+                state.SkipWithError("journal record rejected");
+            benchmark::DoNotOptimize(r);
+        }
+    }
+    state.counters["records_per_s"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * kSerialRecords),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ParseJournalLine)->Unit(benchmark::kMillisecond);
+
+/** crc32 of one record's payload, about 4.5 KB. */
+void
+BM_Crc32(benchmark::State &state)
+{
+    const auto &[key, r] = *serialRecords().begin();
+    const std::string line = journalRecordLine(key, r);
+    // The checksummed bytes: after "record": and before the closing "}\n".
+    const std::size_t at = line.find("\"record\":") + 9;
+    const std::string payload = line.substr(at, line.size() - at - 2);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(crc32(payload.data(), payload.size()));
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_Crc32);
 
 /** writeBenchResultsJson, the bench --json output, into memory. */
 void

@@ -128,13 +128,11 @@ Runner::get(const SystemConfig &cfg)
             return placeholder;
         auto rp = resumePool.find(k);
         if (rp != resumePool.end()) {
-            // Promote the journal record on first request; the pool
-            // entry is spent so a later --resume load can re-fill it.
+            // Promote the journal record on first request, moving its
+            // map node; the pool entry is spent so a later --resume load
+            // can re-fill it.
             ++resumed;
-            const RunResult &slot =
-                cache.emplace(k, std::move(rp->second)).first->second;
-            resumePool.erase(rp);
-            return slot;
+            return cache.insert(resumePool.extract(rp)).position->second;
         }
         if (collecting) {
             // First pass of a --jobs bench run: record, don't simulate.
@@ -197,12 +195,16 @@ void
 Runner::addResumePool(std::map<std::string, RunResult> pool)
 {
     std::lock_guard<std::mutex> lock(mu);
-    for (auto &kv : pool) {
+    // Map nodes move whole: no key is copied, no result moved.
+    for (auto it = pool.begin(); it != pool.end();) {
+        auto node = pool.extract(it++);
         // Keys already promoted (or freshly simulated) stay as they
         // are; among pending pool entries the latest load wins, the
         // same dedup rule loadJournal applies within one file.
-        if (!cache.count(kv.first))
-            resumePool.insert_or_assign(kv.first, std::move(kv.second));
+        if (cache.count(node.key()))
+            continue;
+        resumePool.erase(node.key());
+        resumePool.insert(std::move(node));
     }
 }
 

@@ -28,25 +28,6 @@ namespace memnet
 namespace
 {
 
-/**
- * Slicing-by-8 tables for the reflected IEEE 802.3 / zlib polynomial:
- * kCrcTables[0] is the classic bytewise table, kCrcTables[k][b] is the
- * CRC of byte b followed by k zero bytes.
- */
-constexpr auto kCrcTables = [] {
-    std::array<std::array<std::uint32_t, 256>, 8> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-        std::uint32_t c = i;
-        for (int k = 0; k < 8; ++k)
-            c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
-        t[0][i] = c;
-    }
-    for (std::size_t k = 1; k < t.size(); ++k)
-        for (std::uint32_t i = 0; i < 256; ++i)
-            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
-    return t;
-}();
-
 constexpr char kHexDigits[] = "0123456789abcdef";
 
 /** Write glibc's "%a" spelling of @p v at @p o; returns the end. */
@@ -291,9 +272,13 @@ enum class Spelling
     Plain,
 };
 
+/** Longest member key a Writer takes; every key is a literal. */
+constexpr std::size_t kKeyMax = 64;
+
 /**
  * A visitor that appends the fields as compact JSON to one string. An
- * empty key is an array cell.
+ * empty key is an array cell. Each scalar member (comma, quoted key and
+ * value) is built on the stack and appended once.
  */
 template <Spelling S>
 class Writer
@@ -304,8 +289,10 @@ class Writer
     void
     str(std::string_view k, std::string_view s)
     {
-        key(k);
-        out += '"';
+        member(k, [](char *o) {
+            *o++ = '"';
+            return o;
+        });
         obs::appendJsonEscaped(out, s);
         out += '"';
     }
@@ -313,28 +300,28 @@ class Writer
     void
     boolean(std::string_view k, bool b)
     {
-        key(k);
-        out += b ? "true" : "false";
+        member(k, [b](char *o) {
+            return b ? std::copy_n("true", 4, o) : std::copy_n("false", 5, o);
+        });
     }
 
     template <typename T>
     void
     num(std::string_view k, T v)
     {
-        char buf[24];
-        number(k, std::string_view(buf, std::to_chars(buf, buf + 24, v).ptr));
+        number(k, [v](char *o) { return std::to_chars(o, o + 24, v).ptr; });
     }
 
     /** A double: hex-float in the journal, decimal in bench JSON. */
     void
     hex(std::string_view k, double v)
     {
-        char buf[kHexDoubleMax];
-        char *end = S == Spelling::Quoted ? writeHexDouble(buf, v)
-                    : std::isfinite(v)
-                        ? std::to_chars(buf, buf + sizeof buf, v).ptr
-                        : std::copy_n("null", 4, buf);
-        number(k, std::string_view(buf, end - buf));
+        number(k, [v](char *o) {
+            return S == Spelling::Quoted ? writeHexDouble(o, v)
+                   : std::isfinite(v)
+                       ? std::to_chars(o, o + kHexDoubleMax, v).ptr
+                       : std::copy_n("null", 4, o);
+        });
     }
 
     template <typename E>
@@ -350,8 +337,7 @@ class Writer
     void
     object(std::string_view k, Fn fn)
     {
-        key(k);
-        out += '{';
+        open(k, '{');
         fn();
         out += '}';
     }
@@ -363,8 +349,7 @@ class Writer
     void
     array(std::string_view k, std::size_t n, Fn cell)
     {
-        key(k);
-        out += '[';
+        open(k, '[');
         for (std::size_t i = 0; i < n; ++i)
             cell(i);
         out += ']';
@@ -378,26 +363,56 @@ class Writer
     }
 
   private:
+    /**
+     * Append, in one call, the separator comma, the quoted key @p k and
+     * what @p fill writes (at most 32 bytes) at the pointer it is given;
+     * it returns the end of what it wrote.
+     */
+    template <typename Fill>
     void
-    key(std::string_view k)
+    member(std::string_view k, Fill fill)
     {
+        char buf[kKeyMax + 40];
+        char *o = buf;
         // A comma unless this opens a container or the document.
         const char last = out.empty() ? '{' : out.back();
         if (last != '{' && last != '[' && last != ':')
-            out += ',';
-        if (!k.empty())
-            ((out += '"') += k) += "\":";
+            *o++ = ',';
+        memnet_assert(k.size() <= kKeyMax, "journal key too long: ", k);
+        if (!k.empty()) {
+            *o++ = '"';
+            o = std::copy(k.begin(), k.end(), o);
+            *o++ = '"';
+            *o++ = ':';
+        }
+        out.append(buf, fill(o) - buf);
     }
 
-    /** A number: quoted in the journal, bare in bench JSON. */
+    /** A container's key and its opening bracket @p c. */
     void
-    number(std::string_view k, std::string_view v)
+    open(std::string_view k, char c)
     {
-        key(k);
-        if constexpr (S == Spelling::Quoted)
-            ((out += '"') += v) += '"';
-        else
-            out += v;
+        member(k, [c](char *o) {
+            *o++ = c;
+            return o;
+        });
+    }
+
+    /** A number @p put writes: quoted in the journal, bare in bench JSON. */
+    template <typename Put>
+    void
+    number(std::string_view k, Put put)
+    {
+        member(k, [&](char *o) {
+            if constexpr (S == Spelling::Quoted) {
+                *o++ = '"';
+                o = put(o);
+                *o++ = '"';
+                return o;
+            } else {
+                return put(o);
+            }
+        });
     }
 
     std::string &out;
@@ -695,15 +710,19 @@ class Reader
     void
     array(std::string_view k, std::size_t n, Fn cell)
     {
-        const std::string shape = std::string(n == 8 ? "not an " : "not a ") +
-                                  std::to_string(n) + "-element array";
-        std::size_t i = 0;
+        const auto wrongShape = [&] {
+            fail({}, std::string(n == 8 ? "not an " : "not a ") +
+                         std::to_string(n) + "-element array");
+        };
         if (member(k))
-            nest(k, '[', shape, [&] {
+            nest(k, 0, {}, [&] {
+                std::size_t i = 0;
+                if (!take('['))
+                    return wrongShape();
                 for (; live() && !take(']'); ++i)
-                    i < n ? cell(i) : fail({}, shape);
+                    i < n ? cell(i) : wrongShape();
                 if (live() && i != n)
-                    fail({}, shape);
+                    wrongShape();
             });
     }
 
@@ -716,14 +735,16 @@ class Reader
         items.clear();
         nest(k, '[', "not an array", [&] {
             while (live() && !take(']')) {
-                T item;
                 // Elements that are objects carry their index in paths.
-                if constexpr (std::is_class_v<T>)
-                    scoped("[" + std::to_string(items.size()) + "]",
-                           [&] { fn(item); });
-                else
-                    fn(item);
-                items.push_back(std::move(item));
+                if constexpr (std::is_class_v<T>) {
+                    char at[24] = "[";
+                    char *e = std::to_chars(at + 1, at + 22, items.size()).ptr;
+                    *e++ = ']';
+                    T &item = items.emplace_back();
+                    scoped(std::string_view(at, e - at), [&] { fn(item); });
+                } else {
+                    fn(items.emplace_back());
+                }
             }
         });
     }
@@ -825,14 +846,21 @@ class Reader
         return false;
     }
 
+    /** The first '"' after the one at p; null when p starts no string. */
+    const char *
+    closingQuote() const
+    {
+        return p == end || *p != '"'
+                   ? nullptr
+                   : static_cast<const char *>(
+                         std::memchr(p + 1, '"', end - p - 1));
+    }
+
     /** A string with no escapes (every number is one). */
     bool
     quoted(std::string_view k, std::string_view *s)
     {
-        const char *close = p == end || *p != '"'
-                                ? nullptr
-                                : static_cast<const char *>(
-                                      std::memchr(p + 1, '"', end - p - 1));
+        const char *close = closingQuote();
         if (!close) {
             fail(k, "not a string");
             return false;
@@ -846,6 +874,15 @@ class Reader
     bool
     string(std::string *out)
     {
+        // A string with no byte jsonEscape() changes is its own spelling.
+        const char *close = closingQuote();
+        if (close && std::none_of(p + 1, close, [](unsigned char c) {
+                return c < 0x20 || c == '\\';
+            })) {
+            out->assign(p + 1, close);
+            p = close + 1;
+            return true;
+        }
         const std::size_t n =
             obs::json::parseString(std::string_view(p, end - p), out);
         if (n == 0 || obs::jsonEscape(*out) != std::string_view(p + 1, n - 2))
@@ -931,29 +968,6 @@ parseRange(std::istream &is, std::uintmax_t begin, std::uintmax_t end,
 
 } // namespace
 
-std::uint32_t
-crc32(const void *data, std::size_t n)
-{
-    const auto &t = kCrcTables;
-    std::uint32_t crc = 0xFFFFFFFFu;
-    const auto *p = static_cast<const unsigned char *>(data);
-    if constexpr (std::endian::native == std::endian::little) {
-        for (; n >= 8; n -= 8, p += 8) {
-            std::uint32_t lo = 0, hi = 0;
-            std::memcpy(&lo, p, 4);
-            std::memcpy(&hi, p + 4, 4);
-            lo ^= crc;
-            crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
-                  t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
-                  t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
-                  t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
-        }
-    }
-    for (; n > 0; --n, ++p)
-        crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
-    return crc ^ 0xFFFFFFFFu;
-}
-
 std::string
 hexDouble(double v)
 {
@@ -983,13 +997,16 @@ parseHexDouble(std::string_view s, double *out)
     if (!s.empty() && s[0] == '.') {
         int digits = 0;
         for (s.remove_prefix(1); !s.empty(); s.remove_prefix(1)) {
-            const auto *d = static_cast<const char *>(
-                std::memchr(kHexDigits, s[0], 16));
-            if (!d)
+            // Lower-case digits only, as writeHexDouble spells them.
+            const char c = s[0];
+            const int d = c >= '0' && c <= '9'   ? c - '0'
+                          : c >= 'a' && c <= 'f' ? c - 'a' + 10
+                                                 : -1;
+            if (d < 0)
                 break;
             if (++digits > 13)
                 return false;
-            mant = mant << 4 | static_cast<unsigned>(d - kHexDigits);
+            mant = mant << 4 | static_cast<unsigned>(d);
         }
         // A written fraction has no trailing zero digit.
         if ((mant & 0xFu) == 0)

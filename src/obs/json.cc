@@ -47,10 +47,16 @@ needsEscape(unsigned char c)
 void
 appendJsonEscaped(std::string &out, std::string_view s)
 {
-    for (unsigned char c : s) {
-        if (!needsEscape(c)) {
-            out += static_cast<char>(c);
-        } else if (const char *e = shortEscape(c)) {
+    // Each run of bytes that needs no escape goes in with one append.
+    const char *run = s.data();
+    const char *const end = run + s.size();
+    for (const char *p = run; p != end; ++p) {
+        const auto c = static_cast<unsigned char>(*p);
+        if (!needsEscape(c))
+            continue;
+        out.append(run, p - run);
+        run = p + 1;
+        if (const char *e = shortEscape(c)) {
             out += e;
         } else {
             char buf[8];
@@ -58,6 +64,7 @@ appendJsonEscaped(std::string &out, std::string_view s)
             out += buf;
         }
     }
+    out.append(run, end - run);
 }
 
 std::string

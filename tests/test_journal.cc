@@ -20,6 +20,7 @@
 #include <sstream>
 
 #include "audit/differential.hh"
+#include "memnet/crc32.hh"
 #include "memnet/experiment.hh"
 #include "memnet/journal.hh"
 #include "memnet/parallel.hh"
@@ -350,23 +351,59 @@ bytewiseCrc32(const unsigned char *p, std::size_t n)
     return crc ^ 0xFFFFFFFFu;
 }
 
+using Crc32Fn = std::uint32_t (*)(const void *, std::size_t);
+
+/**
+ * Every CRC-32 routine this host can run: crc32() itself, the portable
+ * slicing-by-8 routine (called directly, so it stays tested on CPUs
+ * where crc32() folds) and the carry-less-multiply fold.
+ */
+std::vector<std::pair<const char *, Crc32Fn>>
+crcPaths()
+{
+    std::vector<std::pair<const char *, Crc32Fn>> paths = {
+        {"crc32", crc32}, {"sliced", detail::crc32Sliced}};
+    if (detail::crc32FoldAvailable())
+        paths.emplace_back("folded", detail::crc32Folded);
+    return paths;
+}
+
 TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment)
 {
-    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
-    EXPECT_EQ(crc32(nullptr, 0), 0u);
-
     std::mt19937_64 rng(42);
-    std::vector<unsigned char> buf(64 + 8 + 5200);
+    std::vector<unsigned char> buf(16 + 512);
     for (unsigned char &b : buf)
         b = static_cast<unsigned char>(rng());
-    for (std::size_t align = 0; align < 8; ++align)
-        for (std::size_t len = 0; len <= 64; ++len)
-            ASSERT_EQ(crc32(buf.data() + align, len),
-                      bytewiseCrc32(buf.data() + align, len))
-                << "align " << align << " len " << len;
-    // A journal-record-sized buffer.
-    EXPECT_EQ(crc32(buf.data() + 3, 5200),
-              bytewiseCrc32(buf.data() + 3, 5200));
+    for (const auto &[name, fn] : crcPaths()) {
+        EXPECT_EQ(fn("123456789", 9), 0xCBF43926u) << name;
+        EXPECT_EQ(fn(nullptr, 0), 0u) << name;
+        for (std::size_t align = 0; align < 16; ++align)
+            for (std::size_t len = 0; len <= 512; ++len)
+                ASSERT_EQ(fn(buf.data() + align, len),
+                          bytewiseCrc32(buf.data() + align, len))
+                    << name << " align " << align << " len " << len;
+    }
+}
+
+TEST(Crc32, MatchesBytewiseReferenceOnRandomLengthsUpTo64KiB)
+{
+    std::mt19937_64 rng(7);
+    std::vector<unsigned char> buf(16 + (std::size_t{64} << 10));
+    for (unsigned char &b : buf)
+        b = static_cast<unsigned char>(rng());
+    const auto paths = crcPaths();
+    for (int trial = 0; trial < 200; ++trial) {
+        const std::size_t len = rng() % (buf.size() - 15);
+        const std::size_t align = rng() % 16;
+        const std::uint32_t want = bytewiseCrc32(buf.data() + align, len);
+        for (const auto &[name, fn] : paths)
+            ASSERT_EQ(fn(buf.data() + align, len), want)
+                << name << " align " << align << " len " << len;
+    }
+    // The longest input, every byte.
+    const std::uint32_t want = bytewiseCrc32(buf.data(), buf.size());
+    for (const auto &[name, fn] : paths)
+        EXPECT_EQ(fn(buf.data(), buf.size()), want) << name;
 }
 
 TEST(JournalRecord, RoundTripsEveryFieldExactly)
@@ -620,6 +657,23 @@ TEST(JournalRecord, ErrorsNameThePathOfTheBadMember)
                        "\"total_network_w\":\"88.25"),
               "result.total_network_w: not a hex-float: '88.25'");
     EXPECT_EQ(errorFor("\"key\":\"", "\"kee\":\""), "record.key: missing");
+    // Errors built only on failure, pinned byte for byte.
+    const std::string cell0 = "\"link_hours\":[\"0x0p+0\"";
+    EXPECT_EQ(errorFor(cell0 + ",", "\"link_hours\":["),
+              "result.link_hours: not a 20-element array");
+    EXPECT_EQ(errorFor(cell0, cell0 + ",\"0x0p+0\""),
+              "result.link_hours: not a 20-element array");
+    EXPECT_EQ(errorFor("\"idle_mode_j\":[\"0x0p+0\",", "\"idle_mode_j\":["),
+              "result.energy.idle_mode_j: not an 8-element array");
+    EXPECT_EQ(errorFor("\"modules\":[", "\"modules\":{"),
+              "result.modules: not an array");
+    EXPECT_EQ(errorFor(cell0, "\"link_hours\":[\"0x0p0\""),
+              "result.link_hours: bad hex-float cell");
+    EXPECT_EQ(errorFor("\"dispatch_windows\":[\"40961\"",
+                       "\"dispatch_windows\":[\"4O961\""),
+              "result.profile.dispatch_windows: bad u64");
+    EXPECT_EQ(errorFor("\"id\":\"5\"", "\"id\":\"2147483648\""),
+              "result.modules[0].id: out of int range");
 }
 
 TEST(JournalRecord, LaxRecordsAreRejectedAndResumeReRunsThem)
@@ -1041,6 +1095,38 @@ TEST(RunJournal, ResumePoolIsLazyAndLeaksNothingForeign)
     // results() lists exactly the sweep's own configs.
     EXPECT_EQ(runner.results().size(), configs.size());
     EXPECT_FALSE(runner.results().count(Runner::key(foreign.config)));
+}
+
+TEST(RunJournal, ResumePoolLatestLoadWinsAndPromotedKeysStay)
+{
+    const std::vector<SystemConfig> configs = sweepConfigs();
+    const SystemConfig &a = configs[0];
+    const SystemConfig &b = configs[1];
+    // One journal load: a record of a and of b, tagged by @p power.
+    const auto load = [&](double power) {
+        std::map<std::string, RunResult> pool;
+        for (const SystemConfig *cfg : {&a, &b}) {
+            RunResult r;
+            r.config = *cfg;
+            r.totalNetworkPowerW = power;
+            pool.emplace(Runner::key(*cfg), r);
+        }
+        return pool;
+    };
+
+    Runner runner;
+    runner.addResumePool(load(1.0));
+    const RunResult &promoted = runner.get(a);
+    EXPECT_EQ(promoted.totalNetworkPowerW, 1.0);
+    runner.addResumePool(load(2.0));
+    // a was promoted before the second load: it stays as it is, at
+    // the same address. b was still pending: the latest load wins.
+    EXPECT_EQ(&runner.get(a), &promoted);
+    EXPECT_EQ(promoted.totalNetworkPowerW, 1.0);
+    EXPECT_EQ(runner.get(b).totalNetworkPowerW, 2.0);
+    EXPECT_EQ(runner.resumedHits(), 2u);
+    EXPECT_EQ(runner.runsExecuted(), 0);
+    EXPECT_EQ(runner.results().size(), 2u);
 }
 
 TEST(FailureManifest, WritesValidJsonWithDedupedEntries)
