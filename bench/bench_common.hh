@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,16 +30,22 @@ namespace bench
 {
 
 /**
- * Sweep-wide event-kernel partition count, installed by BenchIo from
- * --partitions and applied by makeConfig so every cell of a bench
- * sweep shards the same way. The default matches SystemConfig (serial
- * kernel).
+ * What every cell of a bench sweep shares, copied by makeConfig: a
+ * 100 us warmup and a 300 us window (three epochs keep the full sweep
+ * tractable on one core), then what BenchIo installs: --partitions,
+ * and the MEMNET_SIM_US window and MEMNET_AUDIT opt-in
+ * (memnet::applyRunEnvironment).
  */
-inline int &
-sweepPartitions()
+inline SystemConfig &
+sweepBase()
 {
-    static int partitions = 1;
-    return partitions;
+    static SystemConfig base = [] {
+        SystemConfig cfg;
+        cfg.warmup = us(100);
+        cfg.measure = us(300);
+        return cfg;
+    }();
+    return base;
 }
 
 /**
@@ -62,15 +69,16 @@ sweepPartitions()
  *       });
  *   }
  *
- * The constructor parses the flags and preflights every output path,
- * so a bad command line exits 2 and an unwritable path exits 1 before
- * the bench prints anything. run() executes the bench body twice: a
- * silent collect pass records every config the body requests (Runner
- * returns zeroed placeholders), the shared memnet::SweepFrontEnd
- * simulates them on --jobs threads, and a replay pass re-runs the body
- * against the warm cache to print real numbers. Results are
- * bit-identical at any --jobs because each run owns its EventQueue and
- * seeded RNGs; only wall-clock differs.
+ * The constructor parses the flags, preflights every output path and
+ * resolves MEMNET_SIM_US and MEMNET_AUDIT into sweepBase(), so a bad
+ * command line exits 2, and an unwritable path or a malformed variable
+ * exits 1, before the bench prints anything. run() executes the bench
+ * body twice: a silent collect pass records every config the body
+ * requests (Runner returns zeroed placeholders), the shared
+ * memnet::SweepFrontEnd simulates them on --jobs threads, and a replay
+ * pass re-runs the body against the warm cache to print real numbers.
+ * Results are bit-identical at any --jobs because each run owns its
+ * EventQueue and seeded RNGs; only wall-clock differs.
  */
 class BenchIo
 {
@@ -80,6 +88,14 @@ class BenchIo
     {
         if (!sweep.preflight({{"--json", jsonPath}}))
             std::exit(1);
+        try {
+            applyRunEnvironment(std::getenv("MEMNET_SIM_US"),
+                                std::getenv("MEMNET_AUDIT"),
+                                {&sweepBase(), 1});
+        } catch (const std::invalid_argument &e) {
+            memnet_warn(e.what());
+            std::exit(1);
+        }
     }
 
     /**
@@ -106,7 +122,7 @@ class BenchIo
 
   private:
     /**
-     * Parse the command line into jsonPath and sweepPartitions(),
+     * Parse the command line into jsonPath and sweepBase().partitions,
      * returning the shared flags; exits 2 on a bad flag or value. Runs
      * from the member initializers, after jsonPath is constructed.
      */
@@ -126,8 +142,8 @@ class BenchIo
                 jsonPath = argv[++i];
             } else if (arg == "--partitions") {
                 const std::string v = argv[++i];
-                if (!parseNumber(v, &sweepPartitions()) ||
-                    sweepPartitions() < 1)
+                if (!parseNumber(v, &sweepBase().partitions) ||
+                    sweepBase().partitions < 1)
                     err = "--partitions must be a whole number >= 1 "
                           "(got '" + v + "')";
             } else {
@@ -187,7 +203,7 @@ makeConfig(const std::string &workload, TopologyKind topo,
            SizeClass size, BwMechanism mech, bool roo, Policy policy,
            double alpha_pct = 5.0)
 {
-    SystemConfig cfg;
+    SystemConfig cfg = sweepBase();
     cfg.workload = workload;
     cfg.topology = topo;
     cfg.sizeClass = size;
@@ -195,11 +211,6 @@ makeConfig(const std::string &workload, TopologyKind topo,
     cfg.roo = roo;
     cfg.policy = policy;
     cfg.alphaPct = alpha_pct;
-    cfg.warmup = us(100);
-    // Three epochs of measurement keep the full sweep tractable on one
-    // core; MEMNET_SIM_US raises fidelity when desired.
-    cfg.measure = us(300);
-    cfg.partitions = sweepPartitions();
     return cfg;
 }
 

@@ -10,9 +10,11 @@
  * consolidation argument in Section VII-A.
  *
  * Takes the shared bench flags (bench_common.hh), so `--partitions N`
- * shards every run. Each cell is one
- * runMultiChannel() call rather than a Runner lookup, so `--jobs`,
- * `--journal`, `--resume` and `--json` have no runs to act on.
+ * shards every run, and like every bench takes its window and audit
+ * opt-in from MEMNET_SIM_US and MEMNET_AUDIT through makeConfig. Each
+ * cell is one runMultiChannel() call rather than a Runner lookup, so
+ * `--jobs`, `--journal`, `--resume` and `--json` have no runs to act
+ * on.
  */
 
 #include <cstdio>

@@ -103,7 +103,7 @@ main(int argc, char **argv)
         for (Policy p : {Policy::FullPower, Policy::Aware}) {
             SystemConfig cfg = faultConfig(p);
             // Shortly after warmup, so the failure lands inside the window
-            // even when MEMNET_SIM_US shrinks the measurement.
+            // even when MEMNET_SIM_US has shortened cfg.measure.
             cfg.faults.events.push_back(
                 {FaultKind::LaneFailure, cfg.warmup + us(20), 0, us(1), 4,
                  0.0});

@@ -11,6 +11,10 @@
  * BM_EndToEndSimulation reports the headline counters used by the CI
  * perf-smoke job: events_per_s, packets_per_s, and the per-run heap
  * allocations the packet pool avoided.
+ *
+ * Every simulated config takes MEMNET_SIM_US and MEMNET_AUDIT the way
+ * a bench front end applies them (withRunEnvironment), so the window
+ * is the one ci/bench_baseline.json was recorded with.
  */
 
 #include <benchmark/benchmark.h>
@@ -18,6 +22,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -41,6 +46,15 @@ namespace
 {
 
 using namespace memnet;
+
+/** @p cfg under MEMNET_SIM_US and MEMNET_AUDIT. */
+SystemConfig
+withRunEnvironment(SystemConfig cfg)
+{
+    applyRunEnvironment(std::getenv("MEMNET_SIM_US"),
+                        std::getenv("MEMNET_AUDIT"), {&cfg, 1});
+    return cfg;
+}
 
 void
 BM_EventQueueScheduleFire(benchmark::State &state)
@@ -274,6 +288,7 @@ BM_EndToEndSimulation(benchmark::State &state)
     cfg.policy = Policy::Unaware;
     cfg.mechanism = BwMechanism::Vwl;
     cfg.roo = true;
+    cfg = withRunEnvironment(cfg);
     double events = 0.0, packets = 0.0, avoided = 0.0;
     for (auto _ : state) {
         const RunResult r = runSimulation(cfg);
@@ -295,14 +310,20 @@ BENCHMARK(BM_EndToEndSimulation)->Unit(benchmark::kMillisecond);
 constexpr int kSerialRecords = 64;
 
 /**
- * What the serialization benches write and read: one real short run
- * (latency and energy observatories on, 4 modules) under
- * kSerialRecords seeds, each a distinct key, about 5 KB of journal.
+ * Records per iteration of BM_BenchResultsJson: enough that formatting
+ * them, not starting the threads that share them out, is what it times.
  */
-const std::map<std::string, RunResult> &
-serialRecords()
+constexpr int kJsonRecords = 2048;
+
+/**
+ * @p n copies of one real short run (latency and energy observatories
+ * on, 4 modules, about 5 KB of journal each) under seeds 1000.., each a
+ * distinct key.
+ */
+std::map<std::string, RunResult>
+seededRecords(int n)
 {
-    static const std::map<std::string, RunResult> records = [] {
+    static const RunResult source = [] {
         SystemConfig cfg;
         cfg.workload = "mixA";
         cfg.topology = TopologyKind::Star;
@@ -311,15 +332,23 @@ serialRecords()
         cfg.roo = true;
         cfg.warmup = us(5);
         cfg.measure = us(20);
-        const RunResult source = runSimulation(cfg);
-        std::map<std::string, RunResult> m;
-        for (int i = 0; i < kSerialRecords; ++i) {
-            RunResult r = source;
-            r.config.seed = 1000 + i;
-            m.emplace(Runner::key(r.config), std::move(r));
-        }
-        return m;
+        return runSimulation(withRunEnvironment(cfg));
     }();
+    std::map<std::string, RunResult> m;
+    for (int i = 0; i < n; ++i) {
+        RunResult r = source;
+        r.config.seed = 1000 + i;
+        m.emplace(Runner::key(r.config), std::move(r));
+    }
+    return m;
+}
+
+/** What the serialization benches write and read. */
+const std::map<std::string, RunResult> &
+serialRecords()
+{
+    static const std::map<std::string, RunResult> records =
+        seededRecords(kSerialRecords);
     return records;
 }
 
@@ -430,14 +459,15 @@ BENCHMARK(BM_Crc32);
 void
 BM_BenchResultsJson(benchmark::State &state)
 {
-    const std::map<std::string, RunResult> &records = serialRecords();
+    static const std::map<std::string, RunResult> records =
+        seededRecords(kJsonRecords);
     for (auto _ : state) {
         std::ostringstream os;
         writeBenchResultsJson(os, "bench_micro_kernel", records);
         benchmark::DoNotOptimize(os.tellp());
     }
     state.counters["records_per_s"] = benchmark::Counter(
-        static_cast<double>(state.iterations() * kSerialRecords),
+        static_cast<double>(state.iterations() * kJsonRecords),
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_BenchResultsJson)->UseRealTime()->Unit(benchmark::kMillisecond);
@@ -460,7 +490,7 @@ BM_ParallelSweep(benchmark::State &state)
             cfg.topology = TopologyKind::Star;
             cfg.warmup = us(10);
             cfg.measure = us(50);
-            cfgs.push_back(cfg);
+            cfgs.push_back(withRunEnvironment(cfg));
         }
         ParallelRunner(runner, jobs).run(cfgs);
         benchmark::DoNotOptimize(runner.runsExecuted());
@@ -490,6 +520,7 @@ partitionBenchConfig(int partitions)
     mc.base.warmup = us(10);
     mc.base.measure = us(50);
     mc.base.partitions = partitions;
+    mc.base = withRunEnvironment(mc.base);
     mc.channels = 4;
     return mc;
 }

@@ -47,6 +47,13 @@
  * flag or name, exits 2 with a one-line usage message. An unwritable
  * output path exits 1 before anything simulates.
  *
+ * Two environment variables are run inputs too, resolved into the
+ * config before anything simulates (memnet::applyRunEnvironment), so
+ * the run's key and journal record state them: MEMNET_SIM_US=<n>
+ * replaces the measurement window (--measure-us included) and
+ * MEMNET_AUDIT=1 acts as --audit. Any other value of either, except
+ * empty or MEMNET_AUDIT=0, exits 1 before anything simulates.
+ *
  * The run goes through the same sweep front end as a bench
  * (memnet::SweepFrontEnd): one run is a one-config sweep, and with
  * --seeds k > 1 the run is replicated over seeds seed..seed+k-1
@@ -69,12 +76,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "memnet/experiment.hh"
 #include "memnet/parallel.hh"
 #include "memnet/report.hh"
+#include "sim/log.hh"
 
 namespace
 {
@@ -242,6 +251,13 @@ main(int argc, char **argv)
                           {"--epoch-jsonl", cfg.obs.epochJsonlPath},
                           {"--chrome-trace", cfg.obs.chromeTracePath}}))
         return 1;
+    try {
+        applyRunEnvironment(std::getenv("MEMNET_SIM_US"),
+                            std::getenv("MEMNET_AUDIT"), {&cfg, 1});
+    } catch (const std::invalid_argument &e) {
+        memnet_warn(e.what());
+        return 1;
+    }
 
     std::vector<SystemConfig> replicas;
     for (int s = 0; s < seeds; ++s) {

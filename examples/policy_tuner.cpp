@@ -9,11 +9,15 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "memnet/experiment.hh"
+#include "memnet/parallel.hh"
 #include "memnet/report.hh"
 #include "memnet/simulator.hh"
+#include "sim/log.hh"
 
 int
 main(int argc, char **argv)
@@ -24,6 +28,19 @@ main(int argc, char **argv)
     const SizeClass size = (argc > 2 && std::string(argv[2]) == "small")
                                ? SizeClass::Small
                                : SizeClass::Big;
+    SystemConfig proto;
+    proto.workload = workload;
+    proto.topology = TopologyKind::Star;
+    proto.sizeClass = size;
+    proto.mechanism = BwMechanism::Vwl;
+    proto.roo = true;
+    try {
+        applyRunEnvironment(std::getenv("MEMNET_SIM_US"),
+                            std::getenv("MEMNET_AUDIT"), {&proto, 1});
+    } catch (const std::invalid_argument &e) {
+        memnet_warn(e.what());
+        return 1;
+    }
 
     std::printf("Alpha sweep for %s on a star network (%s study), "
                 "VWL+ROO links\n\n",
@@ -33,13 +50,8 @@ main(int argc, char **argv)
     runner.verbose = false;
 
     auto base = [&](Policy p, double alpha) {
-        SystemConfig cfg;
-        cfg.workload = workload;
-        cfg.topology = TopologyKind::Star;
-        cfg.sizeClass = size;
+        SystemConfig cfg = proto;
         cfg.policy = p;
-        cfg.mechanism = BwMechanism::Vwl;
-        cfg.roo = true;
         cfg.alphaPct = alpha;
         return cfg;
     };

@@ -9,11 +9,15 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "memnet/experiment.hh"
+#include "memnet/parallel.hh"
 #include "memnet/simulator.hh"
+#include "sim/log.hh"
 
 namespace
 {
@@ -47,6 +51,13 @@ main(int argc, char **argv)
     cfg.mechanism = memnet::BwMechanism::Vwl;
     cfg.roo = true;
     cfg.alphaPct = 5.0;
+    try {
+        memnet::applyRunEnvironment(std::getenv("MEMNET_SIM_US"),
+                                    std::getenv("MEMNET_AUDIT"), {&cfg, 1});
+    } catch (const std::invalid_argument &e) {
+        memnet_warn(e.what());
+        return 1;
+    }
 
     memnet::Runner runner;
     runner.verbose = false;

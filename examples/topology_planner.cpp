@@ -11,11 +11,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "memnet/experiment.hh"
+#include "memnet/parallel.hh"
 #include "memnet/simulator.hh"
 #include "net/topology.hh"
+#include "sim/log.hh"
 
 int
 main(int argc, char **argv)
@@ -25,6 +28,16 @@ main(int argc, char **argv)
     const int capacity_gb = argc > 1 ? std::atoi(argv[1]) : 16;
     const std::string workload = argc > 2 ? argv[2] : "mixA";
     const int modules = std::max(1, (capacity_gb + 3) / 4); // 4 GB HMCs
+    SystemConfig proto;
+    proto.workload = workload;
+    proto.sizeClass = SizeClass::Small;
+    try {
+        applyRunEnvironment(std::getenv("MEMNET_SIM_US"),
+                            std::getenv("MEMNET_AUDIT"), {&proto, 1});
+    } catch (const std::invalid_argument &e) {
+        memnet_warn(e.what());
+        return 1;
+    }
 
     std::printf("Planning a %d GB memory network (%d x 4 GB HMCs), "
                 "evaluated with workload %s\n\n",
@@ -60,10 +73,8 @@ main(int argc, char **argv)
     TextTable t({"topology", "FP W/HMC", "managed W/HMC", "saving",
                  "perf loss", "avg latency"});
     for (TopologyKind k : allTopologies()) {
-        SystemConfig cfg;
-        cfg.workload = workload;
+        SystemConfig cfg = proto;
         cfg.topology = k;
-        cfg.sizeClass = SizeClass::Small;
         const RunResult &fp = runner.get(cfg);
 
         SystemConfig managed = cfg;

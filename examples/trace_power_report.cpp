@@ -8,6 +8,9 @@
  *   ./trace_power_report                    # synthesize from mixD
  *   ./trace_power_report my.trace 24        # load a trace, 24 GB space
  *
+ * The synthesized trace spans the default 400 us measurement window,
+ * or MEMNET_SIM_US microseconds when that is set.
+ *
  * Trace format: "<time_ns> <R|W> <hex_address> <core>" per line.
  */
 
@@ -15,17 +18,29 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "memnet/experiment.hh"
+#include "memnet/parallel.hh"
 #include "memnet/simulator.hh"
 #include "net/network.hh"
+#include "sim/log.hh"
 #include "workload/trace.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace memnet;
+
+    SystemConfig window;
+    try {
+        applyRunEnvironment(std::getenv("MEMNET_SIM_US"),
+                            std::getenv("MEMNET_AUDIT"), {&window, 1});
+    } catch (const std::invalid_argument &e) {
+        memnet_warn(e.what());
+        return 1;
+    }
 
     std::vector<TraceRecord> trace;
     std::uint64_t space_bytes;
@@ -43,11 +58,12 @@ main(int argc, char **argv)
                     trace.size(), argv[1], gb);
     } else {
         const WorkloadProfile &w = workloadByName("mixD");
-        trace = generateTrace(w, us(400), /*seed=*/42);
+        trace = generateTrace(w, window.measure, /*seed=*/42);
         space_bytes = w.footprintBytes();
         std::printf("Synthesized %zu records from profile %s "
-                    "(400 us window)\n",
-                    trace.size(), w.name.c_str());
+                    "(%.0f us window)\n",
+                    trace.size(), w.name.c_str(),
+                    toSeconds(window.measure) * 1e6);
 
         // Round-trip through the text format to demonstrate it.
         std::stringstream ss;

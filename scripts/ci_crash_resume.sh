@@ -26,7 +26,8 @@ BUILD="${1:-build}"
 OUT="${2:-crash-resume-out}"
 BENCH="$BUILD/bench/bench_fig5_power_breakdown"
 # Small simulated window so the whole proof stays in CI budget; the
-# value only has to be identical across the three sweep invocations.
+# value is part of every run's key, so it must be identical across the
+# three sweep invocations.
 export MEMNET_SIM_US="${MEMNET_SIM_US:-50}"
 
 [ -x "$BENCH" ] || { echo "missing bench binary: $BENCH" >&2; exit 2; }

@@ -1,7 +1,6 @@
 #include "audit/audit.hh"
 
 #include <cmath>
-#include <cstdlib>
 
 #include "mgmt/aware.hh"
 #include "sim/log.hh"
@@ -21,10 +20,7 @@ enabledFor(bool config_opt_in)
     (void)config_opt_in;
     return true;
 #else
-    if (config_opt_in)
-        return true;
-    const char *env = std::getenv("MEMNET_AUDIT");
-    return env && env[0] != '\0' && env[0] != '0';
+    return config_opt_in;
 #endif
 }
 

@@ -33,8 +33,8 @@
  * The auditor is a passive observer: it schedules no events and
  * mutates nothing, so an audited run is bit-identical to a bare one.
  * Debug builds audit every run; Release runs opt in via
- * SystemConfig::audit (--audit) or the MEMNET_AUDIT environment
- * variable.
+ * SystemConfig::audit, which --audit and MEMNET_AUDIT=1 set in the
+ * front ends (memnet::applyRunEnvironment).
  */
 
 #ifndef MEMNET_AUDIT_AUDIT_HH
@@ -77,8 +77,8 @@ struct AuditFailure
 };
 
 /**
- * Should this run be audited? True in Debug builds, when the config
- * opts in, or when MEMNET_AUDIT is set non-zero in the environment.
+ * Should this run be audited? True in Debug builds, else when the
+ * config opts in.
  */
 bool enabledFor(bool config_opt_in);
 

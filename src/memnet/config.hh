@@ -112,8 +112,8 @@ struct SystemConfig
 
     /**
      * Run the runtime invariant auditor (src/audit) even in Release
-     * builds. Debug builds always audit; the MEMNET_AUDIT environment
-     * variable is a third opt-in path. Auditing is purely observational
+     * builds. Debug builds always audit; the front ends set this from
+     * --audit or MEMNET_AUDIT=1. Auditing is purely observational
      * — results are bit-identical with it on or off — so, like obs, it
      * is never part of Runner's memoization key.
      */

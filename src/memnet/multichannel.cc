@@ -61,11 +61,11 @@ runMultiChannel(const MultiChannelConfig &mcfg)
 {
     System sys(mcfg.base, mcfg.channels, mcfg.spread);
     sys.run();
-    const Tick end = mcfg.base.warmup + sys.measure;
+    const Tick end = mcfg.base.warmup + mcfg.base.measure;
 
     MultiChannelResult r;
     r.config = mcfg;
-    const double secs = toSeconds(sys.measure);
+    const double secs = toSeconds(mcfg.base.measure);
     double idle = 0.0;
     // Exact cross-channel merge: the ledger adds field-wise in channel
     // order, the congestion sketches merge bucket-wise — both lossless,

@@ -279,6 +279,29 @@ ParallelRunner::run(const std::vector<SystemConfig> &configs)
     }
 }
 
+void
+applyRunEnvironment(const char *simUs, const char *audit,
+                    std::span<SystemConfig> configs)
+{
+    const std::string window = simUs ? simUs : "";
+    const std::string audited = audit ? audit : "";
+    long v = 0;
+    // At most half the tick range, so warmup + measure cannot overflow.
+    if (!window.empty() &&
+        (!parseNumber(window, &v) || v <= 0 || v > kTickMax / us(2)))
+        throw std::invalid_argument(
+            "MEMNET_SIM_US='" + window +
+            "' is not a positive whole number of microseconds");
+    if (!audited.empty() && audited != "0" && audited != "1")
+        throw std::invalid_argument("MEMNET_AUDIT='" + audited +
+                                    "' is not 0 or 1");
+    for (SystemConfig &cfg : configs) {
+        if (!window.empty())
+            cfg.measure = us(v);
+        cfg.audit = cfg.audit || audited == "1";
+    }
+}
+
 const char *
 SweepOptions::usage()
 {
@@ -365,12 +388,6 @@ SweepFrontEnd::preflight(
     for (const auto &[flag, path] : outputs) {
         if (!preflightWritable(path, flag))
             return false;
-    }
-    try {
-        effectiveMeasure(SystemConfig{});
-    } catch (const std::invalid_argument &e) {
-        memnet_warn(e.what());
-        return false;
     }
     return true;
 }

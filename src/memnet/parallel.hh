@@ -43,6 +43,7 @@
 #include <charconv>
 #include <cmath>
 #include <functional>
+#include <span>
 #include <string>
 #include <system_error>
 #include <type_traits>
@@ -173,6 +174,20 @@ parseNumber(const std::string &text, T *out)
     return true;
 }
 
+/**
+ * Apply the two run inputs the front ends take from the environment
+ * to @p configs, before any Runner key is built, so keys, journals and
+ * reports state what each run simulates. Callers pass each variable's
+ * text from the process environment; null or empty means unset.
+ *  - MEMNET_SIM_US, a positive whole number of microseconds, replaces
+ *    every config's measure window, even one set by a flag.
+ *  - MEMNET_AUDIT is "0" or "1"; "1" sets every config's audit.
+ * @throw std::invalid_argument naming the variable and its value when
+ * either is malformed; no config is touched then.
+ */
+void applyRunEnvironment(const char *simUs, const char *audit,
+                         std::span<SystemConfig> configs);
+
 /** The command-line flags every sweep front end shares. */
 struct SweepOptions
 {
@@ -217,11 +232,10 @@ class SweepFrontEnd
 
     /**
      * Probe every output path — --profile, --journal,
-     * --failure-manifest and the caller's (flag, path) pairs — and the
-     * MEMNET_SIM_US override, so an unwritable path or a malformed
-     * window fails before anything simulates. A probe leaves no file
-     * behind that was not there before. @return false, with a warning
-     * naming the first unwritable path or the bad override.
+     * --failure-manifest and the caller's (flag, path) pairs — so an
+     * unwritable path fails before anything simulates. A probe leaves
+     * no file behind that was not there before. @return false, with a
+     * warning naming the first unwritable path.
      */
     bool preflight(const std::vector<std::pair<const char *, std::string>>
                        &extra = {}) const;

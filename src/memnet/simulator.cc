@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 
 #include "memnet/experiment.hh"
 #include "memnet/journal.hh"
-#include "memnet/parallel.hh"
 #include "memnet/system.hh"
 #include "obs/obs.hh"
 #include "sim/log.hh"
@@ -91,7 +88,7 @@ collect(System &sys)
     RunResult r;
     r.config = cfg;
     r.numModules = net.numModules();
-    const double secs = toSeconds(sys.measure);
+    const double secs = toSeconds(cfg.measure);
 
     const EnergyAttribution ledger = net.energyAttribution(now);
     const PowerBreakdown total = PowerBreakdown::fromEnergy(ledger, secs);
@@ -163,20 +160,6 @@ collect(System &sys)
 }
 
 } // namespace
-
-Tick
-effectiveMeasure(const SystemConfig &cfg)
-{
-    const char *env = std::getenv("MEMNET_SIM_US");
-    if (!env || !*env)
-        return cfg.measure;
-    long v = 0;
-    if (!parseNumber(env, &v) || v <= 0)
-        throw std::invalid_argument(
-            std::string("MEMNET_SIM_US='") + env +
-            "' is not a positive whole number of microseconds");
-    return us(v);
-}
 
 RunResult
 Simulator::run()

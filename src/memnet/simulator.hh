@@ -42,16 +42,6 @@ class Simulator
 /** Convenience: construct, run, destroy. */
 RunResult runSimulation(const SystemConfig &cfg);
 
-/**
- * The measurement window a run will actually simulate: cfg.measure,
- * unless the MEMNET_SIM_US environment variable overrides it (the CI
- * knob for shortening every window). Shared by the single-network
- * simulator and runMultiChannel so their windows always agree. An
- * empty MEMNET_SIM_US counts as unset; any other value that is not a
- * positive whole number of microseconds throws std::invalid_argument.
- */
-Tick effectiveMeasure(const SystemConfig &cfg);
-
 } // namespace memnet
 
 #endif // MEMNET_MEMNET_SIMULATOR_HH

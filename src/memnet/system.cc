@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "dram/dram_params.hh"
-#include "memnet/simulator.hh"
 #include "mgmt/aware.hh"
 #include "obs/prof.hh"
 #include "sim/log.hh"
@@ -45,7 +44,7 @@ class ChannelSwitch : public TrafficTarget
 } // namespace
 
 System::System(const SystemConfig &cfg, int channels, ChannelSpread spread)
-    : cfg(cfg), measure(effectiveMeasure(cfg)), pm(cfg.ioAttribution)
+    : cfg(cfg), pm(cfg.ioAttribution)
 {
     if (channels < 1)
         memnet_fatal("need at least one channel");
@@ -184,7 +183,7 @@ System::System(const SystemConfig &cfg, int channels, ChannelSpread spread)
 
     // Runtime invariant auditor (src/audit), one per channel: passive,
     // so an audited run stays bit-identical to a bare one. Debug builds
-    // always audit; Release opts in via cfg.audit or MEMNET_AUDIT.
+    // always audit; Release opts in via cfg.audit.
     if (audit::enabledFor(cfg.audit)) {
         for (int c = 0; c < channels; ++c) {
             auditors.push_back(std::make_unique<audit::Auditor>(*nets[c]));
@@ -229,7 +228,7 @@ System::run(const std::function<void()> &onMeasureStart)
         a->onMeasureStart(procEq.now());
     {
         MEMNET_PROF_SCOPE("sim/measure");
-        runUntil(cfg.warmup + measure);
+        runUntil(cfg.warmup + cfg.measure);
     }
     for (auto &a : auditors)
         a->finalCheck(procEq.now());

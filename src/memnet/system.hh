@@ -62,8 +62,6 @@ struct System
     }
 
     const SystemConfig &cfg;
-    /** The measurement window, effectiveMeasure(cfg). */
-    const Tick measure;
 
     // Declared in build order, so teardown runs in reverse: observers
     // go before what they observe, the runner before its queues. The

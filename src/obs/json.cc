@@ -208,14 +208,6 @@ JsonWriter::value(const char *v)
     noteValue();
 }
 
-void
-JsonWriter::null()
-{
-    separate();
-    os << "null";
-    noteValue();
-}
-
 // ---------------------------------------------------------------------
 // String literals
 // ---------------------------------------------------------------------

@@ -59,7 +59,6 @@ class JsonWriter
     void value(bool v);
     void value(const std::string &v);
     void value(const char *v);
-    void null();
 
     /** key(k) + value(v) in one call. */
     template <typename T>

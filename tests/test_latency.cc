@@ -150,7 +150,7 @@ TEST(LatencyObservatory, MultiChannelMergesAcrossChannels)
     // And the merged sample count is the union of both channels'
     // completed reads (reads/s times the measured window): every read
     // lands in exactly one channel's sketch.
-    const double secs = toSeconds(effectiveMeasure(mc.base));
+    const double secs = toSeconds(mc.base.measure);
     EXPECT_NEAR(static_cast<double>(r.latency.endToEnd.samples),
                 r.readsPerSec * secs, 1.0);
 }

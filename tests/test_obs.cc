@@ -72,8 +72,7 @@ TEST(ObsJson, WriterParserRoundTrip)
     w.field("pi", 3.25);
     w.field("yes", true);
     w.field("text", std::string("quote \" slash \\ tab \t"));
-    w.key("null");
-    w.null();
+    w.field("null", std::numeric_limits<double>::quiet_NaN());
     w.key("arr");
     w.beginArray();
     w.value(std::int64_t{1});

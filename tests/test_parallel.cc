@@ -14,6 +14,7 @@
 #include <iterator>
 #include <regex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -365,6 +366,64 @@ TEST(ParseNumber, TakesWholeFiniteValuesOnly)
                             "1e999", "soon", "0.5s"}) {
         EXPECT_FALSE(parseNumber(bad, &d)) << bad;
     }
+}
+
+TEST(ApplyRunEnvironment, SetsWindowAndAuditOnEveryConfig)
+{
+    std::vector<SystemConfig> cfgs(2);
+    cfgs[1].audit = true;
+    const Tick configured = cfgs[0].measure;
+
+    // Unset and empty both leave every config as it is.
+    for (const char *unset : {static_cast<const char *>(nullptr), ""}) {
+        applyRunEnvironment(unset, unset, cfgs);
+        EXPECT_EQ(cfgs[0].measure, configured);
+        EXPECT_FALSE(cfgs[0].audit);
+        EXPECT_TRUE(cfgs[1].audit);
+    }
+    // MEMNET_AUDIT=0 adds no opt-in and takes none away.
+    applyRunEnvironment(nullptr, "0", cfgs);
+    EXPECT_FALSE(cfgs[0].audit);
+    EXPECT_TRUE(cfgs[1].audit);
+
+    applyRunEnvironment("100", "1", cfgs);
+    for (const SystemConfig &c : cfgs) {
+        EXPECT_EQ(c.measure, us(100));
+        EXPECT_TRUE(c.audit);
+    }
+    // The longest window: half the Tick range.
+    applyRunEnvironment("4611686018427", nullptr, cfgs);
+    EXPECT_EQ(cfgs[0].measure, us(4611686018427));
+}
+
+TEST(ApplyRunEnvironment, RefusesMalformedValuesNamingTheVariable)
+{
+    const auto expectRefused = [](const char *simUs, const char *audit,
+                                  const std::string &named) {
+        std::vector<SystemConfig> cfgs(1);
+        const SystemConfig before = cfgs[0];
+        try {
+            applyRunEnvironment(simUs, audit, cfgs);
+            ADD_FAILURE() << named << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+                << e.what();
+        }
+        // A refusal touches no config, not even with the other
+        // variable well formed.
+        EXPECT_EQ(cfgs[0].measure, before.measure);
+        EXPECT_EQ(cfgs[0].audit, before.audit);
+    };
+    // Anything but a positive whole number of microseconds, up to half
+    // the Tick range.
+    for (const char *bad :
+         {"5e1", "abc", "0", "-5", "50us", "4611686018428"})
+        expectRefused(bad, "1",
+                      std::string("MEMNET_SIM_US='") + bad + "'");
+    // Anything but 0 or 1, words that read as "off" included.
+    for (const char *bad : {"false", "no", "off", "true", "2", " 1"})
+        expectRefused("100", bad,
+                      std::string("MEMNET_AUDIT='") + bad + "'");
 }
 
 /** Run SweepOptions::parseFlag over one command line; "" = all ok. */

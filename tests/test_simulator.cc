@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <stdexcept>
 #include <string>
 
 #include "memnet/simulator.hh"
@@ -144,41 +142,6 @@ TEST(Simulator, AvgLinkUtilBelowChannelUtil)
     cfg.workload = "mixA"; // hot head, cold tail
     const RunResult r = runSimulation(cfg);
     EXPECT_LT(r.avgLinkUtil, r.channelUtil);
-}
-
-TEST(Simulator, MeasureWindowEnvOverride)
-{
-    ::setenv("MEMNET_SIM_US", "100", 1);
-    SystemConfig cfg = quickConfig();
-    const RunResult a = runSimulation(cfg);
-    ::unsetenv("MEMNET_SIM_US");
-    const RunResult b = runSimulation(cfg);
-    // The override shortens the window, so fewer reads complete.
-    EXPECT_LT(a.completedReads, b.completedReads);
-
-    // An empty value counts as unset.
-    ::setenv("MEMNET_SIM_US", "", 1);
-    EXPECT_EQ(effectiveMeasure(cfg), cfg.measure);
-
-    // Anything but a positive whole number of microseconds is refused
-    // with a message naming the variable and the value, and a run
-    // fails before it simulates anything.
-    for (const char *bad : {"5e1", "abc", "0", "-5", "50us"}) {
-        ::setenv("MEMNET_SIM_US", bad, 1);
-        try {
-            effectiveMeasure(cfg);
-            ADD_FAILURE() << bad << " was accepted";
-        } catch (const std::invalid_argument &e) {
-            const std::string what = e.what();
-            EXPECT_NE(what.find("MEMNET_SIM_US"), std::string::npos)
-                << what;
-            EXPECT_NE(what.find(std::string("'") + bad + "'"),
-                      std::string::npos)
-                << what;
-        }
-        EXPECT_THROW(runSimulation(cfg), std::invalid_argument) << bad;
-    }
-    ::unsetenv("MEMNET_SIM_US");
 }
 
 } // namespace
