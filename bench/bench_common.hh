@@ -51,7 +51,7 @@ sweepBase()
 /**
  * Command line and sweep passes of the bench binaries. Every bench
  * takes the shared sweep flags (memnet::SweepOptions: --jobs,
- * --profile, --journal, --resume, --failure-policy, --config-timeout,
+ * --profile, --journal, --resume, --config-timeout,
  * --failure-manifest; docs/ROBUSTNESS.md) plus two of its own:
  *
  *   --json <path>      dump every run as machine-readable JSON

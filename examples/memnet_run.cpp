@@ -29,23 +29,25 @@
  * docs/ROBUSTNESS.md):
  *   --jobs <n>                threads for the seed sweep
  *                             (0 = all hardware threads)    [1]
- *   --profile <path>          host-side profiler dump; ".json" gets
- *                             the phase tree, anything else FlameGraph
+ *   --profile <path>          host-side profiler dump as FlameGraph
  *                             collapsed stacks (docs/PERFORMANCE.md)
  *   --journal <path>          append completed runs to a checksummed
  *                             JSONL journal, flushed per record
  *   --resume <path>           pre-load results from a journal; only
  *                             missing configs re-simulate
- *   --failure-policy <p>      abort|isolate                 [abort]
  *   --config-timeout <sec>    per-run wall-clock budget (hang
  *                             watchdog); 0 disables          [0]
- *   --failure-manifest <path> isolate-policy failure report (JSON)
+ *   --failure-manifest <path> JSON report of failed runs; a failed
+ *                             run never stops the others
  *
  * Numeric values must be whole numbers (finite decimals for --alpha,
  * --fer and --config-timeout); --measure-us and --seeds must be
- * positive, --config-timeout not negative. A bad value, like an unknown
- * flag or name, exits 2 with a one-line usage message. An unwritable
- * output path exits 1 before anything simulates.
+ * positive, --wakeup-ns and --config-timeout not negative, and
+ * --measure-us and --wakeup-ns at most half the tick range
+ * (4611686018427 us, 4611686018427387 ns), so no simulated time
+ * overflows. A bad value, like an unknown flag or name, exits 2 with a
+ * one-line usage message. An unwritable output path exits 1 before
+ * anything simulates.
  *
  * Two environment variables are run inputs too, resolved into the
  * config before anything simulates (memnet::applyRunEnvironment), so
@@ -195,15 +197,20 @@ main(int argc, char **argv)
         } else if (a == "--roo") {
             cfg.roo = true;
         } else if (a == "--wakeup-ns") {
-            cfg.rooWakeupPs = ns(number<long>(need(i), "--wakeup-ns"));
+            const long v = number<long>(need(i), "--wakeup-ns");
+            if (v < 0 || v > kTickMax / ns(2))
+                usage("--wakeup-ns must be 0 to " +
+                      std::to_string(kTickMax / ns(2)));
+            cfg.rooWakeupPs = ns(v);
         } else if (a == "--policy") {
             cfg.policy = parsePolicy(need(i));
         } else if (a == "--alpha") {
             cfg.alphaPct = number<double>(need(i), "--alpha");
         } else if (a == "--measure-us") {
             const long v = number<long>(need(i), "--measure-us");
-            if (v <= 0)
-                usage("--measure-us must be positive");
+            if (v <= 0 || v > kTickMax / us(2))
+                usage("--measure-us must be 1 to " +
+                      std::to_string(kTickMax / us(2)));
             cfg.measure = us(v);
         } else if (a == "--seed") {
             cfg.seed = number<std::uint64_t>(need(i), "--seed");

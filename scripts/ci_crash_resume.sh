@@ -13,8 +13,8 @@
 #      bench JSON dumps to agree on every simulation-determined field
 #      (scripts/diff_runs.py, which ignores wall-clock/profiler keys).
 #   4. Schema-validate the journal, then force watchdog kills with a
-#      microscopic --config-timeout under --failure-policy isolate
-#      and schema-validate the failure manifest it writes.
+#      microscopic --config-timeout and schema-validate the failure
+#      manifest it writes.
 #   5. Journal a partitioned-kernel sweep (--partitions 2) and resume
 #      a *serial* sweep from it: partitioned runs are bit-identical to
 #      serial and share the serial config key, so every record
@@ -107,26 +107,29 @@ clean=$(grep -c '"journal_version"' "$OUT/sweep.clean.jsonl")
     exit 1
 }
 
-# Watchdog + isolate: a 1 ms budget no config can meet. The bench must
-# exit non-zero yet still write a schema-valid machine-readable
-# manifest naming every kill.
-if "$BENCH" --jobs 2 --config-timeout 0.001 --failure-policy isolate \
+# Watchdog: a 1 ms budget no config can meet. The bench must exit
+# non-zero yet still write a schema-valid machine-readable manifest
+# naming every kill.
+if "$BENCH" --jobs 2 --config-timeout 0.001 \
     --failure-manifest "$OUT/manifest.json" \
     --json "$OUT/isolated.json" >"$OUT/isolated.log" 2>&1; then
-    echo "isolate sweep with an unmeetable timeout exited 0" >&2
+    echo "sweep with an unmeetable timeout exited 0" >&2
     exit 1
 fi
 grep -q "cancelled by watchdog" "$OUT/isolated.log" || {
-    echo "no watchdog diagnostics in the isolate log" >&2; exit 1; }
+    echo "no watchdog diagnostics in $OUT/isolated.log" >&2; exit 1; }
 python3 scripts/validate_bench_json.py ci/failure_manifest_schema.json \
     "$OUT/manifest.json"
 
 echo "== leg 5: partitioned kernel journals interchangeably =="
 # Event-count and queue-shape counters describe the kernel layout, not
 # the simulation, so a partitioned-vs-serial diff must skip them (the
-# same gate audit::diffRunResults applies in-process).
-KERNEL_IGNORE="(wall|per_s|per_sec|_rate|elapsed|prof|events_\
-|peak_queue_depth|dispatch_window|partition|barrier)"
+# same gate audit::diffRunResults applies in-process), along with the
+# partition count itself and the per-lane host counters.
+KERNEL_IGNORE='(^|\.)(config\.partitions|result\.events_fired'\
+'|result\.profile\.(wall_s|events_fired|events_scheduled'\
+'|events_descheduled|peak_queue_depth|dispatch_windows)'\
+'|host\.(prof_phases|partition_lanes))$'
 "$BENCH" --partitions 2 --journal "$OUT/part.jsonl" \
     --json "$OUT/part.json" >"$OUT/part.log" 2>&1
 python3 scripts/diff_runs.py "$OUT/reference.json" "$OUT/part.json" \

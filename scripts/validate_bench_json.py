@@ -149,8 +149,7 @@ def main(argv):
                 print(f"  ... and {len(errors) - 20} more")
         elif "failures" in doc:
             # A failure manifest, not a bench dump.
-            print(f"{path}: OK ({doc.get('failure_policy', '?')} policy, "
-                  f"{len(doc['failures'])} failure(s))")
+            print(f"{path}: OK ({len(doc['failures'])} failure(s))")
         else:
             runs = doc.get("runs", [])
             # Note how many runs carry host-profiler phases so a

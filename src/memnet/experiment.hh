@@ -135,7 +135,7 @@ class Runner
     }
 
     /**
-     * Poison @p cfg after a failure (isolate policy): later get() calls
+     * Poison @p cfg after a failure (ParallelRunner): later get() calls
      * return a zeroed placeholder instead of re-running a config known
      * to crash or hang, and results() never includes it. A waiter
      * already blocked on the failing in-flight key can slip past the

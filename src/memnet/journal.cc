@@ -1086,7 +1086,7 @@ writeBenchResultsJson(std::ostream &os, const std::string &bench,
     std::condition_variable turnCv;
     std::size_t turn = 0;
     bool failed = false;
-    forEachChunk(starts.size() - 1, [&](std::size_t b) {
+    forEachChunk(starts.size() - 1, /*threads=*/0, [&](std::size_t b) {
         std::string text;
         std::exception_ptr error;
         try {
@@ -1212,7 +1212,7 @@ loadJournal(const std::string &path,
         fs::is_regular_file(st) ? fs::file_size(path, ec) : 0;
     std::vector<JournalRange> ranges(
         std::max<std::uintmax_t>(1, ec ? 0 : size / kLoadGrain));
-    forEachChunk(ranges.size(), [&](std::size_t i) {
+    forEachChunk(ranges.size(), /*threads=*/0, [&](std::size_t i) {
         std::ifstream own;
         if (i > 0) {
             own.open(path);
@@ -1308,7 +1308,7 @@ RunJournal::append(const std::string &key, const RunResult &r)
 
 void
 writeFailureManifest(std::ostream &os, const std::string &source,
-                     const std::string &policy, double configTimeoutSec,
+                     double configTimeoutSec,
                      const std::vector<RunFailure> &failures)
 {
     // First failure wins per key: a duplicate config raced past the
@@ -1324,7 +1324,6 @@ writeFailureManifest(std::ostream &os, const std::string &source,
     w.object({}, [&] {
         w.num("schema_version", kFailureManifestVersion);
         w.str("source", source);
-        w.str("failure_policy", policy);
         w.hex("config_timeout_s", configTimeoutSec);
         w.list("failures", unique, [&](const RunFailure *f) {
             w.object({}, [&] {

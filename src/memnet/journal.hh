@@ -40,10 +40,10 @@
  * in-flight record. Journals are plain concatenable text: merging two
  * sweeps is `cat a.jsonl b.jsonl` (duplicate keys resolve last-wins).
  *
- * The same file also hosts the failure-manifest writer used by the
- * `isolate` failure policy (see memnet/parallel.hh): a machine-readable
- * JSON document of every config that threw or was cancelled by the
- * hang watchdog. Schemas: ci/journal_schema.json and
+ * The same file also hosts the failure-manifest writer of the sweep
+ * front end (see memnet/parallel.hh): a machine-readable JSON
+ * document of every config that threw or was cancelled by the hang
+ * watchdog. Schemas: ci/journal_schema.json and
  * ci/failure_manifest_schema.json; format docs: docs/ROBUSTNESS.md.
  */
 
@@ -212,18 +212,17 @@ class RunJournal
 };
 
 /** Failure-manifest format version (the "schema_version" member). */
-constexpr int kFailureManifestVersion = 1;
+constexpr int kFailureManifestVersion = 2;
 
 /**
- * Write the machine-readable failure manifest for an isolate-policy
- * sweep: one entry per failed config (first failure wins per key),
- * carrying the canonical key, the config echo, the exception text —
- * for watchdog expiries, the diagnostics snapshot — and whether the
- * hang watchdog (rather than an exception) killed it. Schema:
+ * Write the machine-readable failure manifest of a sweep: one entry
+ * per failed config (first failure wins per key), carrying the
+ * canonical key, the config echo, the exception text — for watchdog
+ * expiries, the diagnostics snapshot — and whether the hang watchdog
+ * (rather than an exception) killed it. Schema:
  * ci/failure_manifest_schema.json.
  */
 void writeFailureManifest(std::ostream &os, const std::string &source,
-                          const std::string &policy,
                           double configTimeoutSec,
                           const std::vector<RunFailure> &failures);
 

@@ -9,8 +9,8 @@
 #include <fstream>
 #include <limits>
 #include <map>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
@@ -33,7 +33,8 @@ resolveJobs(int jobs)
 }
 
 void
-forEachChunk(std::size_t chunks, const std::function<void(std::size_t)> &fn)
+forEachChunk(std::size_t chunks, int threads,
+             const std::function<void(std::size_t)> &fn)
 {
     std::atomic<std::size_t> next{0};
     std::exception_ptr firstError;
@@ -49,11 +50,10 @@ forEachChunk(std::size_t chunks, const std::function<void(std::size_t)> &fn)
             }
         }
     };
-    const std::size_t threads =
-        std::min<std::size_t>(resolveJobs(0), chunks);
+    const std::size_t n = std::min<std::size_t>(resolveJobs(threads), chunks);
     std::vector<std::thread> helpers;
-    helpers.reserve(threads);
-    for (std::size_t t = 1; t < threads; ++t) {
+    helpers.reserve(n);
+    for (std::size_t t = 1; t < n; ++t) {
         try {
             helpers.emplace_back(work);
         } catch (const std::system_error &) {
@@ -67,26 +67,6 @@ forEachChunk(std::size_t chunks, const std::function<void(std::size_t)> &fn)
         std::rethrow_exception(firstError);
 }
 
-const char *
-failurePolicyName(FailurePolicy p)
-{
-    return p == FailurePolicy::Abort ? "abort" : "isolate";
-}
-
-bool
-parseFailurePolicy(const std::string &s, FailurePolicy *out)
-{
-    if (s == "abort") {
-        *out = FailurePolicy::Abort;
-        return true;
-    }
-    if (s == "isolate") {
-        *out = FailurePolicy::Isolate;
-        return true;
-    }
-    return false;
-}
-
 ParallelRunner::ParallelRunner(Runner &runner, int jobs)
     : runner_(runner), jobs_(resolveJobs(jobs))
 {
@@ -94,17 +74,6 @@ ParallelRunner::ParallelRunner(Runner &runner, int jobs)
 
 namespace
 {
-
-/**
- * Per-worker watchdog state. The worker publishes a deadline when it
- * starts a config; the monitor thread raises the cancel flag once the
- * deadline passes. deadlineNs == 0 means idle (nothing to watch).
- */
-struct WatchSlot
-{
-    std::atomic<bool> cancel{false};
-    std::atomic<std::int64_t> deadlineNs{0};
-};
 
 std::int64_t
 steadyNowNs()
@@ -130,6 +99,83 @@ deadlineAfter(std::int64_t startNs, double seconds)
     return startNs > kNever - budget ? kNever : startNs + budget;
 }
 
+/**
+ * The hang watchdog of one ParallelRunner::run call: a cancel flag and
+ * a deadline per config, and a monitor thread that raises a config's
+ * flag once its deadline passes. deadlineNs == 0 means the config is
+ * not running. Destruction stops and joins the monitor.
+ */
+class Watchdog
+{
+  public:
+    Watchdog(std::size_t configs, double budgetSec)
+        : budgetSec_(budgetSec), slots_(configs)
+    {
+        // The monitor wakes often enough that a budget overrun is
+        // bounded by ~1/8 of the budget (floor 2 ms so tiny test
+        // budgets still trip promptly, ceiling 100 ms to keep the
+        // thread near-idle).
+        const auto interval = std::chrono::milliseconds(
+            static_cast<std::int64_t>(
+                std::clamp(budgetSec * 1e3 / 8, 2.0, 100.0)));
+        monitor_ = std::thread([this, interval] {
+            std::unique_lock<std::mutex> lock(mu_);
+            while (!cv_.wait_for(lock, interval, [this] { return done_; })) {
+                const std::int64_t now = steadyNowNs();
+                for (Slot &s : slots_) {
+                    const std::int64_t deadline =
+                        s.deadlineNs.load(std::memory_order_acquire);
+                    if (deadline != 0 && now >= deadline)
+                        s.cancel.store(true, std::memory_order_relaxed);
+                }
+            }
+        });
+    }
+
+    ~Watchdog()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            done_ = true;
+        }
+        cv_.notify_all();
+        monitor_.join();
+    }
+
+    Watchdog(const Watchdog &) = delete;
+    Watchdog &operator=(const Watchdog &) = delete;
+
+    /** Start config @p i's budget at @p startNs; @return its flag. */
+    const std::atomic<bool> *
+    arm(std::size_t i, std::int64_t startNs)
+    {
+        slots_[i].deadlineNs.store(deadlineAfter(startNs, budgetSec_),
+                                   std::memory_order_release);
+        return &slots_[i].cancel;
+    }
+
+    /** Config @p i finished: stop watching it. */
+    void
+    disarm(std::size_t i)
+    {
+        slots_[i].deadlineNs.store(0, std::memory_order_release);
+    }
+
+  private:
+    struct Slot
+    {
+        std::atomic<bool> cancel{false};
+        std::atomic<std::int64_t> deadlineNs{0};
+    };
+
+    double budgetSec_;
+    std::vector<Slot> slots_;
+    std::mutex mu_;
+    std::condition_variable cv_;
+    bool done_ = false;
+    std::thread monitor_;
+};
+
 } // namespace
 
 void
@@ -138,145 +184,45 @@ ParallelRunner::run(const std::vector<SystemConfig> &configs)
     if (configs.empty())
         return;
 
-    const int workers =
-        std::min<int>(jobs_, static_cast<int>(configs.size()));
-    const bool watchdog = configTimeoutSec_ > 0.0;
-    if (workers <= 1 && !watchdog && policy_ == FailurePolicy::Abort) {
-        // The historical serial path, byte-for-byte: with no robustness
-        // feature active the engine must not perturb anything (the
-        // perf-baseline CI gate measures this loop).
-        for (const SystemConfig &cfg : configs)
-            runner_.get(cfg);
-        return;
-    }
+    std::optional<Watchdog> watchdog;
+    if (configTimeoutSec_ > 0.0)
+        watchdog.emplace(configs.size(), configTimeoutSec_);
+    std::mutex failuresMu;
 
-    // Work-stealing over a shared index: configs vary wildly in cost
-    // (size class x simulated time), so static partitioning would leave
-    // workers idle behind the slowest shard.
-    std::atomic<std::size_t> next{0};
-    std::exception_ptr firstError;
-    std::mutex errorMu;
-    const int poolSize = std::max(workers, 1);
-    const std::unique_ptr<WatchSlot[]> slots(new WatchSlot[poolSize]);
-
-    auto recordFailure = [&](const SystemConfig &cfg,
-                             const std::string &message, bool isTimeout,
-                             double wallSeconds) {
-        {
-            std::lock_guard<std::mutex> lock(errorMu);
-            failures_.push_back({cfg, Runner::key(cfg), message,
-                                 isTimeout, wallSeconds});
-            if (policy_ == FailurePolicy::Abort && !firstError)
-                firstError = std::current_exception();
-        }
-        if (policy_ == FailurePolicy::Isolate)
+    // Configs are claimed one at a time from a shared index: they vary
+    // wildly in cost (size class x simulated time), so static
+    // partitioning would leave threads idle behind the slowest shard.
+    forEachChunk(configs.size(), jobs_, [&](std::size_t i) {
+        const SystemConfig &cfg = configs[i];
+        const std::int64_t startNs = steadyNowNs();
+        // Without a watchdog the thread keeps the flag it has.
+        const ScopedCancelFlag scoped(watchdog ? watchdog->arm(i, startNs)
+                                               : cancelFlag());
+        const auto fail = [&](const std::string &message, bool timeout) {
+            const double wall =
+                static_cast<double>(steadyNowNs() - startNs) / 1e9;
             runner_.markFailed(cfg);
-    };
-
-    auto worker = [&](int slot) {
-        MEMNET_PROF_SCOPE("parallel/worker");
-        WatchSlot &ws = slots[slot];
-        const ScopedCancelFlag scoped(watchdog ? &ws.cancel : nullptr);
-        for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= configs.size())
-                return;
-            const std::int64_t startNs = steadyNowNs();
-            if (watchdog) {
-                // Order matters: clear any stale cancellation before
-                // arming, so a flag raised for the previous config
-                // cannot kill this one at its first poll.
-                ws.cancel.store(false, std::memory_order_relaxed);
-                ws.deadlineNs.store(
-                    deadlineAfter(startNs, configTimeoutSec_),
-                    std::memory_order_release);
-            }
-            const auto wall = [startNs] {
-                return static_cast<double>(steadyNowNs() - startNs) /
-                       1e9;
-            };
-            try {
-                MEMNET_PROF_SCOPE("parallel/job");
-                runner_.get(configs[i]);
-            } catch (const CancelledError &e) {
-                recordFailure(configs[i], e.what(), true, wall());
-            } catch (const std::exception &e) {
-                recordFailure(configs[i], e.what(), false, wall());
-            } catch (...) {
-                recordFailure(configs[i], "unknown exception", false,
-                              wall());
-                // Keep draining: other indices may still be claimed by
-                // peers blocked on this key in Runner::get().
-            }
-            if (watchdog)
-                ws.deadlineNs.store(0, std::memory_order_release);
+            std::lock_guard<std::mutex> lock(failuresMu);
+            failures_.push_back(
+                {cfg, Runner::key(cfg), message, timeout, wall});
+        };
+        try {
+            runner_.get(cfg);
+        } catch (const CancelledError &e) {
+            fail(e.what(), true);
+        } catch (const std::exception &e) {
+            fail(e.what(), false);
+        } catch (...) {
+            fail("unknown exception", false);
         }
-    };
-
-    // The monitor wakes often enough that a budget overrun is bounded
-    // by ~1/8 of the budget (floor 2 ms so tiny test budgets still trip
-    // promptly, ceiling 100 ms to keep the thread near-idle).
-    std::mutex monMu;
-    std::condition_variable monCv;
-    bool monDone = false;
-    std::thread monitor;
-    if (watchdog) {
-        const auto interval = std::chrono::milliseconds(
-            static_cast<std::int64_t>(
-                std::clamp(configTimeoutSec_ * 1e3 / 8, 2.0, 100.0)));
-        monitor = std::thread([&, interval] {
-            std::unique_lock<std::mutex> lock(monMu);
-            while (!monDone) {
-                monCv.wait_for(lock, interval);
-                if (monDone)
-                    break;
-                const std::int64_t now = steadyNowNs();
-                for (int s = 0; s < poolSize; ++s) {
-                    const std::int64_t deadline =
-                        slots[s].deadlineNs.load(
-                            std::memory_order_acquire);
-                    if (deadline != 0 && now >= deadline)
-                        slots[s].cancel.store(
-                            true, std::memory_order_relaxed);
-                }
-            }
-        });
-    }
-
-    std::vector<std::thread> pool;
-    pool.reserve(poolSize);
-    for (int t = 0; t < poolSize; ++t)
-        pool.emplace_back(worker, t);
-    for (std::thread &th : pool)
-        th.join();
-    if (monitor.joinable()) {
-        {
-            std::lock_guard<std::mutex> lock(monMu);
-            monDone = true;
-        }
-        monCv.notify_all();
-        monitor.join();
-    }
+        if (watchdog)
+            watchdog->disarm(i);
+    });
 
     std::sort(failures_.begin(), failures_.end(),
               [](const RunFailure &a, const RunFailure &b) {
                   return a.key < b.key;
               });
-
-    if (firstError) {
-        if (failures_.size() > 1) {
-            memnet_warn("parallel sweep: ", failures_.size() - 1,
-                        " additional failure(s) suppressed under the "
-                        "abort policy; rethrowing the first");
-            for (std::size_t f = 0; f < failures_.size(); ++f) {
-                memnet_warn("  failed [", f + 1, "/", failures_.size(),
-                            "] ", failures_[f].config.describe(), ": ",
-                            failures_[f].message);
-            }
-        }
-        std::rethrow_exception(firstError);
-    }
 }
 
 void
@@ -306,8 +252,8 @@ const char *
 SweepOptions::usage()
 {
     return "[--jobs <n>] [--profile <path>] [--journal <path>] "
-           "[--resume <path>] [--failure-policy <abort|isolate>] "
-           "[--config-timeout <seconds>] [--failure-manifest <path>]";
+           "[--resume <path>] [--config-timeout <seconds>] "
+           "[--failure-manifest <path>]";
 }
 
 bool
@@ -319,8 +265,7 @@ SweepOptions::parseFlag(int argc, char **argv, int &i, std::string *err)
                         : flag == "--resume"           ? &resumePath
                         : flag == "--failure-manifest" ? &manifestPath
                                                        : nullptr;
-    if (!path && flag != "--jobs" && flag != "--failure-policy" &&
-        flag != "--config-timeout")
+    if (!path && flag != "--jobs" && flag != "--config-timeout")
         return false;
     if (i + 1 >= argc) {
         *err = "missing value for " + flag;
@@ -332,10 +277,6 @@ SweepOptions::parseFlag(int argc, char **argv, int &i, std::string *err)
     } else if (flag == "--jobs") {
         if (!parseNumber(value, &jobs))
             *err = "bad --jobs value: '" + value + "'";
-    } else if (flag == "--failure-policy") {
-        if (!parseFailurePolicy(value, &policy))
-            *err = "--failure-policy must be 'abort' or 'isolate' (got '" +
-                   value + "')";
     } else if (!parseNumber(value, &configTimeoutSec) ||
                configTimeoutSec < 0.0) {
         *err = "--config-timeout must be finite seconds >= 0 (got '" +
@@ -418,15 +359,8 @@ SweepFrontEnd::run(Runner &runner, const std::vector<SystemConfig> &configs)
     }
 
     ParallelRunner engine(runner, opts_.jobs);
-    engine.setFailurePolicy(opts_.policy);
     engine.setConfigTimeout(opts_.configTimeoutSec);
-    try {
-        engine.run(configs);
-    } catch (const std::exception &e) {
-        runner.setJournal(nullptr);
-        memnet_warn("sweep failed: ", e.what());
-        return false;
-    }
+    engine.run(configs);
     failures_ = engine.failures();
     return true;
 }
@@ -447,9 +381,8 @@ SweepFrontEnd::finish(Runner &runner)
         if (!opts_.manifestPath.empty()) {
             std::ofstream os(opts_.manifestPath);
             if (os) {
-                writeFailureManifest(os, tool_,
-                                     failurePolicyName(opts_.policy),
-                                     opts_.configTimeoutSec, failures_);
+                writeFailureManifest(os, tool_, opts_.configTimeoutSec,
+                                     failures_);
                 closeOutput(os, "failure manifest", opts_.manifestPath);
             } else {
                 memnet_warn("cannot open --failure-manifest output file: ",
@@ -469,7 +402,7 @@ SweepFrontEnd::finish(Runner &runner)
                       " run(s) executed, ", runner.resumedHits(),
                       " resumed from journal", appended);
     }
-    // The snapshot merges the whole sweep: worker threads' trees are
+    // The snapshot merges the whole sweep: helper threads' trees are
     // retained past the join.
     if (!opts_.profilePath.empty() &&
         !prof::writeSnapshotFile(opts_.profilePath))

@@ -5,36 +5,31 @@
  * Every figure in the paper is a sweep over independent simulations
  * (topologies x workloads x size classes x mechanisms), yet runs used
  * to execute strictly serially. ParallelRunner executes a batch of
- * SystemConfigs on a thread pool, filling a shared Runner cache with
- * results that are bit-identical to serial execution: each run owns
- * its EventQueue and seeded RNGs, the Runner cache and the process-wide
- * log sink are thread-safe, and Runner::results() iterates in sorted
- * key order regardless of completion order.
+ * SystemConfigs on up to --jobs threads, filling a shared Runner cache
+ * with results that are bit-identical to serial execution: each run
+ * owns its EventQueue and seeded RNGs, the Runner cache and the
+ * process-wide log sink are thread-safe, and Runner::results() iterates
+ * in sorted key order regardless of completion order.
  *
- * Failure handling is policy-selectable (`--failure-policy`):
- *
- *  - Abort (default, the historical behavior): the pool drains, the
- *    first exception is rethrown, and any further failures are logged
- *    as suppressed so multi-failure sweeps don't hide evidence.
- *  - Isolate: a failing config is recorded in failures() — config,
- *    canonical key, exception text, watchdog verdict — and poisoned in
- *    the Runner (markFailed) so replay passes don't re-crash; the rest
- *    of the sweep completes and the caller reports partial results
- *    plus a machine-readable failure manifest (memnet/journal.hh).
+ * A failing config is isolated: it is recorded in failures() — config,
+ * canonical key, exception text, watchdog verdict — and poisoned in
+ * the Runner (markFailed) so replay passes don't re-crash; the rest of
+ * the sweep completes, and the front end reports partial results, a
+ * machine-readable failure manifest (memnet/journal.hh) and exit
+ * status 1. The same happens at any --jobs.
  *
  * The hang watchdog (`--config-timeout`) gives each config a
- * wall-clock budget: a monitor thread arms a per-worker deadline and
- * sets the worker's cooperative stop flag (sim/cancel.hh) when it
+ * wall-clock budget: a monitor thread arms a per-config deadline and
+ * sets the config's cooperative stop flag (sim/cancel.hh) when it
  * expires; the event-dispatch loop observes the flag and throws
  * CancelledError carrying an event-queue/profiler diagnostics
- * snapshot, which is routed through the failure policy like any other
- * exception. The budget covers the whole Runner::get() call — a
- * worker that spends its budget blocked on a peer's in-flight result
- * re-runs the config itself afterwards with a fresh budget.
+ * snapshot, which is recorded like any other failure. The budget
+ * covers the whole Runner::get() call, time spent blocked on a peer's
+ * in-flight run of the same key included.
  *
  * Both sweep front ends, the bench binaries and memnet_run, drive this
- * class through SweepFrontEnd below. With one job, no watchdog and the
- * abort policy, run() is a plain serial loop.
+ * class through SweepFrontEnd below. Configs run on forEachChunk; with
+ * one job no thread starts and run() is a serial loop on the caller.
  */
 
 #ifndef MEMNET_MEMNET_PARALLEL_HH
@@ -64,28 +59,16 @@ int resolveJobs(int jobs);
 
 /**
  * Call @p fn(0) .. @p fn(chunks - 1), each exactly once, on up to
- * min(hardware threads, chunks) threads, the calling thread included.
- * Chunks are claimed in index order from one shared counter, so a
- * chunk is only ever claimed after every lower one. A helper thread
- * that cannot be started leaves its share to the threads that did
- * start. Blocks until every chunk is done; then rethrows the first
- * exception @p fn threw (the remaining chunks still run).
+ * min(resolveJobs(@p threads), chunks) threads, the calling thread
+ * included; with one, no helper starts. Chunks are claimed in index
+ * order from one shared counter, so a chunk is only ever claimed after
+ * every lower one. A helper thread that cannot be started leaves its
+ * share to the threads that did start. Blocks until every chunk is
+ * done; then rethrows the first exception @p fn threw (the remaining
+ * chunks still run).
  */
-void forEachChunk(std::size_t chunks,
+void forEachChunk(std::size_t chunks, int threads,
                   const std::function<void(std::size_t)> &fn);
-
-/** What run() does when a config throws or trips the hang watchdog. */
-enum class FailurePolicy
-{
-    Abort,   ///< drain the pool, then rethrow the first failure
-    Isolate, ///< record + poison the config, finish the sweep
-};
-
-/** Canonical flag spelling ("abort" / "isolate"). */
-const char *failurePolicyName(FailurePolicy p);
-
-/** Parse a --failure-policy value; false on unknown spelling. */
-bool parseFailurePolicy(const std::string &s, FailurePolicy *out);
 
 /** One failed config of a sweep (see ParallelRunner::failures()). */
 struct RunFailure
@@ -107,46 +90,37 @@ struct RunFailure
 };
 
 /**
- * Thread-pool executor over a shared memoizing Runner.
+ * Sweep executor over a shared memoizing Runner.
  */
 class ParallelRunner
 {
   public:
     /**
      * @param runner shared result cache (thread-safe).
-     * @param jobs worker threads; 0 = hardware concurrency.
+     * @param jobs threads, the caller included; 0 = hardware concurrency.
      */
     explicit ParallelRunner(Runner &runner, int jobs = 0);
 
     /**
      * Execute every config in @p configs, blocking until all finish.
      * Duplicate configs (and configs already cached) are simulated only
-     * once. Failures follow the configured policy: under Abort the
-     * first exception is rethrown here after the pool drains (with a
-     * suppressed-failure log line when there were more); under Isolate
-     * nothing throws and failures() reports the casualties.
+     * once. A config that throws or trips the watchdog does not stop
+     * the others: failures() reports it and the Runner poisons its key.
      */
     void run(const std::vector<SystemConfig> &configs);
-
-    /** Worker threads this engine uses. */
-    int jobs() const { return jobs_; }
-
-    void setFailurePolicy(FailurePolicy p) { policy_ = p; }
 
     /** Per-config wall-clock budget in seconds; <= 0 disables. */
     void setConfigTimeout(double seconds) { configTimeoutSec_ = seconds; }
 
     /**
      * Failures accumulated across run() calls, sorted by canonical key
-     * (so manifests are deterministically ordered). Under Abort this
-     * still fills — it is what the suppressed-failure log reports.
+     * (so manifests are deterministically ordered).
      */
     const std::vector<RunFailure> &failures() const { return failures_; }
 
   private:
     Runner &runner_;
     int jobs_;
-    FailurePolicy policy_ = FailurePolicy::Abort;
     double configTimeoutSec_ = 0.0;
     std::vector<RunFailure> failures_;
 };
@@ -193,17 +167,15 @@ struct SweepOptions
 {
     /** --jobs: worker threads (0 = all hardware threads). */
     int jobs = 1;
-    /** --profile: host profiler dump (".json" = tree, else stacks). */
+    /** --profile: host profiler dump (FlameGraph collapsed stacks). */
     std::string profilePath;
     /** --journal: append every executed run to this journal. */
     std::string journalPath;
     /** --resume: pre-load results from this journal. */
     std::string resumePath;
-    /** --failure-policy. */
-    FailurePolicy policy = FailurePolicy::Abort;
     /** --config-timeout: per-config wall-clock budget; 0 disables. */
     double configTimeoutSec = 0.0;
-    /** --failure-manifest: where isolate writes its failure report. */
+    /** --failure-manifest: where the failure report goes. */
     std::string manifestPath;
 
     /** The shared flags, spelled as a usage-line fragment. */
@@ -244,13 +216,13 @@ class SweepFrontEnd
      * Enable the profiler, load --resume, attach --journal (kept until
      * finish(), so a replay that simulates is journaled too) and run
      * @p configs on a ParallelRunner. @return false, with a warning,
-     * when the sweep cannot go on: the resume journal does not load,
-     * the journal does not open, or a config failed under the abort
-     * policy. Isolated failures return true; finish() reports them.
+     * when the sweep cannot start: the resume journal does not load or
+     * the journal does not open. Failed configs return true; finish()
+     * reports them.
      */
     bool run(Runner &runner, const std::vector<SystemConfig> &configs);
 
-    /** Configs that failed under the isolate policy, by key. */
+    /** Configs that failed, by key. */
     const std::vector<RunFailure> &failures() const { return failures_; }
 
     /**

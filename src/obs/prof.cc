@@ -38,38 +38,6 @@ namespace
 {
 
 void
-writeEscaped(std::ostream &os, const std::string &s)
-{
-    for (char ch : s) {
-        if (ch == '"' || ch == '\\')
-            os << '\\';
-        os << ch;
-    }
-}
-
-void
-jsonNode(std::ostream &os, const PhaseTree &t, int indent)
-{
-    const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-    os << pad << "{\"name\": \"";
-    writeEscaped(os, t.name);
-    os << "\", \"ns\": " << t.ns << ", \"self_ns\": " << t.selfNs()
-       << ", \"count\": " << t.count;
-    if (t.children.empty()) {
-        os << ", \"children\": []}";
-        return;
-    }
-    os << ", \"children\": [\n";
-    for (std::size_t i = 0; i < t.children.size(); ++i) {
-        jsonNode(os, t.children[i], indent + 1);
-        if (i + 1 < t.children.size())
-            os << ',';
-        os << '\n';
-    }
-    os << pad << "]}";
-}
-
-void
 collapse(std::ostream &os, const PhaseTree &t, const std::string &prefix)
 {
     const std::string path =
@@ -102,13 +70,6 @@ writeCollapsed(std::ostream &os, const PhaseTree &tree)
         collapse(os, c, "");
 }
 
-void
-writeJson(std::ostream &os, const PhaseTree &tree)
-{
-    jsonNode(os, tree, 0);
-    os << '\n';
-}
-
 std::vector<ProfPhase>
 flatten(const PhaseTree &tree)
 {
@@ -126,13 +87,7 @@ writeSnapshotFile(const std::string &path)
         memnet_warn("cannot open profile output file: ", path);
         return false;
     }
-    const PhaseTree tree = snapshot();
-    const bool json = path.size() >= 5 &&
-                      path.compare(path.size() - 5, 5, ".json") == 0;
-    if (json)
-        writeJson(os, tree);
-    else
-        writeCollapsed(os, tree);
+    writeCollapsed(os, snapshot());
     return closeOutput(os, "profile", path);
 }
 
@@ -224,7 +179,7 @@ zeroNodes(Node *n)
 
 /**
  * Registers the thread's collector on first use and, on thread exit,
- * folds its tree into the retained merge so pool workers' phases
+ * folds its tree into the retained merge so helper threads' phases
  * survive the join.
  */
 struct TlsSlot

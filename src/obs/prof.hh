@@ -28,8 +28,8 @@
  * profiled run's RunResult is bit-identical to an unprofiled one in
  * every simulation-determined field (tests/test_differential.cc).
  *
- * Exports: FlameGraph/speedscope collapsed stacks ("a;b;c <self-ns>"
- * per line) and a nested JSON tree. Wired into the `--profile` flag
+ * Export: FlameGraph/speedscope collapsed stacks ("a;b;c <self-ns>"
+ * per line). Wired into the `--profile` flag
  * that memnet_run and every bench share (memnet::SweepFrontEnd,
  * memnet/parallel.hh).
  */
@@ -87,7 +87,7 @@ bool enabled();
  * Merge every collector — live threads and already-exited ones — into
  * one tree rooted at "all". Call with worker threads quiescent (after
  * ParallelRunner::run returned); exited threads' data is retained, so
- * pool workers show up after join.
+ * helper threads show up after join.
  */
 PhaseTree snapshot();
 
@@ -97,15 +97,11 @@ void reset();
 /** Collapsed-stack export: one "a;b;c <self-ns>" line per phase. */
 void writeCollapsed(std::ostream &os, const PhaseTree &tree);
 
-/** Nested JSON export: {"name","ns","self_ns","count","children"}. */
-void writeJson(std::ostream &os, const PhaseTree &tree);
-
 /** Flatten into ProfPhase rows (depth-first, root excluded). */
 std::vector<ProfPhase> flatten(const PhaseTree &tree);
 
 /**
- * Write a snapshot to @p path in the format its extension picks:
- * ".json" gets the JSON tree, anything else collapsed stacks.
+ * Write a snapshot to @p path as collapsed stacks.
  * @return false (with a warning) when the file cannot be opened.
  */
 bool writeSnapshotFile(const std::string &path);

@@ -1,0 +1,24 @@
+#!/bin/sh
+# --profile end to end: memnet_run (one config, --jobs 1) and a bench
+# sweep at --jobs 2 both write collapsed stacks in which every stack
+# starts at sim/run, so the profile has the same shape at any --jobs.
+#
+#     tests/check_profile_stacks.sh path/to/memnet_run path/to/bench <work-dir>
+set -eu
+RUN=$1
+BENCH=$2
+DIR=$3
+rm -rf "$DIR"
+mkdir -p "$DIR"
+
+"$RUN" --measure-us 50 --profile "$DIR/run.folded" >/dev/null
+MEMNET_SIM_US=20 "$BENCH" --jobs 2 --profile "$DIR/sweep.folded" >/dev/null
+
+for f in "$DIR/run.folded" "$DIR/sweep.folded"; do
+    [ -s "$f" ] || { echo "empty profile: $f"; exit 1; }
+    grep -q "eq/dispatch" "$f" || { echo "no eq/dispatch: $f"; exit 1; }
+    if grep -v "^sim/run[; ]" "$f"; then
+        echo "stack not rooted at sim/run in $f"
+        exit 1
+    fi
+done

@@ -1141,14 +1141,13 @@ TEST(FailureManifest, WritesValidJsonWithDedupedEntries)
     dup.message = "identical second failure";
 
     std::ostringstream os;
-    writeFailureManifest(os, "test_bench", "isolate", 1.25, {f1, dup});
+    writeFailureManifest(os, "test_bench", 1.25, {f1, dup});
 
     obs::json::Value doc;
     std::string err;
     ASSERT_TRUE(obs::json::parse(os.str(), &doc, &err)) << err;
-    EXPECT_EQ(doc.find("schema_version")->number, 1.0);
+    EXPECT_EQ(doc.find("schema_version")->number, 2.0);
     EXPECT_EQ(doc.find("source")->string, "test_bench");
-    EXPECT_EQ(doc.find("failure_policy")->string, "isolate");
     const obs::json::Value *failures = doc.find("failures");
     ASSERT_TRUE(failures && failures->isArray());
     ASSERT_EQ(failures->array.size(), 1u); // dedup by key
@@ -1284,6 +1283,23 @@ TEST(SchemaDrift, JournalAndBenchJsonMatchTheirSchemas)
     EXPECT_TRUE(property(runSchema, "result").find("properties"));
     EXPECT_TRUE(property(runSchema, "config").find("properties"));
     EXPECT_TRUE(property(benchSchema, "components").find("properties"));
+}
+
+TEST(SchemaDrift, FailureManifestMatchesItsSchema)
+{
+    RunFailure f;
+    f.config = fancyConfig();
+    f.key = Runner::key(f.config);
+    f.message = "boom";
+    std::ostringstream os;
+    writeFailureManifest(os, "schema_test", 0.5, {f});
+    obs::json::Value doc;
+    std::string err;
+    ASSERT_TRUE(obs::json::parse(os.str(), &doc, &err)) << err;
+    std::vector<std::string> drift;
+    schemaDrift(parseFile(MEMNET_CI_DIR "/failure_manifest_schema.json"),
+                doc, "manifest", &drift);
+    EXPECT_TRUE(drift.empty()) << ::testing::PrintToString(drift);
 }
 
 TEST(BenchJson, RunIsTheJournalRecordWithPlainNumbers)

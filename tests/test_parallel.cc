@@ -215,16 +215,20 @@ badConfig(std::uint64_t seed = 1)
     return cfg;
 }
 
-TEST(FailurePolicy, ParsesAndNames)
+TEST(ForEachChunk, OneThreadRunsEveryChunkOnTheCaller)
 {
-    FailurePolicy p = FailurePolicy::Abort;
-    EXPECT_TRUE(parseFailurePolicy("isolate", &p));
-    EXPECT_EQ(p, FailurePolicy::Isolate);
-    EXPECT_TRUE(parseFailurePolicy("abort", &p));
-    EXPECT_EQ(p, FailurePolicy::Abort);
-    EXPECT_FALSE(parseFailurePolicy("explode", &p));
-    EXPECT_STREQ(failurePolicyName(FailurePolicy::Abort), "abort");
-    EXPECT_STREQ(failurePolicyName(FailurePolicy::Isolate), "isolate");
+    std::vector<std::thread::id> ran(5);
+    forEachChunk(ran.size(), 1, [&](std::size_t i) {
+        ran[i] = std::this_thread::get_id();
+    });
+    for (const std::thread::id &id : ran)
+        EXPECT_EQ(id, std::this_thread::get_id());
+
+    // More threads: still every chunk exactly once.
+    std::vector<std::atomic<int>> calls(64);
+    forEachChunk(calls.size(), 4, [&](std::size_t i) { ++calls[i]; });
+    for (const std::atomic<int> &c : calls)
+        EXPECT_EQ(c.load(), 1);
 }
 
 TEST(ParallelRunner, IsolatePolicyFinishesSweepAroundFailures)
@@ -235,7 +239,6 @@ TEST(ParallelRunner, IsolatePolicyFinishesSweepAroundFailures)
 
     Runner runner;
     ParallelRunner engine(runner, 4);
-    engine.setFailurePolicy(FailurePolicy::Isolate);
     EXPECT_NO_THROW(engine.run(configs));
 
     ASSERT_EQ(engine.failures().size(), 1u);
@@ -260,27 +263,12 @@ TEST(ParallelRunner, IsolatePolicyWorksSingleThreaded)
     const ScopedThrowOnError guard;
     Runner runner;
     ParallelRunner engine(runner, 1);
-    engine.setFailurePolicy(FailurePolicy::Isolate);
     SystemConfig good;
     good.warmup = us(10);
     good.measure = us(50);
     EXPECT_NO_THROW(engine.run({badConfig(), good}));
     EXPECT_EQ(engine.failures().size(), 1u);
     EXPECT_EQ(runner.results().size(), 1u);
-}
-
-TEST(ParallelRunner, AbortPolicyRethrowsAndLogsSuppressedFailures)
-{
-    const ScopedThrowOnError guard;
-    const CapturedLog log;
-    // Two distinct failing configs so one failure must be suppressed.
-    std::vector<SystemConfig> configs = {badConfig(1), badConfig(2)};
-    Runner runner;
-    ParallelRunner engine(runner, 2);
-    EXPECT_THROW(engine.run(configs), std::runtime_error);
-    EXPECT_EQ(engine.failures().size(), 2u);
-    EXPECT_TRUE(log.contains("1 additional failure(s) suppressed"));
-    EXPECT_TRUE(log.contains("no-such-workload"));
 }
 
 TEST(ParallelRunner, WatchdogCancelsOverBudgetConfig)
@@ -294,7 +282,6 @@ TEST(ParallelRunner, WatchdogCancelsOverBudgetConfig)
 
     Runner runner;
     ParallelRunner engine(runner, 1);
-    engine.setFailurePolicy(FailurePolicy::Isolate);
     engine.setConfigTimeout(0.05);
     engine.run({hog});
 
@@ -307,6 +294,27 @@ TEST(ParallelRunner, WatchdogCancelsOverBudgetConfig)
         << f.message;
     EXPECT_NE(f.message.find("fired="), std::string::npos) << f.message;
     EXPECT_TRUE(runner.results().empty());
+}
+
+TEST(ParallelRunner, WatchdogKillReachesOnlyItsOwnConfig)
+{
+    // One thread runs the hog, then a fast config: the flag raised for
+    // the hog must not cancel the next config on the same thread. The
+    // budget leaves the fast config room under the sanitizers too.
+    SystemConfig hog;
+    hog.workload = "mixA";
+    hog.warmup = us(10);
+    hog.measure = us(400000);
+    const SystemConfig fast = sweepConfigs()[0];
+
+    Runner runner;
+    ParallelRunner engine(runner, 1);
+    engine.setConfigTimeout(1.0);
+    engine.run({hog, fast});
+
+    ASSERT_EQ(engine.failures().size(), 1u);
+    EXPECT_EQ(engine.failures()[0].key, Runner::key(hog));
+    EXPECT_TRUE(runner.results().count(Runner::key(fast)));
 }
 
 TEST(ParallelRunner, WatchdogLeavesFastConfigsAlone)
@@ -338,7 +346,6 @@ TEST(ParallelRunner, HugeWatchdogBudgetNeverExpires)
         cfg.measure = us(1000);
     Runner runner;
     ParallelRunner engine(runner, 2);
-    engine.setFailurePolicy(FailurePolicy::Isolate);
     engine.setConfigTimeout(1e300);
     engine.run(configs);
     EXPECT_TRUE(engine.failures().empty());
@@ -450,8 +457,7 @@ TEST(SweepOptions, AcceptsEverySharedFlag)
     SweepOptions o;
     EXPECT_EQ(parseSweepArgs({"--jobs", "3", "--profile", "p.folded",
                               "--journal", "j.jsonl", "--resume",
-                              "r.jsonl", "--failure-policy", "isolate",
-                              "--config-timeout", "2.5",
+                              "r.jsonl", "--config-timeout", "2.5",
                               "--failure-manifest", "m.json"},
                              &o),
               "");
@@ -459,7 +465,6 @@ TEST(SweepOptions, AcceptsEverySharedFlag)
     EXPECT_EQ(o.profilePath, "p.folded");
     EXPECT_EQ(o.journalPath, "j.jsonl");
     EXPECT_EQ(o.resumePath, "r.jsonl");
-    EXPECT_EQ(o.policy, FailurePolicy::Isolate);
     EXPECT_EQ(o.configTimeoutSec, 2.5);
     EXPECT_EQ(o.manifestPath, "m.json");
 
@@ -486,9 +491,6 @@ TEST(SweepOptions, RefusesBadValuesWithAMessage)
              "--config-timeout must be finite seconds >= 0 (got 'inf')"},
             {{"--config-timeout", "nan"},
              "--config-timeout must be finite seconds >= 0 (got 'nan')"},
-            {{"--failure-policy", "explode"},
-             "--failure-policy must be 'abort' or 'isolate' (got "
-             "'explode')"},
             {{"--journal"}, "missing value for --journal"},
             {{"--jobs"}, "missing value for --jobs"},
         };
@@ -579,12 +581,20 @@ TEST(SweepFrontEnd, JournalThenResumeSkipsFinishedRuns)
     std::filesystem::remove_all(dir);
 }
 
+/** All of the file at @p path. */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
 TEST(SweepFrontEnd, IsolatedFailuresExitOneAndWriteTheManifest)
 {
     const ScopedThrowOnError guard;
     const std::filesystem::path dir = freshTempDir("manifest");
     SweepOptions o;
-    o.policy = FailurePolicy::Isolate;
     o.manifestPath = (dir / "manifest.json").string();
     SweepFrontEnd sweep("test", o);
     Runner runner;
@@ -594,21 +604,57 @@ TEST(SweepFrontEnd, IsolatedFailuresExitOneAndWriteTheManifest)
     ASSERT_TRUE(sweep.run(runner, {badConfig(), good}));
     ASSERT_EQ(sweep.failures().size(), 1u);
     EXPECT_EQ(sweep.finish(runner), 1);
-    std::ifstream in(o.manifestPath);
-    const std::string manifest((std::istreambuf_iterator<char>(in)),
-                               std::istreambuf_iterator<char>());
-    EXPECT_NE(manifest.find("no-such-workload"), std::string::npos);
+    EXPECT_NE(slurp(o.manifestPath).find("no-such-workload"),
+              std::string::npos);
     std::filesystem::remove_all(dir);
 }
 
-TEST(SweepFrontEnd, AbortPolicyFailureStopsTheSweep)
+TEST(SweepFrontEnd, FailedConfigIsReportedTheSameAtAnyJobs)
 {
     const ScopedThrowOnError guard;
-    const CapturedLog log;
-    SweepFrontEnd sweep("test", SweepOptions{});
-    Runner runner;
-    EXPECT_FALSE(sweep.run(runner, {badConfig()}));
-    EXPECT_TRUE(log.contains("sweep failed: "));
+    const std::filesystem::path dir = freshTempDir("jobs");
+    const std::vector<SystemConfig> configs = {
+        sweepConfigs()[0], badConfig(), sweepConfigs()[1]};
+
+    struct Outcome
+    {
+        std::vector<std::string> failures; ///< key: message
+        std::vector<std::string> results;  ///< keys
+        std::string manifest;
+        int rc = -1;
+    };
+    const auto sweepAt = [&](int jobs) {
+        SweepOptions o;
+        o.jobs = jobs;
+        o.manifestPath =
+            (dir / ("manifest" + std::to_string(jobs) + ".json")).string();
+        SweepFrontEnd sweep("test", o);
+        Runner runner;
+        Outcome out;
+        EXPECT_TRUE(sweep.run(runner, configs)) << "--jobs " << jobs;
+        for (const RunFailure &f : sweep.failures())
+            out.failures.push_back(f.key + ": " + f.message);
+        for (const auto &kv : runner.results())
+            out.results.push_back(kv.first);
+        out.rc = sweep.finish(runner);
+        // wall_s is the one member that varies between identical runs.
+        out.manifest = std::regex_replace(slurp(o.manifestPath),
+                                          std::regex("\"wall_s\":[^,}]+"),
+                                          "\"wall_s\":0");
+        return out;
+    };
+
+    const Outcome serial = sweepAt(1);
+    const Outcome parallel = sweepAt(4);
+    ASSERT_EQ(serial.failures.size(), 1u);
+    EXPECT_EQ(serial.failures, parallel.failures);
+    EXPECT_EQ(serial.results.size(), 2u);
+    EXPECT_EQ(serial.results, parallel.results);
+    EXPECT_NE(serial.manifest.find("no-such-workload"), std::string::npos);
+    EXPECT_EQ(serial.manifest, parallel.manifest);
+    EXPECT_EQ(serial.rc, 1);
+    EXPECT_EQ(parallel.rc, 1);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(LogSink, ConcurrentWarningsStayIntact)

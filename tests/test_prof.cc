@@ -192,15 +192,10 @@ TEST_F(ProfTest, ParallelRunnerWorkerPhasesSurviveJoin)
     Runner runner;
     ParallelRunner(runner, 4).run(configs);
 
-    // The workers exited inside run(); their trees must be retained
-    // and merged by phase name.
+    // The helper threads exited inside run(); their trees must be
+    // retained and merged by phase name with the calling thread's.
     const prof::PhaseTree t = prof::snapshot();
-    const prof::PhaseTree *worker = t.child("parallel/worker");
-    ASSERT_NE(worker, nullptr);
-    const prof::PhaseTree *job = worker->child("parallel/job");
-    ASSERT_NE(job, nullptr);
-    EXPECT_EQ(job->count, 4u);
-    const prof::PhaseTree *run = job->child("sim/run");
+    const prof::PhaseTree *run = t.child("sim/run");
     ASSERT_NE(run, nullptr);
     EXPECT_EQ(run->count, 4u);
     EXPECT_NE(run->child("sim/measure"), nullptr);
@@ -243,17 +238,6 @@ TEST(ProfExport, CollapsedStacksMatchGolden)
               "sim/run;eq/dispatch 400\n"
               "sim/run;eq/dispatch;net/route 300\n"
               "other 100\n");
-}
-
-TEST(ProfExport, JsonTreeMatchesGolden)
-{
-    std::ostringstream os;
-    prof::writeJson(os, goldenTree());
-    const std::string s = os.str();
-    EXPECT_NE(s.find("\"name\": \"all\""), std::string::npos);
-    EXPECT_NE(s.find("\"name\": \"net/route\""), std::string::npos);
-    EXPECT_NE(s.find("\"self_ns\": 400"), std::string::npos);
-    EXPECT_NE(s.find("\"count\": 40"), std::string::npos);
 }
 
 TEST(ProfExport, FlattenListsEveryPhaseDepthFirst)
