@@ -72,6 +72,9 @@ namespace
  */
 bool throwOnError = false;
 
+/** Set on a thread while a ScopedFatalThrows lives there. */
+thread_local bool fatalThrows = false;
+
 } // namespace
 
 /** Test hook: make panic/fatal throw std::runtime_error instead. */
@@ -94,7 +97,7 @@ panicImpl(const char *file, int line, const std::string &msg)
 fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    if (throwOnError)
+    if (throwOnError || fatalThrows)
         throw std::runtime_error("fatal: " + msg);
     std::exit(1);
 }
@@ -125,4 +128,15 @@ informImpl(const std::string &msg)
 }
 
 } // namespace detail
+
+ScopedFatalThrows::ScopedFatalThrows() : prev_(detail::fatalThrows)
+{
+    detail::fatalThrows = true;
+}
+
+ScopedFatalThrows::~ScopedFatalThrows()
+{
+    detail::fatalThrows = prev_;
+}
+
 } // namespace memnet

@@ -3,8 +3,9 @@
  * Error-reporting helpers in the spirit of gem5's logging.hh.
  *
  * panic() is for internal invariant violations (simulator bugs); fatal()
- * is for user errors (bad configuration). Both terminate. warn() and
- * inform() only print.
+ * is for user errors (bad configuration). Both terminate, except that
+ * fatal() throws under a ScopedFatalThrows. warn() and inform() only
+ * print.
  *
  * Non-fatal output (warn/inform) is routed through a replaceable
  * LogSink so harnesses can capture and assert on it; the default sink
@@ -86,6 +87,25 @@ void logLine(LogLevel level, const std::string &msg);
 void setThrowOnError(bool enable);
 
 } // namespace detail
+
+/**
+ * While alive, memnet_fatal on the constructing thread throws
+ * std::runtime_error instead of exiting the process. ParallelRunner
+ * holds one around each config, so a bad config in a sweep becomes a
+ * recorded failure; outside a sweep fatal still exits. Panics (bugs)
+ * abort either way.
+ */
+class ScopedFatalThrows
+{
+  public:
+    ScopedFatalThrows();
+    ~ScopedFatalThrows();
+    ScopedFatalThrows(const ScopedFatalThrows &) = delete;
+    ScopedFatalThrows &operator=(const ScopedFatalThrows &) = delete;
+
+  private:
+    bool prev_;
+};
 
 /** Abort on a simulator bug; never a user error. */
 #define memnet_panic(...)                                                   \

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -238,16 +239,49 @@ TEST(EventQueueHealth, HugeIdleGapRealignsInsteadOfZeroFilling)
     EXPECT_EQ(eq.fired(), 1u);
 }
 
-// ---------------------------------------------------------------------
-// Randomized stress test against a reference model
-// ---------------------------------------------------------------------
-
 struct RecordingEvent : public Event
 {
     std::vector<int> *log = nullptr;
     int id = 0;
     void fire() override { log->push_back(id); }
 };
+
+// ---------------------------------------------------------------------
+// Keyed messages: a partition message may carry a sched later than the
+// receiving queue's now(), so it can sort after a local event scheduled
+// afterwards at the same tick.
+// ---------------------------------------------------------------------
+
+TEST(EventQueueKeyed, MessageFromAheadSortsAfterLaterLocalEvent)
+{
+    EventQueue eq;
+    eq.runUntil(ns(10));
+    std::vector<int> order;
+    RecordingEvent spacer, local, message;
+    for (RecordingEvent *ev : {&spacer, &local, &message})
+        ev->log = &order;
+    spacer.id = 0;
+    local.id = 1;
+    message.id = 2;
+    const Tick t = ns(30);
+    // Sent by a lane already at 20 ns: sched 20 ns > now() = 10 ns.
+    eq.scheduleWithKey(&message, EventKey{t, ns(20), ns(19),
+                                          EventKey::kRemoteCtrBit});
+    // Keeps the front away from t while the local event is filed.
+    eq.schedule(&spacer, ns(20));
+    // Fires at now() and schedules the local event at t, keyed
+    // (t, 10 ns, 10 ns, ctr): it sorts before the message.
+    eq.schedule(ns(10), [&] { eq.schedule(&local, t); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+// ---------------------------------------------------------------------
+// Randomized stress test against a reference model
+// ---------------------------------------------------------------------
+
+/** The queue's ring horizon: 4,096 buckets of 256 ps. */
+constexpr Tick kHorizon = 4096 * 256;
 
 /** One scheduled entry mirrored outside the queue. */
 struct RefEntry
@@ -267,7 +301,11 @@ struct StressCase
     Tick grid;
     /** Schedule delays are grid * U[0, maxSteps]. */
     int maxSteps;
-    /** Every 40 ops the queue runs grid * U[0, runSteps] ahead. */
+    /**
+     * Every 40 ops the queue runs grid * U[0, runSteps] ahead; every
+     * 120 ops it then also advanceTo()s up to that far, stopping at the
+     * next pending tick.
+     */
     int runSteps;
     /**
      * Every timerEvery-th event is a far-future timer (0: none): armed
@@ -277,147 +315,229 @@ struct StressCase
     int timerEvery;
     /**
      * One schedule in remoteEvery goes through scheduleWithKey with a
-     * partition-message key (0: none): arbitrary sched and parent, ctr
-     * tagged with EventKey::kRemoteCtrBit.
+     * partition-message key (0: none): arbitrary sched (up to 40 ns
+     * past now()) and parent, ctr tagged with EventKey::kRemoteCtrBit.
      */
     int remoteEvery;
-    /**
-     * Depth the run must reach. The deep inputs exist to overflow the
-     * queue's 128-entry near window into its far heap.
-     */
+    /** Depth the run must reach. */
     std::size_t minPeak;
 };
 
 /**
- * Drives the queue through a long random mix of schedule /
- * scheduleWithKey / deschedule / reschedule / runUntil / runUntilBefore
- * and checks the exact firing order, and the front key, against a
- * brute-force model that sorts by the documented EventKey order. The
- * inputs cover the simulator's shallow queue, a queue several times
- * deeper than the near window, a coarse tick grid where many events
- * share a tick, a population of far-future sleep timers that are mostly
- * cancelled, and partition messages carrying foreign keys.
+ * Drives one queue through a random mix of schedule / scheduleWithKey /
+ * deschedule / reschedule / runUntil / runUntilBefore / advanceTo, and
+ * mirrors each in a brute-force model ordered by the documented
+ * EventKey. Every firing must be the model's least key within the run
+ * limit, and one firing in three itself schedules, reschedules or
+ * deschedules a random event, so local keys are made inside the
+ * dispatch loop as well as outside it.
+ */
+class StressDriver
+{
+  public:
+    explicit StressDriver(const StressCase &sc) : c(sc), events(sc.events)
+    {
+        for (int i = 0; i < c.events; ++i) {
+            events[i].driver = this;
+            events[i].id = i;
+        }
+    }
+
+    /** One random operation on a random event. */
+    void
+    randomOp(int op, bool inFire)
+    {
+        ModelEvent &ev = events[uniform(0, c.events - 1)];
+        const int action = uniform(0, 9);
+        const bool timer = isTimer(ev.id);
+        if (!ev.scheduled()) {
+            const Tick when = eq.now() + delay(ev.id);
+            // Messages are applied between windows, never from fire().
+            if (!inFire && c.remoteEvery != 0 && op % c.remoteEvery == 0) {
+                const Tick sched = c.grid * uniform(0, 8) + eq.now() -
+                                   std::min(eq.now(), ns(40));
+                const Tick parent = std::max(
+                    kTickInvalid, sched - c.grid * uniform(0, 2) - 1);
+                const EventKey key{when, sched, parent,
+                                   EventKey::kRemoteCtrBit | remoteCtr++};
+                eq.scheduleWithKey(&ev, key);
+                model.push_back({key, ev.id});
+            } else {
+                eq.schedule(&ev, when);
+                model.push_back({localKey(when), ev.id});
+            }
+        } else if (action < (timer ? 9 : 2)) {
+            eq.deschedule(&ev);
+            model.erase(modelFind(ev.id));
+        } else if (action < 8 || timer) {
+            const Tick when = eq.now() + delay(ev.id);
+            eq.reschedule(&ev, when);
+            modelFind(ev.id)->key = localKey(when);
+        }
+        peak = std::max(peak, model.size());
+    }
+
+    /**
+     * Run to @p limit, inclusive (runUntil) or not (runUntilBefore),
+     * and check the queue against the model.
+     */
+    void
+    runTo(Tick limit, bool before)
+    {
+        limit_ = limit;
+        before_ = before;
+        if (before)
+            eq.runUntilBefore(limit);
+        else
+            eq.runUntil(limit);
+        ASSERT_EQ(diverged, "");
+        ASSERT_EQ(eq.fired(), fired);
+        ASSERT_EQ(eq.pending(), model.size());
+        if (model.empty())
+            return;
+        const EventKey front = least()->key;
+        ASSERT_TRUE(before ? front.when >= limit : front.when > limit)
+            << "an event due by the limit did not fire";
+        const EventKey got = eq.frontKey();
+        ASSERT_EQ(got.when, front.when);
+        ASSERT_EQ(got.sched, front.sched);
+        ASSERT_EQ(got.parent, front.parent);
+        ASSERT_EQ(got.ctr, front.ctr);
+    }
+
+    const StressCase &c;
+    EventQueue eq;
+    std::size_t peak = 0;
+
+  private:
+    struct ModelEvent : public Event
+    {
+        StressDriver *driver = nullptr;
+        int id = 0;
+        void fire() override { driver->onFire(id); }
+    };
+
+    void
+    onFire(int id)
+    {
+        if (!diverged.empty())
+            return;
+        const auto it = least();
+        if (it->id != id || (before_ ? it->key.when >= limit_
+                                     : it->key.when > limit_)) {
+            diverged = "event " + std::to_string(id) + " fired at " +
+                       std::to_string(eq.now()) + "; expected event " +
+                       std::to_string(it->id);
+            return;
+        }
+        model.erase(it);
+        ++fired;
+        if (uniform(0, 2) == 0)
+            randomOp(0, true);
+    }
+
+    bool
+    isTimer(int id) const
+    {
+        return c.timerEvery != 0 && id % c.timerEvery == 0;
+    }
+
+    int
+    uniform(int lo, int hi)
+    {
+        return std::uniform_int_distribution<int>(lo, hi)(rng);
+    }
+
+    Tick
+    delay(int id)
+    {
+        if (isTimer(id))
+            return c.grid * uniform(20 * c.maxSteps, 40 * c.maxSteps);
+        return c.grid * uniform(0, c.maxSteps);
+    }
+
+    EventKey
+    localKey(Tick when)
+    {
+        return EventKey{when, eq.now(), eq.currentParentSched(), seq++};
+    }
+
+    std::vector<RefEntry>::iterator
+    modelFind(int id)
+    {
+        return std::find_if(model.begin(), model.end(),
+                            [id](const RefEntry &e) { return e.id == id; });
+    }
+
+    std::vector<RefEntry>::iterator
+    least()
+    {
+        return std::min_element(
+            model.begin(), model.end(),
+            [](const RefEntry &a, const RefEntry &b) { return a.key < b.key; });
+    }
+
+    std::vector<ModelEvent> events;
+    std::vector<RefEntry> model;
+    std::uint64_t seq = 0; // mirrors the queue's sequence counter
+    std::uint64_t remoteCtr = 0;
+    std::uint64_t fired = 0;
+    std::string diverged;
+    Tick limit_ = kTickMax;
+    bool before_ = false;
+    std::mt19937 rng{20170205}; // fixed: the run must be reproducible
+};
+
+/**
+ * The inputs cover the simulator's shallow queue, a queue several
+ * hundred events deep, many ticks per ring bucket, a coarse tick grid
+ * where many events share a tick, a population of far-future sleep
+ * timers that are mostly cancelled, partition messages carrying foreign
+ * keys, and delays and time jumps of up to three ring horizons, which
+ * move events between the far heap and the ring.
  */
 TEST(EventQueueStress, RandomOpsMatchReferenceModel)
 {
     const StressCase cases[] = {
         {"shallow", 48, 5000, ns(1), 400, 400, 0, 0, 0},
         {"deep", 512, 30000, ns(1), 1000, 50, 0, 0, 256},
+        {"sub-bucket", 128, 20000, 40, 400, 400, 0, 0, 64},
         {"coarse-ticks", 256, 20000, ns(100), 8, 8, 0, 0, 129},
         {"sleep-timers", 512, 30000, ns(1), 400, 400, 2, 0, 129},
         {"remote-keys", 256, 20000, ns(10), 40, 40, 0, 3, 0},
+        {"past-horizon", 256, 20000, 640, 3 * kHorizon / 640,
+         2 * kHorizon / 640, 4, 5, 64},
     };
     for (const StressCase &c : cases) {
         SCOPED_TRACE(c.name);
-        EventQueue eq;
-        std::vector<int> log;
-        std::vector<RecordingEvent> events(c.events);
-        for (int i = 0; i < c.events; ++i) {
-            events[i].log = &log;
-            events[i].id = i;
-        }
-
-        std::vector<RefEntry> model;
-        std::uint64_t seq = 0; // mirrors the queue's sequence counter
-        std::uint64_t remoteCtr = 0;
-        std::vector<int> expected;
-        std::size_t peak = 0;
-
-        std::mt19937 rng(20170205); // fixed: the run must be reproducible
+        StressDriver d(c);
+        std::mt19937 rng(19880601);
         const auto uniform = [&rng](int lo, int hi) {
             return std::uniform_int_distribution<int>(lo, hi)(rng);
         };
-        const auto delay = [&](int id) {
-            if (c.timerEvery != 0 && id % c.timerEvery == 0)
-                return c.grid * uniform(20 * c.maxSteps, 40 * c.maxSteps);
-            return c.grid * uniform(0, c.maxSteps);
-        };
-        const auto modelFind = [&model](int id) {
-            return std::find_if(model.begin(), model.end(),
-                                [id](const RefEntry &e) {
-                                    return e.id == id;
-                                });
-        };
-        const auto byKey = [](const RefEntry &a, const RefEntry &b) {
-            return a.key < b.key;
-        };
-        const auto localKey = [&](Tick when) {
-            return EventKey{when, eq.now(), kTickInvalid, seq++};
-        };
-
         for (int op = 0; op < c.ops; ++op) {
-            RecordingEvent &ev = events[uniform(0, c.events - 1)];
-            const int action = uniform(0, 9);
-            const bool timer = c.timerEvery != 0 && ev.id % c.timerEvery == 0;
-            if (!ev.scheduled()) {
-                const Tick when = eq.now() + delay(ev.id);
-                if (c.remoteEvery != 0 && op % c.remoteEvery == 0) {
-                    const Tick sched = c.grid * uniform(0, 4) +
-                                       eq.now() - std::min(eq.now(), ns(40));
-                    const Tick parent = std::max(
-                        kTickInvalid, sched - c.grid * uniform(0, 2) - 1);
-                    const EventKey key{when, sched, parent,
-                                       EventKey::kRemoteCtrBit |
-                                           remoteCtr++};
-                    eq.scheduleWithKey(&ev, key);
-                    model.push_back({key, ev.id});
-                } else {
-                    eq.schedule(&ev, when);
-                    model.push_back({localKey(when), ev.id});
-                }
-            } else if (action < (timer ? 9 : 2)) {
-                eq.deschedule(&ev);
-                model.erase(modelFind(ev.id));
-            } else if (action < 8 || timer) {
-                const Tick when = eq.now() + delay(ev.id);
-                eq.reschedule(&ev, when);
-                modelFind(ev.id)->key = localKey(when);
-            }
-            peak = std::max(peak, model.size());
-
-            if (op % 40 == 39) {
-                // Alternate the inclusive serial limit with the
-                // partitioned kernel's exclusive one.
-                const bool before = op % 80 == 79;
-                const Tick limit = eq.now() + c.grid * uniform(0, c.runSteps);
-                std::vector<RefEntry> due;
-                for (const RefEntry &e : model) {
-                    if (before ? e.key.when < limit : e.key.when <= limit)
-                        due.push_back(e);
-                }
-                std::sort(due.begin(), due.end(), byKey);
-                for (const RefEntry &e : due) {
-                    expected.push_back(e.id);
-                    model.erase(modelFind(e.id));
-                }
-                if (before)
-                    eq.runUntilBefore(limit);
-                else
-                    eq.runUntil(limit);
-                ASSERT_EQ(log, expected) << "diverged at op " << op;
-                ASSERT_EQ(eq.pending(), model.size());
-                if (!model.empty()) {
-                    const EventKey front =
-                        std::min_element(model.begin(), model.end(), byKey)
-                            ->key;
-                    const EventKey got = eq.frontKey();
-                    ASSERT_EQ(got.when, front.when);
-                    ASSERT_EQ(got.sched, front.sched);
-                    ASSERT_EQ(got.parent, front.parent);
-                    ASSERT_EQ(got.ctr, front.ctr);
-                }
+            d.randomOp(op, false);
+            if (op % 40 != 39)
+                continue;
+            // Alternate the inclusive serial limit with the partitioned
+            // kernel's exclusive one.
+            const Tick limit =
+                d.eq.now() + c.grid * uniform(0, c.runSteps);
+            d.runTo(limit, op % 80 == 79);
+            if (HasFatalFailure())
+                FAIL() << "diverged at op " << op;
+            if (op % 120 == 119) {
+                const Tick jump =
+                    d.eq.now() + c.grid * uniform(0, c.runSteps);
+                d.eq.advanceTo(std::min(jump, d.eq.nextTick()));
             }
         }
-        EXPECT_EQ(eq.peakPending(), peak);
-        EXPECT_GE(peak, c.minPeak);
+        EXPECT_EQ(d.eq.peakPending(), d.peak);
+        EXPECT_GE(d.peak, c.minPeak);
 
         // Drain: everything left fires in model order.
-        std::sort(model.begin(), model.end(), byKey);
-        for (const RefEntry &e : model)
-            expected.push_back(e.id);
-        eq.run();
-        EXPECT_EQ(log, expected);
-        EXPECT_EQ(eq.pending(), 0u);
+        d.runTo(kTickMax, false);
+        EXPECT_EQ(d.eq.pending(), 0u);
     }
 }
 

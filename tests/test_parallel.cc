@@ -196,13 +196,6 @@ class CapturedLog
     LogSink prev;
 };
 
-/** RAII: memnet_fatal throws instead of exiting, for failure tests. */
-struct ScopedThrowOnError
-{
-    ScopedThrowOnError() { detail::setThrowOnError(true); }
-    ~ScopedThrowOnError() { detail::setThrowOnError(false); }
-};
-
 /** An invalid config: the unknown workload makes runSimulation fatal. */
 SystemConfig
 badConfig(std::uint64_t seed = 1)
@@ -233,7 +226,6 @@ TEST(ForEachChunk, OneThreadRunsEveryChunkOnTheCaller)
 
 TEST(ParallelRunner, IsolatePolicyFinishesSweepAroundFailures)
 {
-    const ScopedThrowOnError guard;
     std::vector<SystemConfig> configs = sweepConfigs();
     configs.insert(configs.begin() + 2, badConfig());
 
@@ -260,7 +252,6 @@ TEST(ParallelRunner, IsolatePolicyFinishesSweepAroundFailures)
 
 TEST(ParallelRunner, IsolatePolicyWorksSingleThreaded)
 {
-    const ScopedThrowOnError guard;
     Runner runner;
     ParallelRunner engine(runner, 1);
     SystemConfig good;
@@ -592,7 +583,6 @@ slurp(const std::string &path)
 
 TEST(SweepFrontEnd, IsolatedFailuresExitOneAndWriteTheManifest)
 {
-    const ScopedThrowOnError guard;
     const std::filesystem::path dir = freshTempDir("manifest");
     SweepOptions o;
     o.manifestPath = (dir / "manifest.json").string();
@@ -611,7 +601,6 @@ TEST(SweepFrontEnd, IsolatedFailuresExitOneAndWriteTheManifest)
 
 TEST(SweepFrontEnd, FailedConfigIsReportedTheSameAtAnyJobs)
 {
-    const ScopedThrowOnError guard;
     const std::filesystem::path dir = freshTempDir("jobs");
     const std::vector<SystemConfig> configs = {
         sweepConfigs()[0], badConfig(), sweepConfigs()[1]};
