@@ -79,8 +79,9 @@ struct NopEvent : public Event
  * re-armable timers (link sleep timers, core issue events) that get
  * rekeyed over and over without ever firing; the lazy-deletion queue
  * accumulated a stale entry per move. The 256 timers spread over 1-6 us
- * from tick 0, beyond the ring's 1.05 us horizon, so nearly every move
- * rekeys a far-heap entry in place.
+ * from tick 0, up to five turns of the ring's 1.05 us year, so nearly
+ * every move unlinks a wrapped entry and relinks it in a later day's
+ * list.
  */
 void
 BM_EventQueueRescheduleHeavy(benchmark::State &state)
@@ -111,14 +112,15 @@ BENCHMARK(BM_EventQueueRescheduleHeavy);
  * 48-71 events pending, 11% of inserts tie a pending tick, and 97% of
  * the link sleep timers armed are cancelled before they fire. Its
  * inserts land mostly 0.5-4 ns ahead (14.0M of 25.2M), then 4-66 ns
- * (6.8M), then 1-2.1 us (2.74M sleep timers, beyond the ring's 1.05 us
- * horizon). Here 48 pipeline events re-arm themselves on a 40 ps tick
- * grid, three times in four 0.5-4.3 ns ahead and otherwise 4.3-35 ns
- * ahead, and on every third firing touch one of 16 sleep timers
- * 96-192 ns ahead: cancel it if armed (31 times in 32), arm it
+ * (6.8M), then 1-2.1 us (2.74M sleep timers, a year or more past the
+ * ring's 1.05 us turn). Here 48 pipeline events re-arm themselves on a
+ * 40 ps tick grid, three times in four 0.5-4.3 ns ahead and otherwise
+ * 4.3-35 ns ahead, and on every third firing touch one of 16 sleep
+ * timers 96-192 ns ahead: cancel it if armed (31 times in 32), arm it
  * otherwise. Depth and ties match the run (~60 pending, 11% ties), but
- * everything stays inside the ring: the run arms and cancels its 2,048 ns
- * timers in the far heap, and this benchmark leaves that path out.
+ * everything stays within a year: the run's 2,048 ns timers wrap into
+ * their day's list behind nearer events, and this benchmark leaves that
+ * path out.
  */
 class SimShape
 {

@@ -207,7 +207,7 @@ ParallelRunner::run(const std::vector<SystemConfig> &configs)
                 {cfg, Runner::key(cfg), message, timeout, wall});
         };
         try {
-            const ScopedFatalThrows fatalThrows;
+            const ScopedFatalThrows scopedFatal;
             runner_.get(cfg);
         } catch (const CancelledError &e) {
             fail(e.what(), true);

@@ -91,8 +91,6 @@ writeSnapshotFile(const std::string &path)
     return closeOutput(os, "profile", path);
 }
 
-#if MEMNET_PROFILE
-
 namespace detail
 {
 
@@ -374,32 +372,6 @@ ScopedCapture::~ScopedCapture()
     if (node_ && !done_)
         finish();
 }
-
-#else // !MEMNET_PROFILE
-
-void
-setEnabled(bool)
-{
-}
-
-bool
-enabled()
-{
-    return false;
-}
-
-PhaseTree
-snapshot()
-{
-    return PhaseTree{"all", 0, 0, {}};
-}
-
-void
-reset()
-{
-}
-
-#endif // MEMNET_PROFILE
 
 } // namespace prof
 } // namespace memnet

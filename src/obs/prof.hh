@@ -19,10 +19,8 @@
  * phase name keeps the tree stable across thread counts.
  *
  * Cost model (the contract the perf-baseline CI job guards):
- *  - compiled out (-DMEMNET_PROFILE=0): zero — the macro expands to
- *    nothing, simulation behavior is byte-identical;
- *  - compiled in, profiling disabled (the default): one relaxed
- *    atomic load and branch per scope;
+ *  - profiling disabled (the default): one relaxed atomic load and
+ *    branch per scope;
  *  - enabled: two steady_clock reads plus a child lookup per scope.
  * Profiling never touches the EventQueue or any simulated state, so a
  * profiled run's RunResult is bit-identical to an unprofiled one in
@@ -43,10 +41,6 @@
 #include <iosfwd>
 #include <string>
 #include <vector>
-
-#ifndef MEMNET_PROFILE
-#define MEMNET_PROFILE 1
-#endif
 
 namespace memnet
 {
@@ -105,8 +99,6 @@ std::vector<ProfPhase> flatten(const PhaseTree &tree);
  * @return false (with a warning) when the file cannot be opened.
  */
 bool writeSnapshotFile(const std::string &path);
-
-#if MEMNET_PROFILE
 
 namespace detail
 {
@@ -215,29 +207,6 @@ class ScopedCapture
 #define MEMNET_PROF_SCOPE(name)                                        \
     ::memnet::prof::Scope MEMNET_PROF_CONCAT(memnet_prof_scope_,       \
                                              __LINE__)(name)
-
-#else // !MEMNET_PROFILE
-
-/** Profiler compiled out: captures yield nothing, scopes vanish. */
-class Scope
-{
-  public:
-    explicit Scope(const char *) {}
-    void close() {}
-};
-
-class ScopedCapture
-{
-  public:
-    explicit ScopedCapture(const char *) {}
-    std::vector<ProfPhase> finish() { return {}; }
-};
-
-#define MEMNET_PROF_SCOPE(name)                                        \
-    do {                                                               \
-    } while (false)
-
-#endif // MEMNET_PROFILE
 
 } // namespace prof
 } // namespace memnet

@@ -67,8 +67,6 @@ EventQueue::~EventQueue()
             ev = ev->_next;
         } while (ev != head);
     }
-    for (const Entry &e : _far)
-        queued.push_back(e.ev);
     for (Event *ev : queued)
         ev->_scheduled = false;
     for (Event *ev : queued) {
@@ -77,16 +75,21 @@ EventQueue::~EventQueue()
     }
 }
 
-void
-EventQueue::migrateFar()
+Event *
+EventQueue::leastHead() const
 {
-    // The heap pops in key order, and the slots the horizon just gained
-    // were empty, so each entry lands at its list's tail.
-    while (!_far.empty() && inRing(_far[0].when)) {
-        Event *ev = _far[0].ev;
-        removeFar(0);
-        ringInsert(ev);
+    Event *best = nullptr;
+    for (std::uint64_t words = _summary; words; words &= words - 1) {
+        const std::size_t w =
+            static_cast<std::size_t>(std::countr_zero(words));
+        for (std::uint64_t bits = _occupied[w]; bits; bits &= bits - 1) {
+            Event *head = _bucket[w * 64 + static_cast<std::size_t>(
+                                               std::countr_zero(bits))];
+            if (!best || ringBefore(head, best))
+                best = head;
+        }
     }
+    return best;
 }
 
 void
@@ -125,7 +128,7 @@ EventQueue::dispatchFront()
     // the event and restamp its key.
     const Tick sched = ev->_schedTick;
     remove(ev);
-    setNow(ev->_when);
+    _now = ev->_when;
     ev->_scheduled = false;
     ++_fired;
     _curParentSched = sched;
@@ -153,7 +156,7 @@ EventQueue::runUntil(Tick limit)
         ++n;
     }
     if (_now < limit && limit != kTickMax)
-        setNow(limit);
+        _now = limit;
     return n;
 }
 

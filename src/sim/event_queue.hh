@@ -14,32 +14,27 @@
  * order across several queues.
  *
  * The queue is a calendar queue (R. Brown, "Calendar Queues", CACM
- * 31(10), 1988) with a heap for the far future:
+ * 31(10), 1988):
  *
- *  - the ring: kBuckets time buckets of 2^kBucketShift ticks each,
- *    covering the horizon [now()'s bucket, that bucket + kBuckets).
- *    An event's bucket is when >> kBucketShift, its slot that bucket
- *    modulo kBuckets, and each slot holds a key-sorted circular list
- *    threaded through the events themselves;
+ *  - a ring of kBuckets slots. Tick t lies on day t >> kBucketShift,
+ *    and day d files into slot d modulo kBuckets, so one turn of the
+ *    ring (a "year") spans kBuckets days. Each slot holds a key-sorted
+ *    circular list threaded through the events themselves; an event a
+ *    year or more ahead sits in its day's list behind that slot's
+ *    nearer events;
  *  - a two-level occupancy bitmap (one bit per slot, one summary bit
  *    per bitmap word) that finds the next non-empty slot in two
  *    count-trailing-zeros steps;
  *  - a cached pointer to the front event, so a pop, frontKey() and
- *    nextTick() never search;
- *  - the far heap: an intrusive indexed 4-ary heap holding the events
- *    beyond the horizon (link sleep timers, epochs, checkpoints). As
- *    now() advances and the horizon moves, its due entries migrate into
- *    the ring.
+ *    nextTick() never search.
  *
- * Every ring event precedes every far event. deschedule() and
- * reschedule() remove the entry at once, so there are never stale
- * entries to filter.
+ * deschedule() and reschedule() unlink the event at once, so there are
+ * never stale entries to filter.
  */
 
 #ifndef MEMNET_SIM_EVENT_QUEUE_HH
 #define MEMNET_SIM_EVENT_QUEUE_HH
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
@@ -148,12 +143,7 @@ class Event
     Tick _parentTick = kTickInvalid;
     /** Per-queue tie-break counter (the legacy sequence number). */
     std::uint64_t _seq = 0;
-    /**
-     * Index in the owning queue's far heap while scheduled there, or
-     * EventQueue::kRingSlot while in a ring bucket.
-     */
-    std::size_t _slot = 0;
-    /** Neighbours in the ring bucket's circular list (ring only). */
+    /** Neighbours in the ring slot's circular list. */
     Event *_prev = nullptr;
     Event *_next = nullptr;
     /** The queue holding this event while scheduled. */
@@ -260,9 +250,8 @@ class EventQueue
     }
 
     /**
-     * Remove a scheduled event from the queue at once (O(1) in the
-     * ring, O(log n) in the far heap); the event can be destroyed or
-     * rescheduled freely afterwards.
+     * Remove a scheduled event from the queue at once; the event can be
+     * destroyed or rescheduled freely afterwards.
      */
     void
     deschedule(Event *ev)
@@ -288,25 +277,9 @@ class EventQueue
         memnet_assert(when >= _now,
                       "event scheduled in the past: ", when, " < ", _now);
         ++_scheduledTotal;
-        if (ev->_slot == kRingSlot || inRing(when)) {
-            remove(ev);
-            stampLocal(ev, when);
-            insert(ev);
-            return;
-        }
-        // A far event staying beyond the horizon is rekeyed in place:
-        // one sift instead of a remove plus an insert. The sequence
-        // number grew, so an equal-tick rekey still moves the event
-        // after its same-tick peers — sift down covers it.
-        const Tick old = ev->_when;
+        remove(ev);
         stampLocal(ev, when);
-        _far[ev->_slot].when = when;
-        if (when < old)
-            siftUp(ev->_slot);
-        else
-            siftDown(ev->_slot);
-        if (_ringSize == 0)
-            _front = _far[0].ev;
+        insert(ev);
     }
 
     /**
@@ -362,7 +335,7 @@ class EventQueue
     {
         memnet_assert(t >= _now, "advanceTo went backwards");
         memnet_assert(t <= nextTick(), "advanceTo skipped events");
-        setNow(t);
+        _now = t;
     }
 
     /**
@@ -373,7 +346,7 @@ class EventQueue
     Tick currentParentSched() const { return _curParentSched; }
 
     /** Number of scheduled events. */
-    std::uint64_t pending() const { return _ringSize + _far.size(); }
+    std::uint64_t pending() const { return _size; }
 
     /** Total number of events ever fired. */
     std::uint64_t fired() const { return _fired; }
@@ -436,34 +409,20 @@ class EventQueue
      * sleep thresholds), 1-2.1 us ahead 2.74M times (the 2,048 ns
      * thresholds), and past 4.2 us only 336 times (epochs and
      * checkpoints). Most of the pending events bunch into the next few
-     * ns, so the lists stay short only in narrow buckets: on that run an
+     * ns, so the lists stay short only in narrow days: on that run an
      * insert walks past 1.08 list entries on average with 1,024 ps
-     * buckets and 0.30 with 256 ps ones, which took 6-12% less CPU in
-     * alternating runs. 4,096 buckets of 256 ps span 1.05 us and hold
-     * everything but the 2,048 ns sleep timers (97% of them cancelled)
-     * and the epochs, which take the far heap; a ring of 8,192 buckets
-     * that also held the timers was no faster. The occupancy bitmap is
-     * then 64 words under one summary word.
+     * days and 0.30 with 256 ps ones, which took 6-12% less CPU in
+     * alternating runs. A year of 4,096 days of 256 ps spans 1.05 us.
+     * The 2,048 ns sleep timers (97% of them cancelled) and the epochs
+     * lie a year or more ahead and sort behind the nearer events of
+     * their slot; at most one timer per link and a few epochs are that
+     * far out, so they seldom share a slot with the front. The
+     * occupancy bitmap is 64 words under one summary word.
      */
     static constexpr unsigned kBucketShift = 8;
     static constexpr std::size_t kBuckets = 4096;
     static constexpr std::size_t kWords = kBuckets / 64;
     static_assert(kWords <= 64, "one summary word covers the bitmap");
-
-    /** Event::_slot of an event in the ring. */
-    static constexpr std::size_t kRingSlot = SIZE_MAX;
-
-    /** Children per far-heap node. */
-    static constexpr std::size_t kAry = 4;
-
-    /**
-     * A far-heap entry: the firing tick inline, the rest of the key
-     * (EventKey) read through the pointer only to break a tick tie.
-     */
-    struct Entry {
-        Tick when;
-        Event *ev;
-    };
 
     /** Firing order among events at one tick (see EventKey). */
     static bool
@@ -476,11 +435,11 @@ class EventQueue
         return a->_seq < b->_seq;
     }
 
-    /** Strict (when, sched, parent, ctr) order of two entries. */
+    /** Strict (when, sched, parent, ctr) order of two events. */
     static bool
-    before(const Entry &a, const Entry &b)
+    ringBefore(const Event *a, const Event *b)
     {
-        return a.when != b.when ? a.when < b.when : tieBefore(a.ev, b.ev);
+        return a->_when != b->_when ? a->_when < b->_when : tieBefore(a, b);
     }
 
     /** Give @p ev the natural local key of a schedule at now(). */
@@ -501,49 +460,24 @@ class EventQueue
                (kBuckets - 1);
     }
 
-    /** Whether @p when (>= now()) falls inside the ring's horizon. */
-    bool
-    inRing(Tick when) const
-    {
-        return static_cast<std::uint64_t>((when >> kBucketShift) - _base) <
-               kBuckets;
-    }
-
-    /**
-     * File a freshly keyed event: into the ring if it falls inside the
-     * horizon, else into the far heap. Either way the front follows.
-     */
+    /** File a freshly keyed event into its slot; the front follows. */
     void
     insert(Event *ev)
     {
-        if (!inRing(ev->_when)) {
-            pushFar({ev->_when, ev});
-            if (_ringSize == 0)
-                _front = _far[0].ev;
-            return;
-        }
         ringInsert(ev);
-        if (_ringSize == 1 || ringBefore(ev, _front))
+        if (_size == 1 || ringBefore(ev, _front))
             _front = ev;
     }
 
-    /** Strict (when, sched, parent, ctr) order of two events. */
-    static bool
-    ringBefore(const Event *a, const Event *b)
-    {
-        return a->_when != b->_when ? a->_when < b->_when : tieBefore(a, b);
-    }
-
     /**
-     * Link @p ev into its bucket's list, walking back from the tail
+     * Link @p ev into its slot's list, walking back from the tail
      * (a fresh local event sorts after nearly everything pending).
      */
     void
     ringInsert(Event *ev)
     {
         const std::size_t slot = slotOf(ev->_when);
-        ev->_slot = kRingSlot;
-        ++_ringSize;
+        ++_size;
         Event *&head = _bucket[slot];
         if (!head) {
             ev->_prev = ev->_next = ev;
@@ -573,12 +507,12 @@ class EventQueue
         at->_next = ev;
     }
 
-    /** Unlink @p ev from its bucket's list. */
+    /** Unlink @p ev from its slot's list. */
     void
     ringUnlink(Event *ev)
     {
         const std::size_t slot = slotOf(ev->_when);
-        --_ringSize;
+        --_size;
         if (ev->_next == ev) {
             _bucket[slot] = nullptr;
             if ((_occupied[slot / 64] &= ~(1ULL << (slot % 64))) == 0)
@@ -612,110 +546,41 @@ class EventQueue
     }
 
     /**
-     * Take @p ev out of its tier. When it was the front, the new front
-     * is the first ring event from its slot on (no ring event precedes
-     * the old front), else the far heap's top.
+     * Unlink @p ev. When it was the front, every event left lies at or
+     * after it, so the new front is the head of the first slot, from
+     * the old front's on, whose head lies in that slot's day of the
+     * current year; a head a year or more ahead belongs to a later turn
+     * and is passed over. If a full turn finds none, every event is a
+     * year or more ahead, and the least head is the front.
      */
     void
     remove(Event *ev)
     {
-        if (ev->_slot == kRingSlot)
-            ringUnlink(ev);
-        else
-            removeFar(ev->_slot);
+        ringUnlink(ev);
         if (ev != _front)
             return;
-        if (_ringSize != 0)
-            _front = _bucket[firstOccupied(slotOf(ev->_when))];
-        else
-            _front = _far.empty() ? nullptr : _far[0].ev;
-    }
-
-    /**
-     * Set now() to @p t. The horizon moves with now()'s bucket, and far
-     * events it now covers migrate into the ring; they all sort after
-     * the ring's events, so the front stays.
-     */
-    void
-    setNow(Tick t)
-    {
-        _now = t;
-        _base = t >> kBucketShift;
-        if (!_far.empty() && inRing(_far[0].when))
-            migrateFar();
-    }
-
-    /** Move the far heap's entries inside the horizon into the ring. */
-    void migrateFar();
-
-    // The far heap: an intrusive indexed 4-ary heap whose entries
-    // record their index in Event::_slot.
-
-    void
-    placeFar(const Entry &e, std::size_t slot)
-    {
-        _far[slot] = e;
-        e.ev->_slot = slot;
-    }
-
-    void
-    siftUp(std::size_t slot)
-    {
-        const Entry e = _far[slot];
-        while (slot > 0) {
-            const std::size_t parent = (slot - 1) / kAry;
-            if (!before(e, _far[parent]))
-                break;
-            placeFar(_far[parent], slot);
-            slot = parent;
+        if (_size == 0) {
+            _front = nullptr;
+            return;
         }
-        placeFar(e, slot);
-    }
-
-    void
-    siftDown(std::size_t slot)
-    {
-        const Entry e = _far[slot];
-        const std::size_t n = _far.size();
-        for (;;) {
-            const std::size_t first = slot * kAry + 1;
-            if (first >= n)
-                break;
-            std::size_t best = first;
-            const std::size_t last = std::min(first + kAry, n);
-            for (std::size_t c = first + 1; c < last; ++c) {
-                if (before(_far[c], _far[best]))
-                    best = c;
+        const Tick day0 = ev->_when >> kBucketShift;
+        const std::size_t slot0 = slotOf(ev->_when);
+        for (std::size_t ahead = 0; ahead < kBuckets; ++ahead) {
+            const std::size_t from = (slot0 + ahead) & (kBuckets - 1);
+            const std::size_t slot = firstOccupied(from);
+            ahead += (slot - from) & (kBuckets - 1);
+            Event *head = _bucket[slot];
+            if (ahead < kBuckets && (head->_when >> kBucketShift) - day0 ==
+                                        static_cast<Tick>(ahead)) {
+                _front = head;
+                return;
             }
-            if (!before(_far[best], e))
-                break;
-            placeFar(_far[best], slot);
-            slot = best;
         }
-        placeFar(e, slot);
+        _front = leastHead();
     }
 
-    void
-    pushFar(const Entry &e)
-    {
-        _far.push_back(e);
-        siftUp(_far.size() - 1);
-    }
-
-    /** Vacate heap @p slot, restoring order around the moved filler. */
-    void
-    removeFar(std::size_t slot)
-    {
-        const Entry filler = _far.back();
-        _far.pop_back();
-        if (slot == _far.size())
-            return; // removed the tail entry
-        placeFar(filler, slot);
-        if (slot > 0 && before(filler, _far[(slot - 1) / kAry]))
-            siftUp(slot);
-        else
-            siftDown(slot);
-    }
+    /** The least slot head: the front when all are a year ahead. */
+    Event *leastHead() const;
 
     /** Pop the front, advance time, and fire it (shared bookkeeping). */
     void dispatchFront();
@@ -726,13 +591,9 @@ class EventQueue
     std::array<std::uint64_t, kWords> _occupied{};
     /** Bit w: _occupied[w] is non-zero. */
     std::uint64_t _summary = 0;
-    /** now()'s bucket, where the horizon starts. */
-    Tick _base = 0;
-    std::size_t _ringSize = 0;
+    std::size_t _size = 0;
     /** The next event to fire (nullptr when the queue is empty). */
     Event *_front = nullptr;
-    /** Far heap: every entry lies beyond the horizon. */
-    std::vector<Entry> _far;
     Tick _now = 0;
     /** _schedTick of the event being fired (kTickInvalid outside). */
     Tick _curParentSched = kTickInvalid;

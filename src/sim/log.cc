@@ -73,7 +73,7 @@ namespace
 bool throwOnError = false;
 
 /** Set on a thread while a ScopedFatalThrows lives there. */
-thread_local bool fatalThrows = false;
+thread_local bool threadFatalThrows = false;
 
 } // namespace
 
@@ -97,7 +97,7 @@ panicImpl(const char *file, int line, const std::string &msg)
 fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    if (throwOnError || fatalThrows)
+    if (throwOnError || threadFatalThrows)
         throw std::runtime_error("fatal: " + msg);
     std::exit(1);
 }
@@ -129,14 +129,21 @@ informImpl(const std::string &msg)
 
 } // namespace detail
 
-ScopedFatalThrows::ScopedFatalThrows() : prev_(detail::fatalThrows)
+bool
+fatalThrows()
 {
-    detail::fatalThrows = true;
+    return detail::threadFatalThrows;
+}
+
+ScopedFatalThrows::ScopedFatalThrows(bool enable)
+    : prev_(detail::threadFatalThrows)
+{
+    detail::threadFatalThrows = enable;
 }
 
 ScopedFatalThrows::~ScopedFatalThrows()
 {
-    detail::fatalThrows = prev_;
+    detail::threadFatalThrows = prev_;
 }
 
 } // namespace memnet

@@ -69,7 +69,7 @@ std::string
 formatMessage(Args &&...args)
 {
     std::ostringstream os;
-    (os << ... << args);
+    ((os << args), ...);
     return os.str();
 }
 
@@ -88,17 +88,22 @@ void setThrowOnError(bool enable);
 
 } // namespace detail
 
+/** Whether memnet_fatal throws on the calling thread. */
+bool fatalThrows();
+
 /**
  * While alive, memnet_fatal on the constructing thread throws
- * std::runtime_error instead of exiting the process. ParallelRunner
- * holds one around each config, so a bad config in a sweep becomes a
- * recorded failure; outside a sweep fatal still exits. Panics (bugs)
- * abort either way.
+ * std::runtime_error instead of exiting the process when @p enable
+ * (else it exits). ParallelRunner holds one around each config, so a
+ * bad config in a sweep becomes a recorded failure; outside a sweep
+ * fatal still exits. The partitioned kernel installs the caller's
+ * fatalThrows() in each lane thread it starts. Panics (bugs) abort
+ * either way.
  */
 class ScopedFatalThrows
 {
   public:
-    ScopedFatalThrows();
+    explicit ScopedFatalThrows(bool enable = true);
     ~ScopedFatalThrows();
     ScopedFatalThrows(const ScopedFatalThrows &) = delete;
     ScopedFatalThrows &operator=(const ScopedFatalThrows &) = delete;

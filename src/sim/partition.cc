@@ -332,13 +332,18 @@ PartitionRunner::runUntil(Tick limit, Tick epochGridPs)
     // ParallelRunner watchdog cancellation reaches every partition: the
     // first worker to observe it throws CancelledError, flips the abort
     // flag, and the barriers release the rest within one poll interval.
+    // They inherit its fatal mode too, so a memnet_fatal on any lane of
+    // a sweep's config throws and is rethrown here, as on lane 0.
     const std::atomic<bool> *cancel = cancelFlag();
+    const bool throws = fatalThrows();
 
     std::vector<std::thread> workers;
     workers.reserve(static_cast<std::size_t>(p) - 1);
     for (int r = 1; r < p; ++r) {
-        workers.emplace_back([this, r, limit, epochGridPs, cancel] {
+        workers.emplace_back([this, r, limit, epochGridPs, cancel,
+                              throws] {
             ScopedCancelFlag scoped(cancel);
+            ScopedFatalThrows scopedFatal(throws);
             workerBody(r, limit, epochGridPs);
         });
     }

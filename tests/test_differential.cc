@@ -139,11 +139,9 @@ TEST(Differential, ProfilingOnEqualsOff)
     const auto diffs = audit::diffRunResults(off, on);
     EXPECT_TRUE(diffs.empty()) << audit::describeDiffs(diffs);
 
-#if MEMNET_PROFILE
     // And the profiled run actually carried phase data.
     EXPECT_FALSE(on.profile.profPhases.empty());
     EXPECT_TRUE(off.profile.profPhases.empty());
-#endif
 }
 
 TEST(Differential, ParallelSweepEqualsSerial)

@@ -280,8 +280,8 @@ TEST(EventQueueKeyed, MessageFromAheadSortsAfterLaterLocalEvent)
 // Randomized stress test against a reference model
 // ---------------------------------------------------------------------
 
-/** The queue's ring horizon: 4,096 buckets of 256 ps. */
-constexpr Tick kHorizon = 4096 * 256;
+/** One turn of the queue's ring (a "year"): 4,096 days of 256 ps. */
+constexpr Tick kYear = 4096 * 256;
 
 /** One scheduled entry mirrored outside the queue. */
 struct RefEntry
@@ -493,8 +493,10 @@ class StressDriver
  * hundred events deep, many ticks per ring bucket, a coarse tick grid
  * where many events share a tick, a population of far-future sleep
  * timers that are mostly cancelled, partition messages carrying foreign
- * keys, and delays and time jumps of up to three ring horizons, which
- * move events between the far heap and the ring.
+ * keys, and delays and time jumps of up to three years (ring turns),
+ * which file events into the slots of nearer days and make the front
+ * search pass over them or, when nothing lies within a year, take the
+ * least head.
  */
 TEST(EventQueueStress, RandomOpsMatchReferenceModel)
 {
@@ -505,8 +507,8 @@ TEST(EventQueueStress, RandomOpsMatchReferenceModel)
         {"coarse-ticks", 256, 20000, ns(100), 8, 8, 0, 0, 129},
         {"sleep-timers", 512, 30000, ns(1), 400, 400, 2, 0, 129},
         {"remote-keys", 256, 20000, ns(10), 40, 40, 0, 3, 0},
-        {"past-horizon", 256, 20000, 640, 3 * kHorizon / 640,
-         2 * kHorizon / 640, 4, 5, 64},
+        {"past-horizon", 256, 20000, 640, 3 * kYear / 640,
+         2 * kYear / 640, 4, 5, 64},
     };
     for (const StressCase &c : cases) {
         SCOPED_TRACE(c.name);
@@ -547,12 +549,18 @@ TEST(EventQueueStress, DestructorReleasesPendingOneShots)
     // teardown; pending lambda one-shots are owned by the queue and
     // freed (ASan would flag a leak or double-free here). An unhooked
     // survivor must be safely destructible after its queue is gone.
+    // Three one-shots lie a year or more ahead: two share a slot's list
+    // with near one-shots, the third has a slot to itself.
     CountingEvent survivor;
     {
         EventQueue eq;
         eq.schedule(&survivor, ns(10));
         for (int i = 0; i < 100; ++i)
             eq.schedule(ns(i), [] {});
+        eq.schedule(ns(5) + kYear, [] {});
+        eq.schedule(3 * kYear + 777, [] {});
+        eq.schedule(us(50), [] {});
+        EXPECT_EQ(eq.pending(), 104u);
     }
     EXPECT_EQ(survivor.fired, 0);
 }

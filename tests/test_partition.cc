@@ -10,7 +10,9 @@
  *    latency and energy observatories included;
  *  - multi-channel partitioned runs match serial multi-channel runs;
  *  - a cooperative cancel flag (the --config-timeout watchdog) stops
- *    every partition worker.
+ *    every partition worker;
+ *  - a memnet_fatal on a worker lane throws under the caller's
+ *    ScopedFatalThrows and is rethrown by runUntil.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -27,6 +30,7 @@
 #include "memnet/multichannel.hh"
 #include "memnet/simulator.hh"
 #include "sim/cancel.hh"
+#include "sim/log.hh"
 #include "sim/partition.hh"
 
 namespace memnet
@@ -603,6 +607,21 @@ TEST(PartitionCancel, WatchdogFlagStopsAllWorkers)
     std::atomic<bool> stop{true};
     ScopedCancelFlag scoped(&stop);
     EXPECT_THROW(runSimulation(part), CancelledError);
+}
+
+TEST(PartitionFatal, LaneFatalIsRethrownUnderScopedFatalThrows)
+{
+    // A sweep holds a ScopedFatalThrows around each config. The lanes
+    // 1..p-1 run on threads the runner starts, so they must inherit it:
+    // a fatal there has to come back out of runUntil as an exception,
+    // not exit the process.
+    EventQueue lane0;
+    EventQueue lane1;
+    PartitionRunner runner({&lane0, &lane1}, {0, 100, 100, 0},
+                           [](int, BoundaryMessage &) {});
+    lane1.schedule(50, [] { memnet_fatal("bad config on lane 1"); });
+    const ScopedFatalThrows scopedFatal;
+    EXPECT_THROW(runner.runUntil(1000, 0), std::runtime_error);
 }
 
 } // namespace

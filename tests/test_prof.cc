@@ -41,8 +41,6 @@ class ProfTest : public ::testing::Test
     }
 };
 
-#if MEMNET_PROFILE
-
 TEST_F(ProfTest, ScopesNestIntoATree)
 {
     {
@@ -209,10 +207,8 @@ TEST_F(ProfTest, ParallelRunnerWorkerPhasesSurviveJoin)
     }
 }
 
-#endif // MEMNET_PROFILE
-
 // The exporters consume a value-type tree, so they are testable with
-// hand-built golden input in both build flavors.
+// hand-built golden input.
 
 prof::PhaseTree
 goldenTree()

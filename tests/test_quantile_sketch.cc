@@ -210,11 +210,13 @@ TEST(QuantileSketch, RandomSampleCountsNeverProduceNonsense)
         for (double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
             const std::uint64_t v = s.quantile(q);
             EXPECT_LE(v, mx) << "n=" << n << " q=" << q;
-            if (n == 0)
+            if (n == 0) {
                 EXPECT_EQ(v, 0u);
+            }
         }
-        if (n > 0)
+        if (n > 0) {
             EXPECT_EQ(s.quantile(1.0), mx);
+        }
     }
 }
 
