@@ -2,11 +2,11 @@
  * @file
  * Google-benchmark microbenchmarks of the simulator substrate: event
  * kernel throughput (schedule/fire, reschedule-heavy and the simulator's
- * own queue shape), packet pool
- * versus heap churn, link serialization, vault service, delay-monitor,
- * end-to-end simulation cost, result serialization (journal append and
- * load, and apart from the file: record formatting, record parsing and
- * the CRC-32; bench JSON), and the parallel sweep engine.
+ * own queue shape), packet pool versus heap churn, link serialization
+ * and one ROO link's full hop, vault service, delay-monitor, end-to-end
+ * simulation cost, result serialization (journal append and load, and
+ * apart from the file: record formatting, record parsing and the
+ * CRC-32; bench JSON), and the parallel sweep engine.
  *
  * BM_EndToEndSimulation reports the headline counters used by the CI
  * perf-smoke job: events_per_s, packets_per_s, and the per-run heap
@@ -251,6 +251,96 @@ BM_LinkPacketTransfer(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 500);
 }
 BENCHMARK(BM_LinkPacketTransfer);
+
+/**
+ * One ROO-enabled VWL link carrying a packet stream: every packet goes
+ * from Link::enqueue through serialization (onTxDone) and the
+ * SERDES/router pipe (onDeliver) into a sink that counts it and hands
+ * it back for reuse, so no allocation is timed. Arrivals come 2-40 ns
+ * apart, mixing one-flit requests and five-flit responses on the read
+ * and write queues, so the queues often drain between packets and
+ * each drain arms the 128 ns sleep timer; every 64th gap is 1 us, long
+ * enough for the link to turn off and wake for the next packet.
+ */
+class LinkHopStream : public PacketSink
+{
+  public:
+    LinkHopStream()
+        : roo(rooOn()),
+          link(eq, 0, LinkType::Response, 0,
+               &ModeTable::forMechanism(BwMechanism::Vwl), &roo, 1.17,
+               this),
+          packets(kPackets)
+    {
+        link.applyModes(0, 1);
+        for (Packet &p : packets)
+            spare.push_back(&p);
+        eq.schedule(&arrival, ns(1));
+    }
+
+    void
+    accept(Packet *pkt, Tick) override
+    {
+        ++delivered;
+        spare.push_back(pkt);
+    }
+
+    EventQueue eq;
+    std::uint64_t delivered = 0;
+
+  private:
+    static constexpr int kPackets = 256;
+
+    static RooConfig
+    rooOn()
+    {
+        RooConfig r;
+        r.enabled = true;
+        return r;
+    }
+
+    void
+    onArrival()
+    {
+        lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+        const std::uint64_t r = lcg >> 33;
+        if (!spare.empty()) {
+            Packet *p = spare.back();
+            spare.pop_back();
+            const bool response = r % 4 != 0;
+            p->type = (r >> 2) % 8 == 0
+                          ? PacketType::WriteReq
+                          : response ? PacketType::ReadResp
+                                     : PacketType::ReadReq;
+            p->flits = response ? 5 : 1;
+            link.enqueue(p);
+        }
+        const Tick gap =
+            ++arrivals % 64 == 0
+                ? us(1)
+                : ns(2 + static_cast<std::int64_t>((r >> 5) % 39));
+        eq.schedule(&arrival, eq.now() + gap);
+    }
+
+    RooConfig roo;
+    Link link;
+    std::vector<Packet> packets;
+    std::vector<Packet *> spare;
+    std::uint64_t lcg = 0x9e3779b97f4a7c15ULL;
+    std::uint64_t arrivals = 0;
+    MemberEvent<LinkHopStream, &LinkHopStream::onArrival> arrival{this};
+};
+
+void
+BM_LinkHop(benchmark::State &state)
+{
+    LinkHopStream stream;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            stream.eq.runUntil(stream.eq.now() + us(20)));
+    state.SetItemsProcessed(static_cast<std::int64_t>(stream.delivered));
+}
+BENCHMARK(BM_LinkHop);
 
 void
 BM_VaultReads(benchmark::State &state)

@@ -14,7 +14,11 @@ bands. Two input formats are understood:
   * google-benchmark --benchmark_format=json output (bench_micro_kernel):
     the user counters (events_per_s, ...) are wall-clock rates, so they
     get a loose one-sided tolerance that only fails on regression.
-    real_time/cpu_time are never compared.
+    real_time/cpu_time are never compared. Under
+    --benchmark_repetitions a case appears once per repetition: a rate
+    keeps its best repetition, the one a noisy host disturbed least,
+    and every other counter must agree across the repetitions within
+    its own band (record refuses, check fails).
 
 Counters are classified by name: anything matching *_per_s / *_per_sec /
 *_per_second (google-benchmark's items/bytes counters) / *_rate is a rate (one-sided: fail only when current < (1 - tol) *
@@ -35,7 +39,8 @@ other entries); check compares and exits 1 on any failure:
   * a file's label missing from the baseline,
   * a baseline counter missing from the current results,
   * an exact counter outside the band,
-  * a rate counter below the one-sided band.
+  * a rate counter below the one-sided band,
+  * an exact or percentile counter that differs between repetitions.
 Rate improvements and new counters are reported but never fail.
 
 Per-label tolerance overrides live in the baseline's "tolerances" map
@@ -131,8 +136,15 @@ def extract_memnet(doc):
 
 
 def extract_gbench(doc):
-    """One entry per google-benchmark case, user counters only."""
-    entries = {}
+    """One entry per google-benchmark case, user counters only.
+
+    Each repetition of a case is one "iteration" run of the same name.
+    The entry's counters take each rate's best repetition and every
+    other counter's first; with more than one repetition the entry also
+    lists every repetition's counters under "repetitions", for
+    repetition_failures().
+    """
+    runs = {}
     for b in doc.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
             continue
@@ -147,8 +159,43 @@ def extract_gbench(doc):
                 continue
             counters[k] = v
         if counters:
-            entries[b["name"]] = {"kind": "gbench", "counters": counters}
+            runs.setdefault(b["name"], []).append(counters)
+    entries = {}
+    for name, reps in runs.items():
+        counters = dict(reps[0])
+        for rep in reps[1:]:
+            for k, v in rep.items():
+                if k not in counters or (is_rate(k) and v > counters[k]):
+                    counters[k] = v
+        entry = {"kind": "gbench", "counters": counters}
+        if len(reps) > 1:
+            entry["repetitions"] = reps
+        entries[name] = entry
     return entries
+
+
+def repetition_failures(baseline, label, entry):
+    """Report lines for non-rate counters the repetitions disagree on.
+
+    Exact counters are fixed by the code, not the host, so every
+    repetition must reproduce the first within the counter's band.
+    """
+    reps = entry.get("repetitions")
+    if not reps:
+        return []
+    failures = []
+    for counter, first in sorted(reps[0].items()):
+        if is_rate(counter):
+            continue
+        tol = tolerance_for(baseline, label, counter)
+        for i, rep in enumerate(reps[1:], 1):
+            cur = rep.get(counter)
+            if cur is None or outside_band(first, cur, tol):
+                failures.append(
+                    f"FAIL {label}:{counter}: repetition {i} gives "
+                    f"{cur!r}, repetition 0 gave {first!r} "
+                    f"(rel tol {tol})")
+    return failures
 
 
 def extract(path):
@@ -174,6 +221,11 @@ def tolerance_for(baseline, label, counter):
     if is_percentile(counter):
         return float(defaults.get("pctl_rel_tol", DEFAULT_PCTL_REL_TOL))
     return float(defaults.get("exact_rel_tol", DEFAULT_EXACT_REL_TOL))
+
+
+def outside_band(base, cur, tol):
+    """True when cur is off base by more than tol of the larger one."""
+    return abs(cur - base) > tol * max(abs(base), abs(cur))
 
 
 def check_entry(baseline, label, base_counters, cur_counters, report):
@@ -205,8 +257,7 @@ def check_entry(baseline, label, base_counters, cur_counters, report):
                 report.append(f"ok   {key}: {cur:.4g} "
                               f"(baseline {base:.4g}, one-sided)")
         else:
-            scale = max(abs(base), abs(cur))
-            if abs(cur - base) > tol * scale:
+            if outside_band(base, cur, tol):
                 report.append(
                     f"FAIL {key}: {cur!r} != baseline {base!r} "
                     f"(rel tol {tol})")
@@ -234,7 +285,12 @@ def cmd_record(args):
     entries = baseline.setdefault("entries", {})
     for path in args.files:
         for label, entry in extract(path).items():
-            entries[label] = entry
+            disagree = repetition_failures(baseline, label, entry)
+            if disagree:
+                raise ValueError(f"{path}: repetitions disagree, not "
+                                 "recorded:\n" + "\n".join(disagree))
+            entries[label] = {"kind": entry["kind"],
+                              "counters": entry["counters"]}
             print(f"recorded {label}: "
                   f"{len(entry['counters'])} counters")
     entries = dict(sorted(entries.items()))
@@ -265,6 +321,9 @@ def cmd_check(args):
                     f"'bench_compare.py record' and commit the result)")
                 failures += 1
                 continue
+            disagree = repetition_failures(baseline, label, entry)
+            report.extend(disagree)
+            failures += len(disagree)
             failures += check_entry(baseline, label,
                                     entries[label]["counters"],
                                     entry["counters"], report)

@@ -90,6 +90,29 @@ def gbench_doc(rate=2.0e6):
     }
 
 
+def gbench_reps_doc(rates=(1.0e6, 3.0e6, 2.0e6), totals=(4096,) * 3):
+    """--benchmark_repetitions output: one run per repetition, then
+    the aggregates google-benchmark appends."""
+    runs = [
+        {
+            "name": "BM_EventQueue",
+            "run_type": "iteration",
+            "repetitions": len(rates),
+            "repetition_index": i,
+            "iterations": 100 + i,
+            "real_time": 12.5,
+            "cpu_time": 12.4,
+            "events_per_s": rate,
+            "events_total": total,
+        }
+        for i, (rate, total) in enumerate(zip(rates, totals))
+    ]
+    for agg in ("mean", "median", "stddev", "cv"):
+        runs.append({"name": f"BM_EventQueue_{agg}",
+                     "run_type": "aggregate", "events_per_s": 1.0})
+    return {"context": {"date": "x"}, "benchmarks": runs}
+
+
 class ExtractTest(unittest.TestCase):
     def test_memnet_aggregation(self):
         entries = bc.extract_memnet(memnet_doc())
@@ -110,6 +133,20 @@ class ExtractTest(unittest.TestCase):
         self.assertNotIn("iterations", counters)
         self.assertEqual(counters["events_per_s"], 2.0e6)
         self.assertEqual(counters["events_total"], 4096)
+
+    def test_gbench_repetitions_keep_best_rate(self):
+        entries = bc.extract_gbench(gbench_reps_doc())
+        self.assertEqual(list(entries), ["BM_EventQueue"])
+        counters = entries["BM_EventQueue"]["counters"]
+        # The best repetition, not the last one (2e6) or the first.
+        self.assertEqual(counters["events_per_s"], 3.0e6)
+        self.assertEqual(counters["events_total"], 4096)
+        self.assertNotIn("repetition_index", counters)
+        self.assertEqual(len(entries["BM_EventQueue"]["repetitions"]), 3)
+
+    def test_gbench_single_run_lists_no_repetitions(self):
+        entry = bc.extract_gbench(gbench_doc())["BM_EventQueue"]
+        self.assertNotIn("repetitions", entry)
 
     def test_rate_classification(self):
         self.assertTrue(bc.is_rate("events_per_s"))
@@ -164,8 +201,8 @@ class ExtractTest(unittest.TestCase):
         self.assertEqual(counters["events_fired_total"], 1000)
 
 
-class RoundTripTest(unittest.TestCase):
-    """record then check through the real CLI entry points."""
+class CliTest(unittest.TestCase):
+    """Temporary files and the real CLI entry points."""
 
     def setUp(self):
         self.dir = tempfile.TemporaryDirectory()
@@ -191,6 +228,10 @@ class RoundTripTest(unittest.TestCase):
     def record(self, *files):
         self.assertEqual(
             self.run_cli("record", "--baseline", self.baseline, *files), 0)
+
+
+class RoundTripTest(CliTest):
+    """record then check through the real CLI entry points."""
 
     def test_identical_results_pass(self):
         f1 = self.write("m.json", memnet_doc())
@@ -291,6 +332,70 @@ class RoundTripTest(unittest.TestCase):
         old = self.write("old.json", memnet_doc(version=4))
         self.assertEqual(
             self.run_cli("check", "--baseline", self.baseline, old), 2)
+
+
+class RepetitionTest(CliTest):
+    """--benchmark_repetitions output through record and check."""
+
+    def test_best_repetition_is_recorded_without_the_list(self):
+        f1 = self.write("g.json", gbench_reps_doc())
+        self.record(f1)
+        with open(self.baseline) as f:
+            entry = json.load(f)["entries"]["BM_EventQueue"]
+        self.assertEqual(entry, {"kind": "gbench", "counters": {
+            "events_per_s": 3.0e6, "events_total": 4096}})
+        self.assertEqual(
+            self.run_cli("check", "--baseline", self.baseline, f1), 0)
+
+    def test_one_good_repetition_passes_the_rate_floor(self):
+        f1 = self.write("g.json", gbench_reps_doc(rates=(1.0e6,) * 3))
+        self.record(f1)
+        # Two of three repetitions below the floor, the best above it.
+        noisy = self.write("noisy.json",
+                           gbench_reps_doc(rates=(0.1e6, 0.9e6, 0.1e6)))
+        self.assertEqual(
+            self.run_cli("check", "--baseline", self.baseline, noisy), 0)
+        slow = self.write("slow.json",
+                          gbench_reps_doc(rates=(0.1e6, 0.15e6, 0.1e6)))
+        self.assertEqual(
+            self.run_cli("check", "--baseline", self.baseline, slow), 1)
+
+    def test_exact_counters_must_agree_across_repetitions(self):
+        f1 = self.write("g.json", gbench_reps_doc())
+        self.record(f1)
+        # Repetition 0 still matches the baseline; repetition 2 drifts.
+        drift = self.write("drift.json",
+                           gbench_reps_doc(totals=(4096, 4096, 4097)))
+        self.assertEqual(
+            self.run_cli("check", "--baseline", self.baseline, drift), 1)
+        # A counter missing from one repetition is a disagreement too.
+        doc = gbench_reps_doc()
+        del doc["benchmarks"][1]["events_total"]
+        gap = self.write("gap.json", doc)
+        self.assertEqual(
+            self.run_cli("check", "--baseline", self.baseline, gap), 1)
+
+    def test_record_refuses_disagreeing_repetitions(self):
+        drift = self.write("drift.json",
+                           gbench_reps_doc(totals=(4096, 4097, 4096)))
+        self.assertEqual(
+            self.run_cli("record", "--baseline", self.baseline, drift), 2)
+        self.assertFalse(os.path.exists(self.baseline))
+
+    def test_tolerance_override_covers_repetitions(self):
+        f1 = self.write("g.json", gbench_reps_doc())
+        self.record(f1)
+        with open(self.baseline) as f:
+            baseline = json.load(f)
+        # A counter that scales with the iteration count, like
+        # BM_PacketPoolChurn:allocs_avoided, is exempted by its band.
+        baseline["tolerances"][r"^BM_EventQueue:events_total$"] = 1.0
+        with open(self.baseline, "w") as f:
+            json.dump(baseline, f)
+        drift = self.write("drift.json",
+                           gbench_reps_doc(totals=(4096, 8000, 100)))
+        self.assertEqual(
+            self.run_cli("check", "--baseline", self.baseline, drift), 0)
 
 
 class CheckEntryTest(unittest.TestCase):

@@ -13,12 +13,12 @@
 #define MEMNET_DRAM_VAULT_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "dram/dram_params.hh"
 #include "sim/event_queue.hh"
+#include "sim/fifo.hh"
 #include "sim/types.hh"
 
 namespace memnet
@@ -104,8 +104,8 @@ class Vault
     Callback callback;
     Callback forecast;
 
-    std::deque<VaultRequest> readQ;
-    std::deque<VaultRequest> writeQ;
+    Fifo<VaultRequest> readQ;
+    Fifo<VaultRequest> writeQ;
 
     /** Earliest tick each bank may start a new ACT. */
     std::vector<Tick> bankFreeAt;

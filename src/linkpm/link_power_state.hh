@@ -19,6 +19,12 @@
  * fraction of the mode's lanes and power follows the VWL-style
  * (l+1)/(L+1) rule (dead lanes stop toggling, the I/O clock stays on).
  * SERDES latency is unaffected.
+ *
+ * The operating point changes rarely (mode selections, lane clamps)
+ * while flitTime() and onPowerFrac() run on every serialization and
+ * energy accrual, so the current mode's values are cached whenever the
+ * mode or the clamp changes. Outside a transition both return the
+ * cache, computed by the same expression as inside one.
  */
 
 #ifndef MEMNET_LINKPM_LINK_POWER_STATE_HH
@@ -50,6 +56,7 @@ class LinkPowerState
     {
         memnet_assert(table && roo, "null link power config");
         rooModeIdx_ = roo->enabled ? roo->fullModeIndex() : 0;
+        cacheOperatingPoint();
     }
 
     // -- Bandwidth mode -------------------------------------------------
@@ -79,6 +86,7 @@ class LinkPowerState
         prevModeIdx_ = effectiveModeIdx(now);
         modeIdx_ = idx;
         transEnd_ = now + table_->transitionPs();
+        cacheOperatingPoint();
         return transEnd_;
     }
 
@@ -104,6 +112,7 @@ class LinkPowerState
             if (table_->mode(k).lanes <= laneClamp_)
                 break;
         }
+        cacheOperatingPoint();
     }
 
     /** Usable width cap (16 when healthy). */
@@ -145,9 +154,9 @@ class LinkPowerState
     Tick
     flitTime(Tick now) const
     {
-        const double bw = effectiveBwFrac(now);
-        return static_cast<Tick>(
-            static_cast<double>(LinkTiming::kFullFlitPs) / bw + 0.5);
+        if (!inTransition(now))
+            return flitTime_;
+        return flitTimeOf(effectiveModeIdx(now));
     }
 
     /** Effective SERDES latency at @p now. */
@@ -165,13 +174,9 @@ class LinkPowerState
     double
     onPowerFrac(Tick now) const
     {
-        const double a =
-            table_->mode(modeIdx_).powerFrac * lanePowerMult(modeIdx_);
         if (!inTransition(now))
-            return a;
-        const double b = table_->mode(prevModeIdx_).powerFrac *
-                         lanePowerMult(prevModeIdx_);
-        return std::max(a, b);
+            return onPowerFrac_;
+        return std::max(onPowerFrac_, powerFracOf(prevModeIdx_));
     }
 
     // -- ROO --------------------------------------------------------------
@@ -253,11 +258,28 @@ class LinkPowerState
                    : prevModeIdx_;
     }
 
-    double
-    effectiveBwFrac(Tick now) const
+    /** Flit serialization time of mode @p k under the clamp. */
+    Tick
+    flitTimeOf(std::size_t k) const
     {
-        const std::size_t k = effectiveModeIdx(now);
-        return table_->mode(k).bwFrac * laneBwMult(k);
+        const double bw = table_->mode(k).bwFrac * laneBwMult(k);
+        return static_cast<Tick>(
+            static_cast<double>(LinkTiming::kFullFlitPs) / bw + 0.5);
+    }
+
+    /** On-state power fraction of mode @p k under the clamp. */
+    double
+    powerFracOf(std::size_t k) const
+    {
+        return table_->mode(k).powerFrac * lanePowerMult(k);
+    }
+
+    /** Refresh the cache after the mode or the clamp changed. */
+    void
+    cacheOperatingPoint()
+    {
+        flitTime_ = flitTimeOf(modeIdx_);
+        onPowerFrac_ = powerFracOf(modeIdx_);
     }
 
     const ModeTable *table_;
@@ -267,6 +289,9 @@ class LinkPowerState
     std::size_t modeIdx_ = 0;
     std::size_t prevModeIdx_ = 0;
     Tick transEnd_ = 0;
+    /** flitTimeOf(modeIdx_) and powerFracOf(modeIdx_). */
+    Tick flitTime_ = 0;
+    double onPowerFrac_ = 0.0;
     RooState rooState_ = RooState::On;
     std::size_t rooModeIdx_ = 0;
     Tick wakeEnd_ = 0;

@@ -17,7 +17,6 @@
 #define MEMNET_MGMT_LINK_STATE_HH
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <vector>
 
@@ -25,6 +24,7 @@
 #include "mgmt/delay_monitor.hh"
 #include "mgmt/idle_histogram.hh"
 #include "net/link.hh"
+#include "sim/fifo.hh"
 #include "sim/types.hh"
 
 namespace memnet
@@ -199,7 +199,7 @@ class LinkMgmtState
     std::uint64_t nReads = 0;
 
     // FP virtual-queue completion times, to decide "queued" status.
-    std::deque<Tick> fpBacklog;
+    Fifo<Tick> fpBacklog;
 
     // Snapshots taken at epochEnd() for next-epoch decisions.
     std::vector<double> floBw;     ///< per bandwidth mode

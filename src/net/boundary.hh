@@ -16,7 +16,6 @@
 #ifndef MEMNET_NET_BOUNDARY_HH
 #define MEMNET_NET_BOUNDARY_HH
 
-#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -24,6 +23,7 @@
 #include "linkpm/modes.hh"
 #include "net/network.hh"
 #include "sim/event_queue.hh"
+#include "sim/fifo.hh"
 #include "sim/partition.hh"
 
 namespace memnet
@@ -67,7 +67,7 @@ class HostPort : public TrafficTarget
 
     EventQueue &eq;
     TrafficTarget &down;
-    std::deque<std::pair<Packet *, Tick>> fifo;
+    Fifo<std::pair<Packet *, Tick>> fifo;
     MemberEvent<HostPort, &HostPort::onDeliver> deliverEvent{this};
 };
 
@@ -167,7 +167,7 @@ class HostOutbox : public TrafficTarget
     MailboxMatrix &mail;
     const int rank;
     const int channel;
-    std::deque<Entry> mirror;
+    Fifo<Entry> mirror;
     MemberEvent<HostOutbox, &HostOutbox::onPop> popEvent{this};
 };
 
@@ -213,7 +213,7 @@ class RemoteInjectPipe
 
     EventQueue &eq;
     Network &net;
-    std::deque<Entry> fifo;
+    Fifo<Entry> fifo;
     MemberEvent<RemoteInjectPipe, &RemoteInjectPipe::onDeliver>
         deliverEvent{this};
 };
@@ -257,7 +257,7 @@ class IngressPipe
 
     EventQueue &eq;
     Network &net;
-    std::deque<Entry> fifo;
+    Fifo<Entry> fifo;
     MemberEvent<IngressPipe, &IngressPipe::onDeliver> deliverEvent{
         this};
 };

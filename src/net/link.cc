@@ -175,8 +175,11 @@ Link::tryStart()
     current->latRetrainStallPs += retrain_part;
     current->latWakeStallPs += wake_part;
     current->latQueuePs += waited - wake_part - retrain_part;
-    stats_.wakeStallSeconds += toSeconds(wake_part);
-    stats_.retrainStallSeconds += toSeconds(retrain_part);
+    // Adding +0.0 to these non-negative sums changes nothing; skip it.
+    if (wake_part != 0)
+        stats_.wakeStallSeconds += toSeconds(wake_part);
+    if (retrain_part != 0)
+        stats_.retrainStallSeconds += toSeconds(retrain_part);
     // Re-open the wait in case this serialization aborts (CRC retry or
     // retrain replay re-admit the packet without passing enqueue()).
     stampWaitStart(current, now);

@@ -16,7 +16,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "linkpm/link_power_state.hh"
@@ -25,6 +24,7 @@
 #include "obs/quantile_sketch.hh"
 #include "power/power_breakdown.hh"
 #include "sim/event_queue.hh"
+#include "sim/fifo.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -434,14 +434,14 @@ class Link
     bool retraining_ = false;
     Tick retrainEnd_ = 0;
 
-    std::deque<Packet *> readQ;
-    std::deque<Packet *> writeQ;
+    Fifo<Packet *> readQ;
+    Fifo<Packet *> writeQ;
 
     bool busy = false;
     Packet *current = nullptr;
 
     /** In-flight deliveries (SERDES + router pipeline). */
-    std::deque<std::pair<Packet *, Tick>> pipe;
+    Fifo<std::pair<Packet *, Tick>> pipe;
 
     /** Partition boundary (null on every serially-delivering link). */
     LinkBoundary *boundary_ = nullptr;
@@ -461,7 +461,7 @@ class Link
         Tick due;
         Tick armSched;
     };
-    std::deque<ShadowEntry> shadow_;
+    Fifo<ShadowEntry> shadow_;
 
     /** When the current idle interval started (valid when idle). */
     Tick idleStart = 0;
