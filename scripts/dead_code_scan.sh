@@ -18,6 +18,11 @@
 #   never linked - defined in src/ but in no binary;
 #   test-only    - linked by test binaries only (not by any bench,
 #                  example or memnet_bench).
+# It cannot see header-only code. A class or inline function defined
+# in a header emits a symbol only in the objects that use it, so one
+# that no src/ file uses has no symbol in the src/ archives and appears
+# in neither list, even if only a test calls it. Search for the
+# callers of such code by hand.
 # The work directory defaults to a fresh temporary one and is kept so
 # the builds can be inspected; it takes a few minutes at -j4. Run by
 # hand from the repo root; not part of CI.

@@ -142,7 +142,7 @@ Link::tryStart()
         if (!idle) {
             idle = true;
             idleStart = now;
-            armSleepTimer();
+            noteSleepOpportunity();
         }
         return;
     }
@@ -337,10 +337,10 @@ Link::onDeliver()
 }
 
 void
-Link::armSleepTimer()
+Link::noteSleepOpportunity()
 {
-    if (!pstate.rooEnabled() || pstate.rooState() != RooState::On ||
-        retraining_) {
+    if (!idle || retraining_ || !pstate.rooEnabled() ||
+        pstate.rooState() != RooState::On) {
         return;
     }
     eq.reschedule(&sleepEvent,
@@ -351,13 +351,13 @@ void
 Link::onSleepTimer()
 {
     const Tick now = eq.now();
-    if (!idle || retraining_ || pstate.rooState() != RooState::On)
-        return;
-    if (now - idleStart < pstate.idleThreshold()) {
-        // Threshold grew since arming; re-check at the right time.
-        eq.reschedule(&sleepEvent, idleStart + pstate.idleThreshold());
-        return;
-    }
+    // Every idle start and threshold change re-arms the timer and every
+    // idle end cancels it, so it only fires on an idle, on link whose
+    // threshold has passed.
+    memnet_assert(idle && !retraining_ &&
+                      pstate.rooState() == RooState::On &&
+                      now - idleStart >= pstate.idleThreshold(),
+                  "stale sleep timer on link ", id_);
     if (!observer->maySleep(*this, now))
         return; // manager will call noteSleepOpportunity() later
     accrue(now);
@@ -365,17 +365,6 @@ Link::onSleepTimer()
     if (trace_)
         sleepStart_ = now;
     observer->onSleep(*this, now);
-}
-
-void
-Link::noteSleepOpportunity()
-{
-    if (!idle || retraining_ || !pstate.rooEnabled() ||
-        pstate.rooState() != RooState::On) {
-        return;
-    }
-    const Tick due = idleStart + pstate.idleThreshold();
-    eq.reschedule(&sleepEvent, std::max(eq.now(), due));
 }
 
 void
@@ -412,7 +401,7 @@ Link::onWakeDone()
     if (readQ.empty() && writeQ.empty() && idle) {
         // Externally woken with nothing to send: restart the idle clock.
         idleStart = eq.now();
-        armSleepTimer();
+        noteSleepOpportunity();
     }
 }
 
@@ -431,8 +420,7 @@ Link::applyModes(std::size_t bw_idx, std::size_t roo_idx)
         eq.reschedule(&checkpointEvent, trans_end);
     if (pstate.rooEnabled()) {
         pstate.setRooMode(roo_idx);
-        if (idle && pstate.rooState() == RooState::On)
-            armSleepTimer();
+        noteSleepOpportunity();
     }
 }
 

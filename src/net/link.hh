@@ -26,7 +26,6 @@
 #include "sim/event_queue.hh"
 #include "sim/fifo.hh"
 #include "sim/random.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace memnet
@@ -237,8 +236,10 @@ class Link
     void wakeNow();
 
     /**
-     * Re-evaluate the sleep opportunity (the manager calls this when its
-     * maySleep() answer may have flipped to true).
+     * Arm the ROO sleep timer at idleStart + idleThreshold() (now, if
+     * that is past) when the link is idle and on. The link calls it at
+     * every idle start and threshold change; the manager calls it when
+     * its maySleep() answer may have flipped to true.
      */
     void noteSleepOpportunity();
 
@@ -282,8 +283,8 @@ class Link
                                     : errors_.flitErrorRate;
     }
 
+    /** Read-only: the link is the only writer of its power state. */
     const LinkPowerState &power() const { return pstate; }
-    LinkPowerState &power() { return pstate; }
 
     // -- Introspection -----------------------------------------------------
 
@@ -392,7 +393,6 @@ class Link
     void onCheckpoint() { accrue(eq.now()); }
 
     void accrue(Tick now);
-    void armSleepTimer();
     void beginWakeInternal(Tick now);
     void exitIdle(Tick now);
     void admitRetry(Packet *pkt);

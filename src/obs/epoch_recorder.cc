@@ -119,6 +119,10 @@ EpochRecorder::onEpoch(PowerManager &pm, Tick now,
         w.field("forced_fp", s.lastForcedFullPower);
         w.field("bw_mode", static_cast<std::uint64_t>(s.selected.bw));
         w.field("roo_mode", static_cast<std::uint64_t>(s.selected.roo));
+        // v4: the ROO mode the link runs, which the manager may have
+        // overridden (aware wake coordination runs response links at 0).
+        w.field("roo_applied",
+                static_cast<std::uint64_t>(l.power().rooModeIndex()));
         w.field("off_s", cur.offSeconds - prev.offSeconds);
         w.field("retrain_s",
                 cur.retrainSeconds - prev.retrainSeconds);

@@ -14,7 +14,7 @@
  * schedules events, so attaching it cannot change simulation results.
  *
  * Record schema (one line each, schema_version bumps on change):
- *   {"v":3,"epoch":N,"t_ps":T,
+ *   {"v":4,"epoch":N,"t_ps":T,
  *    "power_w":{"idle_io":..,"active_io":..,"logic_leak":..,
  *               "dram_leak":..,"logic_dyn":..,"dram_dyn":..,"total":..},
  *    "energy_w":{"tx":..,"retrain":..,"idle_floor":..,"sleep":..,
@@ -24,7 +24,7 @@
  *            "grant_pool_ps":g},
  *    "links":[{"id":i,"reads":n,"actual_ps":a,"full_ps":f,"ams_ps":b,
  *              "flo_ps":o,"grants":k,"forced_fp":bool,"bw_mode":m,
- *              "roo_mode":r,"off_s":s,"retrain_s":s,
+ *              "roo_mode":r,"roo_applied":r,"off_s":s,"retrain_s":s,
  *              "wake_stall_s":s,"retrain_stall_s":s,"queue_peak":n,
  *              "energy_j":{"tx":..,"retrain":..,"idle_floor":..,
  *                          "sleep":..,"wake":..},
@@ -51,6 +51,11 @@
  * in the system blocks; loaders must look links up by "id" instead of
  * array position (which the id field has supported since v1, so v1/v2
  * readers that already do so parse v3 records unchanged).
+ *
+ * v4: per-link "roo_applied", the ROO mode index the link runs after
+ * this boundary's selections were applied. "roo_mode" is the mode the
+ * policy selected; the two differ where the manager overrides the
+ * selection (aware wake coordination runs response links at index 0).
  */
 
 #ifndef MEMNET_OBS_EPOCH_RECORDER_HH
@@ -75,7 +80,7 @@ class EpochRecorder
 {
   public:
     /** Current record schema version (the "v" field). */
-    static constexpr int kSchemaVersion = 3;
+    static constexpr int kSchemaVersion = 4;
 
     EpochRecorder(std::ostream &os, Network &net);
 

@@ -1,20 +1,15 @@
 /**
  * @file
- * Lightweight statistics accumulators.
+ * Running-mean accumulator.
  *
- * These are deliberately simple value types; components embed them and
- * the facade reads them out at the end of a run.
+ * A deliberately simple value type; components embed it and the facade
+ * reads it out at the end of a run.
  */
 
 #ifndef MEMNET_SIM_STATS_HH
 #define MEMNET_SIM_STATS_HH
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
-
-#include "sim/log.hh"
-#include "sim/types.hh"
 
 namespace memnet
 {
@@ -43,110 +38,6 @@ class Average
 
   private:
     double sum = 0.0;
-    std::uint64_t n = 0;
-};
-
-/**
- * Integrates a piecewise-constant value over simulated time, e.g. power
- * into energy or a state indicator into residency time.
- */
-class TimeIntegrator
-{
-  public:
-    /** Start integrating @p value at @p now. */
-    void
-    start(Tick now, double value)
-    {
-        last = now;
-        current = value;
-    }
-
-    /** Change the integrated value, accruing the elapsed interval. */
-    void
-    update(Tick now, double value)
-    {
-        accrue(now);
-        current = value;
-    }
-
-    /** Accrue up to @p now without changing the value. */
-    void
-    accrue(Tick now)
-    {
-        memnet_assert(now >= last, "integrator time went backwards");
-        acc += current * toSeconds(now - last);
-        last = now;
-    }
-
-    /** Integrated value-seconds so far (call accrue(now) first). */
-    double total() const { return acc; }
-
-    /** Value currently being integrated. */
-    double value() const { return current; }
-
-    void
-    reset(Tick now)
-    {
-        acc = 0.0;
-        last = now;
-    }
-
-  private:
-    double acc = 0.0;
-    double current = 0.0;
-    Tick last = 0;
-};
-
-/** Fixed-bucket histogram over Tick-valued samples. */
-class TickHistogram
-{
-  public:
-    /** @param bounds ascending lower bounds; bucket i counts samples in
-     *  [bounds[i], bounds[i+1]). A final open bucket catches the rest. */
-    explicit TickHistogram(std::vector<Tick> bounds = {})
-        : lowerBounds(std::move(bounds)),
-          counts(lowerBounds.size() + 1, 0)
-    {
-    }
-
-    void
-    sample(Tick v)
-    {
-        // Index of the first bound > v, i.e. 1 past the last bound <= v;
-        // bucket 0 is "below all". ROO idle histograms carry tens of
-        // bounds and sample on every idle interval, so binary search
-        // instead of a linear scan.
-        const std::size_t i = static_cast<std::size_t>(
-            std::upper_bound(lowerBounds.begin(), lowerBounds.end(), v) -
-            lowerBounds.begin());
-        ++counts[i];
-        ++n;
-    }
-
-    /** Count of samples >= lowerBounds[i]. */
-    std::uint64_t
-    countAtLeast(std::size_t i) const
-    {
-        std::uint64_t c = 0;
-        for (std::size_t b = i + 1; b < counts.size(); ++b)
-            c += counts[b];
-        return c;
-    }
-
-    std::uint64_t bucket(std::size_t i) const { return counts[i]; }
-    std::uint64_t samples() const { return n; }
-    std::size_t buckets() const { return counts.size(); }
-
-    void
-    reset()
-    {
-        std::fill(counts.begin(), counts.end(), 0);
-        n = 0;
-    }
-
-  private:
-    std::vector<Tick> lowerBounds;
-    std::vector<std::uint64_t> counts;
     std::uint64_t n = 0;
 };
 

@@ -243,7 +243,7 @@ TEST(LinkFaults, RetrainOnIdleRooLinkWakesAndResumesService)
     Link link(eq, 0, LinkType::Request, 0,
               &ModeTable::forMechanism(BwMechanism::None), &roo, 1.0,
               &sink);
-    link.power().setRooMode(0); // 32 ns idle threshold
+    link.applyModes(0, 0); // 32 ns idle threshold
 
     // One packet, then a long quiet period: the link turns off.
     link.enqueue(makeReq());

@@ -66,6 +66,41 @@ TEST(IdleHistogram, ExactThresholdCounts)
     EXPECT_EQ(h.offTime(0), 0);
 }
 
+TEST(IdleHistogram, ThresholdsAreInclusiveLowerBounds)
+{
+    // An interval exactly at threshold r lands in bucket r; one tick
+    // shorter lands in bucket r - 1 (or nowhere below the first).
+    IdleHistogram h(paperThresholds());
+    for (Tick t : paperThresholds()) {
+        h.interval(t - 1);
+        h.interval(t);
+    }
+    EXPECT_EQ(h.wakeups(0), 7u);
+    EXPECT_EQ(h.wakeups(1), 5u);
+    EXPECT_EQ(h.wakeups(2), 3u);
+    EXPECT_EQ(h.wakeups(3), 1u);
+    // Both ends of bucket 0 stay in it: the 32-mode off time is
+    // (32 ns - 32 ns) + (128 ns - 1 - 32 ns).
+    IdleHistogram low(paperThresholds());
+    low.interval(ns(32));
+    low.interval(ns(128) - 1);
+    EXPECT_EQ(low.wakeups(0), 2u);
+    EXPECT_EQ(low.wakeups(1), 0u);
+    EXPECT_EQ(low.offTime(0), ns(128) - 1 - ns(32));
+}
+
+TEST(IdleHistogram, SingleThreshold)
+{
+    IdleHistogram h({ns(10)});
+    h.interval(0);
+    h.interval(ns(10) - 1);
+    h.interval(ns(10));
+    h.interval(ns(25));
+    EXPECT_EQ(h.modes(), 1u);
+    EXPECT_EQ(h.wakeups(0), 2u);
+    EXPECT_EQ(h.offTime(0), ns(15));
+}
+
 TEST(IdleHistogram, ResetClears)
 {
     IdleHistogram h(paperThresholds());

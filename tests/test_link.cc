@@ -41,6 +41,7 @@ struct RecordingObserver : public LinkObserver
     int departs = 0;
     int wakes = 0;
     int sleeps = 0;
+    std::vector<Tick> sleepTicks;
     std::vector<Tick> idleIntervals;
     bool allowSleep = true;
 
@@ -53,7 +54,12 @@ struct RecordingObserver : public LinkObserver
     }
     bool maySleep(Link &, Tick) override { return allowSleep; }
     void onWakeBegin(Link &, Tick) override { ++wakes; }
-    void onSleep(Link &, Tick) override { ++sleeps; }
+    void
+    onSleep(Link &, Tick now) override
+    {
+        ++sleeps;
+        sleepTicks.push_back(now);
+    }
 };
 
 Packet *
@@ -199,6 +205,64 @@ TEST_F(LinkTest, SleepGuardBlocksAndOpportunityRetries)
     EXPECT_EQ(link->power().rooState(), RooState::Off);
 }
 
+TEST_F(LinkTest, ShorterThresholdAlreadyPastDueSleepsAtOnce)
+{
+    build(BwMechanism::None, true);
+    link->applyModes(0, roo.fullModeIndex()); // 2,048 ns threshold
+    eq.runUntil(ns(100));
+    ASSERT_EQ(obs.sleeps, 0);
+    // Idle since tick 0, so the 32 ns threshold passed long ago.
+    link->applyModes(0, 0);
+    eq.runUntil(ns(100));
+    ASSERT_EQ(obs.sleepTicks.size(), 1u);
+    EXPECT_EQ(obs.sleepTicks[0], ns(100));
+    EXPECT_EQ(link->power().rooState(), RooState::Off);
+}
+
+TEST_F(LinkTest, LongerThresholdSleepsAtIdleStartPlusNewThreshold)
+{
+    build(BwMechanism::None, true);
+    link->applyModes(0, 0); // 32 ns threshold
+    link->enqueue(makePacket(PacketType::ReadReq, 1));
+    // One flit: the link goes idle when serialization ends at 640 ps.
+    eq.runUntil(ns(10));
+    ASSERT_FALSE(link->transmitting());
+    link->applyModes(0, 2); // 512 ns threshold
+    drainAndFree();
+    ASSERT_EQ(obs.sleepTicks.size(), 1u);
+    EXPECT_EQ(obs.sleepTicks[0], 640 + ns(512));
+}
+
+TEST_F(LinkTest, SleepOpportunitySchedulesNothingUnlessIdleAndOn)
+{
+    const auto expectNothingScheduled = [this](const char *what) {
+        const std::uint64_t scheduled = eq.scheduledTotal();
+        const std::uint64_t pending = eq.pending();
+        link->noteSleepOpportunity();
+        EXPECT_EQ(eq.scheduledTotal(), scheduled) << what;
+        EXPECT_EQ(eq.pending(), pending) << what;
+    };
+
+    build(BwMechanism::None, false);
+    expectNothingScheduled("ROO off");
+
+    build(BwMechanism::None, true);
+    link->applyModes(0, 0);
+    link->enqueue(makePacket(PacketType::ReadResp, 1));
+    ASSERT_TRUE(link->transmitting());
+    expectNothingScheduled("busy");
+    drainAndFree();
+    ASSERT_EQ(link->power().rooState(), RooState::Off);
+    expectNothingScheduled("asleep");
+    link->wakeNow();
+    ASSERT_EQ(link->power().rooState(), RooState::Waking);
+    expectNothingScheduled("waking");
+    eq.runUntil(eq.now() + ns(14));
+    ASSERT_EQ(link->power().rooState(), RooState::On);
+    link->beginRetrain(us(1));
+    expectNothingScheduled("retraining");
+}
+
 TEST_F(LinkTest, ExternalWakeIsHarmlessWhenIdle)
 {
     build(BwMechanism::None, true);
@@ -262,6 +326,55 @@ TEST_F(LinkTest, OffStateEnergyIsOnePercent)
     // The off-state residual is attributed to the sleep bucket.
     EXPECT_NEAR(s.sleepJ, 0.02 * (1e-6 - 32e-9), 1e-12);
     EXPECT_DOUBLE_EQ(s.txJ, 0.0);
+}
+
+TEST_F(LinkTest, EnergyIntegratesPiecewiseConstantAcrossModeChange)
+{
+    // Mode 0 over [0, 1 us); the 1 us VWL transition to mode 3 draws
+    // the higher (mode-0) power over [1, 2 us); mode 3 over [2, 10 us).
+    build(BwMechanism::Vwl, false, /*power_w=*/2.0);
+    eq.runUntil(us(1));
+    link->applyModes(3, 0);
+    eq.runUntil(us(10));
+    link->finishAccounting(us(10));
+    const LinkStats &s = link->stats();
+    const double pf3 = ModeTable::forMechanism(BwMechanism::Vwl)
+                           .mode(3)
+                           .powerFrac;
+    EXPECT_NEAR(s.idleFloorJ[0], 2.0 * 1e-6, 1e-15);
+    EXPECT_NEAR(s.idleFloorJ[3], 2.0 * (1e-6 + 8e-6 * pf3), 1e-15);
+    EXPECT_NEAR(s.idleIoJ(), 2.0 * (2e-6 + 8e-6 * pf3), 1e-15);
+    EXPECT_NEAR(s.powerFracSeconds, 2e-6 + 8e-6 * pf3, 1e-15);
+    // Residency files the transition under the target mode.
+    EXPECT_NEAR(s.modeSeconds[0], 1e-6, 1e-15);
+    EXPECT_NEAR(s.modeSeconds[3], 9e-6, 1e-15);
+}
+
+TEST_F(LinkTest, RepeatedAccountingAtOneTickAddsNothing)
+{
+    build(BwMechanism::None, false, /*power_w=*/5.0);
+    eq.runUntil(us(2));
+    link->finishAccounting(us(2));
+    const double j = link->stats().idleIoJ();
+    EXPECT_NEAR(j, 5.0 * 2e-6, 1e-15);
+    link->finishAccounting(us(2));
+    EXPECT_DOUBLE_EQ(link->stats().idleIoJ(), j);
+    // Accounting resumes at the same power after the repeat.
+    eq.runUntil(us(3));
+    link->finishAccounting(us(3));
+    EXPECT_NEAR(link->stats().idleIoJ(), 5.0 * 3e-6, 1e-15);
+}
+
+TEST_F(LinkTest, ResetStatsRestartsIntegrationAtTheResetTick)
+{
+    build(BwMechanism::None, false, /*power_w=*/1.0);
+    eq.runUntil(us(1));
+    link->resetStats();
+    eq.runUntil(us(2));
+    link->finishAccounting(us(2));
+    // Only [1 us, 2 us) counts: nothing from before the reset leaks in.
+    EXPECT_NEAR(link->stats().idleIoJ(), 1e-6, 1e-15);
+    EXPECT_NEAR(link->stats().modeSeconds[0], 1e-6, 1e-15);
 }
 
 TEST_F(LinkTest, ModeResidencyTracked)

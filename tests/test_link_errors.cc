@@ -172,7 +172,7 @@ TEST_F(LinkErrorTest, RetryLandingOnSleepingLinkWakesIt)
     Link link2(eq, 0, LinkType::Request, 0,
                &ModeTable::forMechanism(BwMechanism::None), &roo_on,
                1.0, &sink, &errors);
-    link2.power().setRooMode(0); // 32 ns idle threshold
+    link2.applyModes(0, 0); // 32 ns idle threshold
 
     link2.enqueue(makeResp());
     eq.schedule(ns(4), [&] {

@@ -23,7 +23,10 @@
 #include "memnet/experiment.hh"
 #include "memnet/journal.hh"
 #include "memnet/simulator.hh"
+#include "mgmt/aware.hh"
+#include "obs/epoch_recorder.hh"
 #include "obs/json.hh"
+#include "workload/processor.hh"
 
 #include "json_dom.hh"
 
@@ -273,7 +276,7 @@ TEST_F(ObsRunTest, EpochJsonlRecordsFollowSchema)
         std::string err;
         ASSERT_TRUE(obs::json::parse(line, &v, &err)) << err;
         ASSERT_TRUE(v.isObject());
-        EXPECT_EQ(v.find("v")->number, 3.0);
+        EXPECT_EQ(v.find("v")->number, 4.0);
         EXPECT_GT(v.find("epoch")->number, last_epoch);
         last_epoch = v.find("epoch")->number;
         const auto t =
@@ -313,7 +316,7 @@ TEST_F(ObsRunTest, EpochJsonlRecordsFollowSchema)
             for (const char *k :
                  {"id", "reads", "actual_ps", "full_ps", "ams_ps",
                   "flo_ps", "grants", "forced_fp", "bw_mode",
-                  "roo_mode", "off_s", "retrain_s", "mode_s",
+                  "roo_mode", "roo_applied", "off_s", "retrain_s", "mode_s",
                   "wake_stall_s", "retrain_stall_s", "queue_peak"})
                 ASSERT_NE(le.find(k), nullptr) << k;
             const Value *ej = le.find("energy_j");
@@ -541,6 +544,88 @@ TEST_F(ObsRunTest, IspInstantsMatchEpochRecords)
     unaware.obs.statsJsonPath.clear();
     runSimulation(unaware);
     EXPECT_TRUE(ispInstants(unaware.obs.chromeTracePath).empty());
+}
+
+/**
+ * Feeds each epoch boundary to an EpochRecorder, then notes every
+ * link's ROO mode index as the boundary left it.
+ */
+struct RooAppliedProbe : public EpochObserver
+{
+    RooAppliedProbe(std::ostream &os, Network &net) : rec(os, net), net(net)
+    {
+    }
+
+    void
+    onEpoch(PowerManager &pm, Tick now) override
+    {
+        rec.onEpoch(pm, now, EnergyAttribution{}, EnergyAttribution{}, 0.0);
+        std::vector<std::size_t> &row = applied.emplace_back();
+        for (const Link *l : net.allLinks())
+            row.push_back(l->power().rooModeIndex());
+    }
+
+    obs::EpochRecorder rec;
+    Network &net;
+    /** Per epoch, per link id: the ROO mode index at the boundary. */
+    std::vector<std::vector<std::size_t>> applied;
+};
+
+TEST(EpochRecorder, RooAppliedIsTheModeTheLinkRuns)
+{
+    // Aware management with wake coordination selects the full ROO
+    // threshold for response links but runs them at index 0; the
+    // record must show both.
+    EventQueue eq;
+    DramParams dram;
+    HmcPowerModel power;
+    const WorkloadProfile &w = workloadByName("mixC");
+    AddressMap amap;
+    amap.chunkBytes = 1ULL << 30;
+    const Topology topo = Topology::build(TopologyKind::DaisyChain,
+                                          w.modulesFor(amap.chunkBytes));
+    RooConfig roo;
+    roo.enabled = true;
+    Network net(eq, topo, dram, BwMechanism::Vwl, roo, power, amap);
+    Processor proc(eq, net, w, ProcessorParams{});
+    AwareManager mgr(net, BwMechanism::Vwl, roo, ManagerParams{});
+    std::ostringstream os;
+    RooAppliedProbe probe(os, net);
+    mgr.addEpochObserver(&probe);
+    mgr.start(0);
+    proc.start(0);
+    eq.runUntil(us(450));
+
+    const int n = net.numModules();
+    std::istringstream is(os.str());
+    std::string line;
+    std::size_t epoch = 0;
+    int response_entries = 0;
+    while (std::getline(is, line)) {
+        Value v;
+        std::string err;
+        ASSERT_TRUE(obs::json::parse(line, &v, &err)) << err;
+        ASSERT_LT(epoch, probe.applied.size());
+        for (const Value &le : v.find("links")->array) {
+            const auto id = static_cast<std::size_t>(le.find("id")->number);
+            const Value *applied = le.find("roo_applied");
+            ASSERT_NE(applied, nullptr) << "link " << id;
+            EXPECT_EQ(applied->number,
+                      static_cast<double>(probe.applied[epoch][id]))
+                << "epoch " << epoch << " link " << id;
+            if (id < static_cast<std::size_t>(n))
+                continue;
+            ++response_entries;
+            EXPECT_EQ(applied->number, 0.0) << "response link " << id;
+            EXPECT_EQ(le.find("roo_mode")->number,
+                      static_cast<double>(roo.fullModeIndex()))
+                << "response link " << id;
+        }
+        ++epoch;
+    }
+    EXPECT_EQ(epoch, probe.applied.size());
+    EXPECT_GE(epoch, 4u);
+    EXPECT_GT(response_entries, 0);
 }
 
 // ---------------------------------------------------------------------------

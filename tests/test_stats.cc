@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for statistics accumulators.
+ * Unit tests for the running-mean accumulator.
  */
 
 #include <gtest/gtest.h>
@@ -30,106 +30,6 @@ TEST(Average, MeanAndTotal)
     EXPECT_EQ(a.count(), 3u);
     a.reset();
     EXPECT_EQ(a.count(), 0u);
-}
-
-TEST(TimeIntegrator, IntegratesPiecewiseConstant)
-{
-    TimeIntegrator t;
-    t.start(0, 2.0); // 2 W
-    t.update(us(1), 4.0);
-    t.update(us(3), 0.0);
-    t.accrue(us(10));
-    // 2 W for 1 us + 4 W for 2 us = 2e-6 + 8e-6 J.
-    EXPECT_NEAR(t.total(), 10e-6, 1e-12);
-}
-
-TEST(TimeIntegrator, AccrueWithoutChangeKeepsValue)
-{
-    TimeIntegrator t;
-    t.start(0, 5.0);
-    t.accrue(us(2));
-    EXPECT_NEAR(t.total(), 10e-6, 1e-12);
-    EXPECT_DOUBLE_EQ(t.value(), 5.0);
-}
-
-TEST(TimeIntegrator, ResetClearsAccumulation)
-{
-    TimeIntegrator t;
-    t.start(0, 1.0);
-    t.accrue(us(1));
-    t.reset(us(1));
-    t.accrue(us(2));
-    EXPECT_NEAR(t.total(), 1e-6, 1e-12);
-}
-
-TEST(TickHistogram, BucketsByLowerBound)
-{
-    TickHistogram h({ns(10), ns(100), ns(1000)});
-    h.sample(ns(5));    // below all bounds -> bucket 0
-    h.sample(ns(10));   // bucket 1
-    h.sample(ns(99));   // bucket 1
-    h.sample(ns(100));  // bucket 2
-    h.sample(ns(5000)); // bucket 3
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(1), 2u);
-    EXPECT_EQ(h.bucket(2), 1u);
-    EXPECT_EQ(h.bucket(3), 1u);
-    EXPECT_EQ(h.samples(), 5u);
-}
-
-TEST(TickHistogram, CountAtLeast)
-{
-    TickHistogram h({ns(10), ns(100)});
-    h.sample(ns(1));
-    h.sample(ns(50));
-    h.sample(ns(200));
-    h.sample(ns(300));
-    // countAtLeast(i) counts samples >= lowerBounds[i].
-    EXPECT_EQ(h.countAtLeast(0), 3u);
-    EXPECT_EQ(h.countAtLeast(1), 2u);
-}
-
-TEST(TickHistogram, ExactBoundaryValuesLandInTheirOwnBucket)
-{
-    // The binary-search bucketing must keep lower bounds inclusive:
-    // a sample exactly at bounds[i] belongs to bucket i+1, one tick
-    // below it to bucket i.
-    TickHistogram h({ns(10), ns(100), ns(1000)});
-    h.sample(ns(10) - 1);
-    h.sample(ns(10));
-    h.sample(ns(100) - 1);
-    h.sample(ns(100));
-    h.sample(ns(1000) - 1);
-    h.sample(ns(1000));
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(1), 2u);
-    EXPECT_EQ(h.bucket(2), 2u);
-    EXPECT_EQ(h.bucket(3), 1u);
-}
-
-TEST(TickHistogram, DegenerateShapes)
-{
-    // No bounds: everything lands in the single open bucket.
-    TickHistogram none;
-    none.sample(0);
-    none.sample(ns(1));
-    EXPECT_EQ(none.bucket(0), 2u);
-
-    // One bound: the two-bucket split around it.
-    TickHistogram one({ns(10)});
-    one.sample(0);
-    one.sample(ns(10));
-    EXPECT_EQ(one.bucket(0), 1u);
-    EXPECT_EQ(one.bucket(1), 1u);
-}
-
-TEST(TickHistogram, ResetZeroes)
-{
-    TickHistogram h({ns(10)});
-    h.sample(ns(20));
-    h.reset();
-    EXPECT_EQ(h.samples(), 0u);
-    EXPECT_EQ(h.bucket(1), 0u);
 }
 
 } // namespace
