@@ -18,7 +18,8 @@
  *   --measure-us <n>       measurement window            [400]
  *   --seed <n>             run seed                      [1]
  *   --seeds <k>            replicate over k seeds        [1]
- *   --fer <p>              flit error rate (CRC retry)   [0]
+ *   --fer <p>              flit error rate (CRC retry),
+ *                          in [0, 1)                     [0]
  *   --audit                run the invariant auditor     [Debug: always]
  *   --report <list>        summary,power,modules,links   [summary]
  *   --partitions <n>       shard the run across n event-queue
@@ -42,8 +43,8 @@
  *
  * Numeric values must be whole numbers (finite decimals for --alpha,
  * --fer and --config-timeout); --measure-us and --seeds must be
- * positive, --wakeup-ns and --config-timeout not negative, and
- * --measure-us and --wakeup-ns at most half the tick range
+ * positive, --wakeup-ns and --config-timeout not negative, --fer in
+ * [0, 1), and --measure-us and --wakeup-ns at most half the tick range
  * (4611686018427 us, 4611686018427387 ns), so no simulated time
  * overflows. A bad value, like an unknown flag or name, exits 2 with a
  * one-line usage message. An unwritable output path exits 1 before
@@ -220,6 +221,8 @@ main(int argc, char **argv)
                 usage("--seeds must be positive");
         } else if (a == "--fer") {
             cfg.linkFlitErrorRate = number<double>(need(i), "--fer");
+            if (!(cfg.linkFlitErrorRate >= 0.0 && cfg.linkFlitErrorRate < 1.0))
+                usage("--fer must be in [0, 1)");
         } else if (a == "--interleave") {
             cfg.interleavePages = true;
         } else if (a == "--audit") {

@@ -128,7 +128,7 @@ echo "== leg 5: partitioned kernel journals interchangeably =="
 # partition count itself and the per-lane host counters.
 KERNEL_IGNORE='(^|\.)(config\.partitions|result\.events_fired'\
 '|result\.profile\.(wall_s|events_fired|events_scheduled'\
-'|events_descheduled|peak_queue_depth|dispatch_windows)'\
+'|events_descheduled|peak_queue_depth)'\
 '|host\.(prof_phases|partition_lanes))$'
 "$BENCH" --partitions 2 --journal "$OUT/part.jsonl" \
     --json "$OUT/part.json" >"$OUT/part.log" 2>&1

@@ -65,8 +65,7 @@ def stats_doc():
     doc = bench_doc()
     doc["bench"] = "stats"
     doc["components"] = {"links": [], "modules": [],
-                         "event_queue": {"pending": 0,
-                                         "depth_hist_p2": [0] * 33},
+                         "event_queue": {"pending": 0},
                          "net": {"injected_packets": 0}}
     return doc
 

@@ -56,8 +56,7 @@ def stats_doc():
     doc["bench"] = "stats"
     doc["runs"][0]["result"]["latency"]["queue_peak"] = 17
     doc["components"] = {"links": [], "modules": [],
-                         "event_queue": {"pending": 0,
-                                         "depth_hist_p2": [0] * 33},
+                         "event_queue": {"pending": 0},
                          "net": {"injected_packets": 0}}
     return doc
 

@@ -47,8 +47,7 @@ skipped(std::string_view path, const RunResult &a, const RunResult &b)
          within(path, {"events_fired", "profile.events_fired",
                        "profile.events_scheduled",
                        "profile.events_descheduled",
-                       "profile.peak_queue_depth",
-                       "profile.dispatch_windows"})) ||
+                       "profile.peak_queue_depth"})) ||
         // An observatory is absent only from records loaded from
         // journals written before it existed.
         (within(path, {"latency"}) &&

@@ -224,10 +224,6 @@ struct RunProfile
     std::uint64_t eventsDescheduled = 0;
     /** High-water mark of the event queue over the whole run. */
     std::uint64_t peakQueueDepth = 0;
-    /** Events fired per dispatchWindowPs of sim time (closed windows). */
-    std::vector<std::uint64_t> dispatchWindows;
-    /** Sim-time length of one dispatchWindows entry. */
-    Tick dispatchWindowPs = 0;
 
     /**
      * Host-side profiler phases attributed to this run (empty unless

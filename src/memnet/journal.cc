@@ -1,7 +1,6 @@
 #include "memnet/journal.hh"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <charconv>
 #include <cmath>
@@ -86,7 +85,8 @@ parseDecimal(std::string_view s, T *out)
  * Writer visitor appends it, a Reader visitor consumes it. Every
  * scalar is a JSON string (decimal integers, hex-float doubles), so
  * nothing is squeezed through a double. optional() marks the groups
- * later writers inserted; see docs/ROBUSTNESS.md for their history.
+ * later writers inserted, retired() the groups they no longer write;
+ * see docs/ROBUSTNESS.md for their history.
  * ----------------------------------------------------------------- */
 
 /** A LatencyPercentiles object (also the energy congestion sketches). */
@@ -242,9 +242,14 @@ resultFields(V &v, R &r)
         v.num("audit_checks_run", r.profile.auditChecksRun);
         v.num("events_descheduled", r.profile.eventsDescheduled);
         v.num("peak_queue_depth", r.profile.peakQueueDepth);
-        v.num("dispatch_window_ps", r.profile.dispatchWindowPs);
-        v.list("dispatch_windows", r.profile.dispatchWindows,
-               [&](auto &n) { v.num({}, n); });
+        // The dispatch-rate series of older writers: read, then dropped.
+        v.retired([&] {
+            Tick windowPs = 0;
+            std::vector<std::uint64_t> windows;
+            v.num("dispatch_window_ps", windowPs);
+            v.list("dispatch_windows", windows,
+                   [&](auto &n) { v.num({}, n); });
+        });
     });
     v.list("modules", r.modules, [&](auto &m) {
         v.object({}, [&] {
@@ -344,6 +349,9 @@ class Writer
 
     template <typename Fn>
     void optional(Fn fn) { fn(); }
+
+    template <typename Fn>
+    void retired(Fn) {}
 
     template <typename Fn>
     void
@@ -512,17 +520,9 @@ componentsFields(Writer<Spelling::Plain> &v, Network &net,
     }
     // Summed over the run's queues, like RunProfile's counters.
     std::uint64_t pending = 0;
-    std::array<std::uint64_t, EventQueue::kDepthBuckets> hist{};
-    for (const EventQueue *q : queues) {
+    for (const EventQueue *q : queues)
         pending += q->pending();
-        for (std::size_t b = 0; b < hist.size(); ++b)
-            hist[b] += q->depthHistogram()[b];
-    }
-    v.object("event_queue", [&] {
-        v.num("pending", pending);
-        v.array("depth_hist_p2", hist.size(),
-                [&](std::size_t b) { v.num({}, hist[b]); });
-    });
+    v.object("event_queue", [&] { v.num("pending", pending); });
     v.object("net",
              [&] { v.num("injected_packets", net.injectedPackets()); });
 }
@@ -551,6 +551,9 @@ class Walker
 
     template <typename F>
     void optional(F body) { body(); }
+
+    template <typename F>
+    void retired(F) {}
 
     template <typename F>
     void
@@ -704,6 +707,13 @@ class Reader
         fn();
         probing = skipping = false;
     }
+
+    /**
+     * A group later writers dropped: read like optional() when present,
+     * into @p fn's own locals, which are then discarded.
+     */
+    template <typename Fn>
+    void retired(Fn fn) { optional(fn); }
 
     /** Exactly @p n cells. */
     template <typename Fn>

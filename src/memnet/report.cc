@@ -108,13 +108,10 @@ printRunSummary(const RunResult &r)
         }
         if (p.peakQueueDepth) {
             std::printf("  event queue: peak depth %llu, %llu "
-                        "descheduled, %zu dispatch windows of %lld us\n",
+                        "descheduled\n",
                         static_cast<unsigned long long>(p.peakQueueDepth),
                         static_cast<unsigned long long>(
-                            p.eventsDescheduled),
-                        p.dispatchWindows.size(),
-                        static_cast<long long>(p.dispatchWindowPs /
-                                               us(1)));
+                            p.eventsDescheduled));
         }
         if (p.partitions > 1) {
             std::printf("  partitions: %d; events/s and queue stats "

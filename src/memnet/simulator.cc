@@ -200,8 +200,7 @@ Simulator::run()
         r = collect(sys);
     }
     // The health counters aggregate across partition queues: rates
-    // sum, the high-water mark takes the max, and the dispatch-rate
-    // histogram sums elementwise.
+    // sum and the high-water mark takes the max.
     RunProfile &p = r.profile;
     const std::vector<EventQueue *> queues = sys.queues();
     for (std::size_t i = 0; i < queues.size(); ++i) {
@@ -211,11 +210,6 @@ Simulator::run()
         p.eventsDescheduled += q.descheduledTotal();
         p.peakQueueDepth =
             std::max<std::uint64_t>(p.peakQueueDepth, q.peakPending());
-        const std::vector<std::uint64_t> &w = q.dispatchWindows();
-        if (w.size() > p.dispatchWindows.size())
-            p.dispatchWindows.resize(w.size(), 0);
-        for (std::size_t k = 0; k < w.size(); ++k)
-            p.dispatchWindows[k] += w[k];
         if (sys.runner) {
             const PartitionLaneStats &ls = sys.runner->laneStats()[i];
             p.partitionLanes.push_back({q.fired(), q.scheduledTotal(),
@@ -225,7 +219,6 @@ Simulator::run()
     }
     if (sys.runner)
         p.partitions = sys.runner->partitions();
-    p.dispatchWindowPs = sys.procEq.dispatchWindowPs();
     p.wallSeconds = wall_secs;
     p.simSeconds = toSeconds(sys.procEq.now());
     p.packetsIssued = sys.proc->packetPool().acquired();

@@ -48,6 +48,10 @@ System::System(const SystemConfig &cfg, int channels, ChannelSpread spread)
 {
     if (channels < 1)
         memnet_fatal("need at least one channel");
+    if (!(cfg.linkFlitErrorRate >= 0.0 && cfg.linkFlitErrorRate < 1.0)) {
+        memnet_fatal("link flit error rate must be in [0, 1), got ",
+                     cfg.linkFlitErrorRate);
+    }
     roo.enabled = cfg.roo;
     roo.wakeupPs = cfg.rooWakeupPs;
 

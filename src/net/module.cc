@@ -1,7 +1,6 @@
 #include "net/module.hh"
 
 #include "net/network.hh"
-#include "obs/prof.hh"
 #include "sim/log.hh"
 
 namespace memnet
@@ -23,7 +22,6 @@ Module::Module(Network &net, EventQueue &eq, int id, Radix radix,
 void
 Module::accept(Packet *pkt, Tick now)
 {
-    MEMNET_PROF_SCOPE("net/route");
     flits_ += static_cast<std::uint64_t>(pkt->flits);
 
     if (pkt->type == PacketType::ReadResp) {

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "obs/prof.hh"
 #include "sim/log.hh"
 
 namespace memnet
@@ -59,7 +58,6 @@ Network::~Network() = default;
 void
 Network::inject(Packet *pkt)
 {
-    MEMNET_PROF_SCOPE("net/inject");
     if (audit_)
         audit_->onInject(*pkt, eq.now());
     pkt->homeModule = amap_.moduleOf(pkt->addr);

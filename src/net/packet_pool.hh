@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "net/packet.hh"
-#include "obs/prof.hh"
 
 namespace memnet
 {
@@ -39,7 +38,6 @@ class PacketPool
     Packet *
     acquire()
     {
-        MEMNET_PROF_SCOPE("net/pkt_alloc");
         if (free_.empty())
             grow();
         Packet *p = free_.back();
@@ -54,7 +52,6 @@ class PacketPool
     void
     release(Packet *p)
     {
-        MEMNET_PROF_SCOPE("net/pkt_dispose");
         free_.push_back(p);
         ++released_;
     }

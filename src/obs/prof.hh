@@ -7,13 +7,13 @@
  * the simulation process, the way gem5's stats/profiling framework
  * does for real simulators. Call sites mark phases with an RAII scope:
  *
- *   void Network::inject(Packet *pkt) {
- *       MEMNET_PROF_SCOPE("net/inject");
+ *   void PowerManager::epochTick() {
+ *       MEMNET_PROF_SCOPE("mgmt/epoch");
  *       ...
  *   }
  *
  * Scopes nest into a phase tree ("sim/run" > "eq/dispatch" >
- * "net/inject"), recorded into per-thread collectors so the parallel
+ * "mgmt/epoch"), recorded into per-thread collectors so the parallel
  * sweep engine profiles without contention: the hot path touches only
  * thread_local state, and trees merge at snapshot time. Merging by
  * phase name keeps the tree stable across thread counts.
@@ -22,6 +22,9 @@
  *  - profiling disabled (the default): one relaxed atomic load and
  *    branch per scope;
  *  - enabled: two steady_clock reads plus a child lookup per scope.
+ * So scopes belong on phases entered a few times per run (runUntil,
+ * an epoch, an ISP round): on per-event or per-hop code the clock
+ * reads cost more than the code they time.
  * Profiling never touches the EventQueue or any simulated state, so a
  * profiled run's RunResult is bit-identical to an unprofiled one in
  * every simulation-determined field (tests/test_differential.cc).

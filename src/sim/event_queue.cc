@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "obs/prof.hh"
 #include "sim/cancel.hh"
@@ -97,32 +98,6 @@ EventQueue::dispatchFront()
 {
     Event *ev = _front;
     memnet_assert(ev->_when >= _now, "time went backwards");
-
-    // Depth histogram: sample pending() as the dispatch finds it.
-    const std::size_t bucket = std::min<std::size_t>(
-        std::bit_width(pending()), kDepthBuckets - 1);
-    ++_depthHist[bucket];
-
-    // Close every dispatch-rate window the queue jumped over. A
-    // sparse tail (one event eons ahead) would fill unbounded zero
-    // windows, so past a generous cap the window grid realigns to
-    // the event instead of recording the gap.
-    if (ev->_when - _windowStart >= _dispatchWindowPs) {
-        std::uint64_t gap =
-            static_cast<std::uint64_t>(ev->_when - _windowStart) /
-            static_cast<std::uint64_t>(_dispatchWindowPs);
-        if (gap > 1u << 16) {
-            _windowStart = ev->_when - ev->_when % _dispatchWindowPs;
-            _windowFired = 0;
-        } else {
-            while (gap--) {
-                _dispatchWindows.push_back(_windowFired);
-                _windowFired = 0;
-                _windowStart += _dispatchWindowPs;
-            }
-        }
-    }
-    ++_windowFired;
 
     // Capture the parent component before fire(), which may reschedule
     // the event and restamp its key.

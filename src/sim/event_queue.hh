@@ -40,7 +40,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "sim/log.hh"
 #include "sim/types.hh"
@@ -360,46 +359,6 @@ class EventQueue
     /** High-water mark of pending() over the queue's lifetime. */
     std::uint64_t peakPending() const { return _peakDepth; }
 
-    /** Buckets in the dispatch-time depth histogram. */
-    static constexpr std::size_t kDepthBuckets = 33;
-
-    /**
-     * Histogram of queue depth sampled at every dispatch: bucket b counts
-     * dispatches that found bit_width(pending) == b, i.e. bucket 1 is a
-     * single pending event, bucket 11 is 1024..2047, and the last bucket
-     * absorbs anything deeper. All deterministic — no wall clock.
-     */
-    const std::array<std::uint64_t, kDepthBuckets> &
-    depthHistogram() const
-    {
-        return _depthHist;
-    }
-
-    /** Length of one dispatch-rate window in ticks. */
-    Tick dispatchWindowPs() const { return _dispatchWindowPs; }
-
-    /**
-     * Set the dispatch-rate window length. Only meaningful before the
-     * first event fires; @p window must be positive.
-     */
-    void
-    setDispatchWindow(Tick window)
-    {
-        memnet_assert(window > 0, "dispatch window must be positive");
-        _dispatchWindowPs = window;
-    }
-
-    /**
-     * Events fired per completed sim-time window of dispatchWindowPs()
-     * ticks, in order from tick 0. The window containing now() is still
-     * open and not included.
-     */
-    const std::vector<std::uint64_t> &
-    dispatchWindows() const
-    {
-        return _dispatchWindows;
-    }
-
   private:
     /**
      * Ring geometry, sized from the delays the simulator schedules. On
@@ -602,11 +561,6 @@ class EventQueue
     std::uint64_t _scheduledTotal = 0;
     std::uint64_t _descheduledTotal = 0;
     std::uint64_t _peakDepth = 0;
-    std::array<std::uint64_t, kDepthBuckets> _depthHist{};
-    Tick _dispatchWindowPs = us(100);
-    Tick _windowStart = 0;
-    std::uint64_t _windowFired = 0;
-    std::vector<std::uint64_t> _dispatchWindows;
 };
 
 inline Event::~Event()

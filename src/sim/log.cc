@@ -66,30 +66,15 @@ namespace detail
 namespace
 {
 
-/**
- * Thrown by panic/fatal in unit tests instead of aborting the process.
- * Production binaries never enable this.
- */
-bool throwOnError = false;
-
 /** Set on a thread while a ScopedFatalThrows lives there. */
 thread_local bool threadFatalThrows = false;
 
 } // namespace
 
-/** Test hook: make panic/fatal throw std::runtime_error instead. */
-void
-setThrowOnError(bool enable)
-{
-    throwOnError = enable;
-}
-
 [[noreturn]] void
 panicImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "panic: %s (%s:%d)\n", msg.c_str(), file, line);
-    if (throwOnError)
-        throw std::runtime_error("panic: " + msg);
     std::abort();
 }
 
@@ -97,7 +82,7 @@ panicImpl(const char *file, int line, const std::string &msg)
 fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    if (throwOnError || threadFatalThrows)
+    if (threadFatalThrows)
         throw std::runtime_error("fatal: " + msg);
     std::exit(1);
 }

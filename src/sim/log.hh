@@ -83,9 +83,6 @@ void informImpl(const std::string &msg);
 /** Deliver one line to the active sink (used by warn/inform). */
 void logLine(LogLevel level, const std::string &msg);
 
-/** Test hook: panic/fatal throw std::runtime_error instead of aborting. */
-void setThrowOnError(bool enable);
-
 } // namespace detail
 
 /** Whether memnet_fatal throws on the calling thread. */

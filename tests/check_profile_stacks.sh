@@ -2,6 +2,9 @@
 # --profile end to end: memnet_run (one config, --jobs 1) and a bench
 # sweep at --jobs 2 both write collapsed stacks in which every stack
 # starts at sim/run, so the profile has the same shape at any --jobs.
+# Every phase must come from the set below: scopes mark phases entered
+# a few times per run, and a scope on per-hop code (net/route was one)
+# would mostly time its own clock reads.
 #
 #     tests/check_profile_stacks.sh path/to/memnet_run path/to/bench <work-dir>
 set -eu
@@ -19,6 +22,14 @@ for f in "$DIR/run.folded" "$DIR/sweep.folded"; do
     grep -q "eq/dispatch" "$f" || { echo "no eq/dispatch: $f"; exit 1; }
     if grep -v "^sim/run[; ]" "$f"; then
         echo "stack not rooted at sim/run in $f"
+        exit 1
+    fi
+    unknown=$(sed 's/ [0-9]*$//' "$f" | tr ';' '\n' | sort -u |
+        grep -Ev '^(sim/[a-z_]+|eq/dispatch|mgmt/epoch|mgmt/isp_round|mc/fanout|part/worker)$' ||
+        true)
+    if [ -n "$unknown" ]; then
+        echo "phases outside the allowed set in $f:"
+        echo "$unknown"
         exit 1
     fi
 done

@@ -167,9 +167,8 @@ TEST(EventQueue, PendingTracksLiveEvents)
 }
 
 // ---------------------------------------------------------------------
-// Queue-health counters (peak depth, deschedules, depth histogram,
-// dispatch-rate windows) — surfaced through RunProfile and the stats
-// registry, so their semantics are pinned down here.
+// Queue-health counters (peak depth, deschedules) — surfaced through
+// RunProfile, so their semantics are pinned down here.
 // ---------------------------------------------------------------------
 
 TEST(EventQueueHealth, PeakDepthIsHighWaterNotCurrent)
@@ -199,44 +198,6 @@ TEST(EventQueueHealth, DescheduledCountsExplicitCancelsOnly)
     eq.reschedule(&a, ns(4));
     eq.run();
     EXPECT_EQ(eq.descheduledTotal(), 1u);
-}
-
-TEST(EventQueueHealth, DepthHistogramCountsEveryDispatch)
-{
-    EventQueue eq;
-    for (int i = 0; i < 10; ++i)
-        eq.schedule(ns(i + 1), [] {});
-    eq.run();
-    std::uint64_t total = 0;
-    for (std::uint64_t v : eq.depthHistogram())
-        total += v;
-    EXPECT_EQ(total, eq.fired());
-    // First dispatch saw all 10 pending: bucket bit_width(10) = 4.
-    EXPECT_GE(eq.depthHistogram()[4], 1u);
-}
-
-TEST(EventQueueHealth, DispatchWindowsCloseOnSimTimeBoundaries)
-{
-    EventQueue eq;
-    eq.setDispatchWindow(ns(100));
-    EXPECT_EQ(eq.dispatchWindowPs(), ns(100));
-    for (Tick t : {ns(10), ns(50), ns(120), ns(350)})
-        eq.schedule(t, [] {});
-    eq.run();
-    // [0,100): 2 events; [100,200): 1; [200,300): 0. The window holding
-    // the final event stays open and is not reported.
-    EXPECT_EQ(eq.dispatchWindows(),
-              (std::vector<std::uint64_t>{2, 1, 0}));
-}
-
-TEST(EventQueueHealth, HugeIdleGapRealignsInsteadOfZeroFilling)
-{
-    EventQueue eq;
-    eq.setDispatchWindow(ns(1));
-    eq.schedule(us(100), [] {}); // 1e5 windows ahead: over the cap
-    eq.run();
-    EXPECT_TRUE(eq.dispatchWindows().empty());
-    EXPECT_EQ(eq.fired(), 1u);
 }
 
 struct RecordingEvent : public Event

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "memnet/multichannel.hh"
@@ -133,7 +135,7 @@ TEST(FaultInjector, BroadcastLinkHitsEveryDomain)
 
 TEST(FaultInjector, RejectsOutOfRangePlans)
 {
-    detail::setThrowOnError(true);
+    const ScopedFatalThrows scopedFatal;
     EventQueue eq;
     RecordingTarget target(eq, 2);
 
@@ -154,7 +156,6 @@ TEST(FaultInjector, RejectsOutOfRangePlans)
         {FaultKind::ErrorBurst, us(1), 0, us(1), 8, 1.5});
     FaultInjector inj3(eq, target, bad_rate, 1);
     EXPECT_THROW(inj3.start(0), std::runtime_error);
-    detail::setThrowOnError(false);
 }
 
 TEST(FaultInjector, FlapScheduleIsSeedDeterministic)
@@ -323,7 +324,7 @@ struct BlackHole : public TrafficTarget
 
 TEST(Watchdog, AbortsWhenReadsStopCompleting)
 {
-    detail::setThrowOnError(true);
+    const ScopedFatalThrows scopedFatal;
     EventQueue eq;
     BlackHole hole;
     ProcessorParams pp;
@@ -332,7 +333,6 @@ TEST(Watchdog, AbortsWhenReadsStopCompleting)
     proc.start(0);
     EXPECT_THROW(eq.runUntil(us(1000)), std::runtime_error);
     EXPECT_GT(proc.outstandingReads(), 0);
-    detail::setThrowOnError(false);
 }
 
 TEST(Watchdog, StaysQuietOnAHealthyRun)
@@ -373,6 +373,19 @@ TEST(SystemFaults, CleanRunHasZeroReliabilityCounters)
     EXPECT_EQ(r.reliability.retries, 0u);
     EXPECT_EQ(r.reliability.faultEvents, 0u);
     EXPECT_EQ(r.reliability.degradedSeconds, 0.0);
+}
+
+TEST(SystemFaults, OutOfRangeLinkErrorRateIsFatal)
+{
+    // A rate of 1 or more retries every flit forever; a negative one
+    // would silently run clean links.
+    const ScopedFatalThrows scopedFatal;
+    for (const double rate :
+         {1.0, 1.5, -0.5, std::numeric_limits<double>::quiet_NaN()}) {
+        SystemConfig cfg = faultBase();
+        cfg.linkFlitErrorRate = rate;
+        EXPECT_THROW(runSimulation(cfg), std::runtime_error) << rate;
+    }
 }
 
 TEST(SystemFaults, ErrorBurstRaisesRetriesAndActiveEnergy)

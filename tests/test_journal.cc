@@ -131,8 +131,6 @@ fancyResult()
     r.profile.auditChecksRun = 12;
     r.profile.eventsDescheduled = 9;
     r.profile.peakQueueDepth = 46;
-    r.profile.dispatchWindows = {40961, 0, (1ULL << 55) + 3};
-    r.profile.dispatchWindowPs = us(100);
     ModuleDetail m;
     m.id = 5;
     m.highRadix = true;
@@ -189,14 +187,16 @@ tempPath(const std::string &name)
  * tests/data/journal_fixture.jsonl: journal lines whose bytes are
  * frozen. Lines 0 and 1 were written by the codec as of the energy
  * observatory; lines 2-4 are line 1 with the members later writers
- * inserted deleted again (CRC recomputed), i.e. the shapes older
- * journals on disk have:
- *   0  fancyResult()
+ * inserted deleted again, and lines 5-6 are lines 0-1 without the
+ * members today's writer no longer emits (CRCs recomputed):
+ *   0  fancyResult(), with the retired dispatch-rate series
  *   1  a real run: mixA, star, aware, VWL+ROO, 5 + 20 us, 2 partitions
  *   2  line 1 without "energy"                      (pre-energy)
  *   3  line 2 without partitions/partition_sync/lax_window_ps
  *                                                   (pre-partition)
  *   4  line 3 without "latency"                     (pre-latency)
+ *   5  line 0 without dispatch_window_ps/dispatch_windows  (today's)
+ *   6  line 1 without dispatch_window_ps/dispatch_windows  (today's)
  */
 constexpr char kFixturePath[] = MEMNET_TEST_DATA_DIR "/journal_fixture.jsonl";
 
@@ -486,22 +486,24 @@ TEST(JournalRecord, RejectsKeyConfigMismatch)
 TEST(JournalFixture, WriterReproducesFixtureBytes)
 {
     const std::vector<std::string> lines = fixtureLines();
-    ASSERT_EQ(lines.size(), 5u) << kFixturePath;
+    ASSERT_EQ(lines.size(), 7u) << kFixturePath;
 
     const RunResult f = fancyResult();
-    EXPECT_EQ(journalRecordLine(Runner::key(f.config), f), lines[0]);
+    EXPECT_EQ(journalRecordLine(Runner::key(f.config), f), lines[5]);
 
     // The real run cannot be re-simulated bit for bit (wall_s), so it
-    // goes through the reader: load, write, same bytes.
-    for (const std::size_t i : {std::size_t{0}, std::size_t{1}}) {
+    // goes through the reader: load, write, same bytes. A record with
+    // the retired members loads and is written without them.
+    for (const std::size_t i : {0u, 1u, 5u, 6u}) {
         std::string k, err;
         RunResult r;
         ASSERT_TRUE(parseJournalLine(lines[i], &k, &r, &err)) << err;
-        EXPECT_EQ(journalRecordLine(k, r), lines[i]) << "line " << i;
+        EXPECT_EQ(journalRecordLine(k, r), lines[i < 5 ? i + 5 : i])
+            << "line " << i;
     }
     std::string k, err;
     RunResult real;
-    ASSERT_TRUE(parseJournalLine(lines[1], &k, &real, &err)) << err;
+    ASSERT_TRUE(parseJournalLine(lines[6], &k, &real, &err)) << err;
     EXPECT_TRUE(real.latency.enabled);
     EXPECT_TRUE(real.energy.enabled);
     EXPECT_GT(real.latency.endToEnd.samples, 0u);
@@ -511,14 +513,14 @@ TEST(JournalFixture, WriterReproducesFixtureBytes)
 TEST(JournalFixture, OlderShapesLoadWithTodaysDefaults)
 {
     const std::vector<std::string> lines = fixtureLines();
-    ASSERT_EQ(lines.size(), 5u) << kFixturePath;
+    ASSERT_EQ(lines.size(), 7u) << kFixturePath;
     std::string key, err;
     RunResult full;
     ASSERT_TRUE(parseJournalLine(lines[1], &key, &full, &err)) << err;
 
     RunResult expected = full;
     const SystemConfig defaults;
-    for (std::size_t i = 2; i < lines.size(); ++i) {
+    for (std::size_t i = 2; i < 5; ++i) {
         if (i == 2) {
             expected.energy = EnergySummary{};
         } else if (i == 3) {
@@ -538,15 +540,15 @@ TEST(JournalFixture, OlderShapesLoadWithTodaysDefaults)
         EXPECT_EQ(old.latency.enabled, i < 4) << "line " << i;
     }
 
-    // The whole file is a valid journal: every line loads, the four
-    // shapes of the real run share one key (last wins).
+    // The whole file is a valid journal: every line loads, the five
+    // shapes of the real run share one key (last wins: today's).
     std::map<std::string, RunResult> pool;
     JournalLoadStats stats;
     ASSERT_TRUE(loadJournal(kFixturePath, &pool, &stats, &err)) << err;
-    EXPECT_EQ(stats.records, 5u);
+    EXPECT_EQ(stats.records, 7u);
     EXPECT_EQ(stats.corrupt, 0u);
     EXPECT_EQ(stats.loaded, 2u);
-    EXPECT_FALSE(pool.at(key).latency.enabled);
+    EXPECT_EQ(journalRecordLine(key, pool.at(key)), lines[6]);
 }
 
 TEST(JournalRecord, RejectsOutOfRangeEnums)
@@ -669,9 +671,15 @@ TEST(JournalRecord, ErrorsNameThePathOfTheBadMember)
               "result.modules: not an array");
     EXPECT_EQ(errorFor(cell0, "\"link_hours\":[\"0x0p0\""),
               "result.link_hours: bad hex-float cell");
-    EXPECT_EQ(errorFor("\"dispatch_windows\":[\"40961\"",
-                       "\"dispatch_windows\":[\"4O961\""),
+    // Retired members are still read, and still checked, when present.
+    const std::string peak = "\"peak_queue_depth\":\"46\"";
+    const std::string retired = peak +
+                                ",\"dispatch_window_ps\":\"100000000\""
+                                ",\"dispatch_windows\":[";
+    EXPECT_EQ(errorFor(peak, retired + "\"4O961\"]"),
               "result.profile.dispatch_windows: bad u64");
+    EXPECT_EQ(errorFor(peak, peak + ",\"dispatch_windows\":[]"),
+              "result.profile: unexpected member");
     EXPECT_EQ(errorFor("\"id\":\"5\"", "\"id\":\"2147483648\""),
               "result.modules[0].id: out of int range");
 }
@@ -1162,7 +1170,8 @@ TEST(FailureManifest, WritesValidJsonWithDedupedEntries)
 /**
  * Where @p value's member names drift from @p schema's: at every
  * object the schema describes (by "required" or "properties"), the
- * two name sets must be equal; the walk descends through the
+ * two name sets must be equal, deprecated properties (only older
+ * writers emit them) left out; the walk descends through the
  * described properties and into each array's first element.
  */
 void
@@ -1184,7 +1193,8 @@ schemaDrift(const obs::json::Value &schema, const obs::json::Value &value,
             described.insert(k.string);
     if (props)
         for (const auto &kv : props->object)
-            described.insert(kv.first);
+            if (!kv.second.find("deprecated"))
+                described.insert(kv.first);
     if (described.empty())
         return;
     for (const auto &kv : value.object)

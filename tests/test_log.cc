@@ -42,10 +42,8 @@ TEST(Log, AssertDiesOnFalse)
 
 TEST(Log, ThrowOnErrorHookThrowsInstead)
 {
-    detail::setThrowOnError(true);
-    EXPECT_THROW(memnet_panic("thrown"), std::runtime_error);
-    EXPECT_THROW(memnet_fatal("thrown too"), std::runtime_error);
-    detail::setThrowOnError(false);
+    const ScopedFatalThrows scopedFatal;
+    EXPECT_THROW(memnet_fatal("thrown"), std::runtime_error);
 }
 
 TEST(Log, MessageFormatterConcatenatesMixedTypes)
