@@ -32,8 +32,8 @@ namespace bench
 /**
  * What every cell of a bench sweep shares, copied by makeConfig: a
  * 100 us warmup and a 300 us window (three epochs keep the full sweep
- * tractable on one core), then what BenchIo installs: --partitions,
- * and the MEMNET_SIM_US window and MEMNET_AUDIT opt-in
+ * tractable on one core), then what BenchIo installs: the
+ * MEMNET_SIM_US window and MEMNET_AUDIT opt-in
  * (memnet::applyRunEnvironment).
  */
 inline SystemConfig &
@@ -52,13 +52,10 @@ sweepBase()
  * Command line and sweep passes of the bench binaries. Every bench
  * takes the shared sweep flags (memnet::SweepOptions: --jobs,
  * --profile, --journal, --resume, --config-timeout,
- * --failure-manifest; docs/ROBUSTNESS.md) plus two of its own:
+ * --failure-manifest; docs/ROBUSTNESS.md) plus one of its own:
  *
  *   --json <path>      dump every run as machine-readable JSON
  *                      (schema: ci/bench_schema.json) after the tables
- *   --partitions <n>   shard every run across n event-queue
- *                      partitions (1 = serial kernel; see
- *                      docs/PERFORMANCE.md)
  *
  * Usage:
  *   int main(int argc, char **argv) {
@@ -122,8 +119,8 @@ class BenchIo
 
   private:
     /**
-     * Parse the command line into jsonPath and sweepBase().partitions,
-     * returning the shared flags; exits 2 on a bad flag or value. Runs
+     * Parse the command line into jsonPath, returning the shared
+     * flags; exits 2 on a bad flag or value. Runs
      * from the member initializers, after jsonPath is constructed.
      */
     SweepOptions
@@ -135,24 +132,16 @@ class BenchIo
             std::string err;
             if (opts.parseFlag(argc, argv, i, &err)) {
                 // a shared flag; err says what was wrong with it
-            } else if ((arg == "--json" || arg == "--partitions") &&
-                       i + 1 >= argc) {
+            } else if (arg == "--json" && i + 1 >= argc) {
                 err = "missing value for " + arg;
             } else if (arg == "--json") {
                 jsonPath = argv[++i];
-            } else if (arg == "--partitions") {
-                const std::string v = argv[++i];
-                if (!parseNumber(v, &sweepBase().partitions) ||
-                    sweepBase().partitions < 1)
-                    err = "--partitions must be a whole number >= 1 "
-                          "(got '" + v + "')";
             } else {
                 err = "unknown flag: " + arg;
             }
             if (!err.empty()) {
                 std::fprintf(stderr,
-                             "%s: %s\nusage: %s [--json <path>] %s "
-                             "[--partitions <n>]\n",
+                             "%s: %s\nusage: %s [--json <path>] %s\n",
                              argv[0], err.c_str(), argv[0],
                              SweepOptions::usage());
                 std::exit(2);

@@ -9,12 +9,11 @@
  * cold channels almost entirely — the channel-scale analogue of the
  * consolidation argument in Section VII-A.
  *
- * Takes the shared bench flags (bench_common.hh), so `--partitions N`
- * shards every run, and like every bench takes its window and audit
- * opt-in from MEMNET_SIM_US and MEMNET_AUDIT through makeConfig. Each
- * cell is one runMultiChannel() call rather than a Runner lookup, so
- * `--jobs`, `--journal`, `--resume` and `--json` have no runs to act
- * on.
+ * Takes the shared bench flags (bench_common.hh), and like every bench
+ * takes its window and audit opt-in from MEMNET_SIM_US and MEMNET_AUDIT
+ * through makeConfig. Each cell is one runMultiChannel() call rather
+ * than a Runner lookup, so `--jobs`, `--journal`, `--resume` and
+ * `--json` have no runs to act on; only `--profile` changes anything.
  */
 
 #include <cstdio>

@@ -6,7 +6,8 @@
  * and one ROO link's full hop, vault service, delay-monitor, end-to-end
  * simulation cost, result serialization (journal append and load, and
  * apart from the file: record formatting, record parsing and the
- * CRC-32; bench JSON), and the parallel sweep engine.
+ * CRC-32; bench JSON), the parallel sweep engine, and one four-channel
+ * run.
  *
  * BM_EndToEndSimulation reports the headline counters used by the CI
  * perf-smoke job: events_per_s, packets_per_s, and the per-run heap
@@ -19,7 +20,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -600,11 +600,13 @@ BENCHMARK(BM_ParallelSweep)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/** The 16-module four-channel system the partitioned-kernel speedup
- *  is quoted on: mixA's big-study footprint (14 chunks) spread over 4
- *  channels = 4 modules per channel. */
-MultiChannelConfig
-partitionBenchConfig(int partitions)
+/**
+ * One 16-module four-channel simulation (mixA's big-study footprint,
+ * 14 chunks, spread over 4 channels = 4 modules per channel).
+ * reads_per_s is completed reads per wall-clock second.
+ */
+void
+BM_MultiChannel(benchmark::State &state)
 {
     MultiChannelConfig mc;
     mc.base.workload = "mixA";
@@ -615,26 +617,8 @@ partitionBenchConfig(int partitions)
     mc.base.roo = true;
     mc.base.warmup = us(10);
     mc.base.measure = us(50);
-    mc.base.partitions = partitions;
     mc.base = withRunEnvironment(mc.base);
     mc.channels = 4;
-    return mc;
-}
-
-/**
- * Intra-run parallelism (sim/partition.hh): one large multi-channel
- * simulation sharded by channel. Arg = partitions; Arg 1 is the serial
- * kernel the speedup is measured against. reads_per_s is completed
- * reads per wall-clock second, so the ratio of the two entries'
- * counters is the partitioned kernel's speedup — it scales with
- * available hardware threads, so the CI baseline tracks it with the
- * loose wall-clock tolerance class rather than an exact bound.
- */
-void
-BM_PartitionedMultiChannel(benchmark::State &state)
-{
-    const MultiChannelConfig mc =
-        partitionBenchConfig(static_cast<int>(state.range(0)));
     double reads = 0.0;
     for (auto _ : state) {
         const MultiChannelResult r = runMultiChannel(mc);
@@ -645,40 +629,7 @@ BM_PartitionedMultiChannel(benchmark::State &state)
     state.counters["reads_per_s"] =
         benchmark::Counter(reads, benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_PartitionedMultiChannel)
-    ->Arg(1)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-/**
- * The headline number: serial and partitioned runs of the same config
- * timed back to back, reported as a speedup counter so the CI baseline
- * records it directly. Wall-clock by nature (and below 1.0 on a
- * single-core host, where the barriers only add scheduling overhead),
- * so the baseline gives it a tolerance of 1.0.
- */
-void
-BM_PartitionedSpeedup(benchmark::State &state)
-{
-    using clock = std::chrono::steady_clock;
-    double serialS = 0.0, partS = 0.0;
-    for (auto _ : state) {
-        const auto t0 = clock::now();
-        const MultiChannelResult a =
-            runMultiChannel(partitionBenchConfig(1));
-        const auto t1 = clock::now();
-        const MultiChannelResult b =
-            runMultiChannel(partitionBenchConfig(4));
-        const auto t2 = clock::now();
-        benchmark::DoNotOptimize(a.totalPowerW + b.totalPowerW);
-        serialS += std::chrono::duration<double>(t1 - t0).count();
-        partS += std::chrono::duration<double>(t2 - t1).count();
-    }
-    state.counters["speedup"] =
-        benchmark::Counter(partS > 0.0 ? serialS / partS : 0.0);
-}
-BENCHMARK(BM_PartitionedSpeedup)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MultiChannel)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 } // namespace
 

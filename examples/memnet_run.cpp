@@ -20,11 +20,12 @@
  *   --seeds <k>            replicate over k seeds        [1]
  *   --fer <p>              flit error rate (CRC retry),
  *                          in [0, 1)                     [0]
+ *   --interleave           page-interleaved address map  [off;
+ *                                                         on for static]
  *   --audit                run the invariant auditor     [Debug: always]
- *   --report <list>        summary,power,modules,links   [summary]
- *   --partitions <n>       shard the run across n event-queue
- *                          partitions, bit-identical to the serial
- *                          kernel (docs/PERFORMANCE.md)   [1]
+ *   --report <list>        comma-separated sections:
+ *                          summary,power,modules,links,
+ *                          or all                        [summary]
  *
  * Sweep flags, shared with the bench binaries (memnet::SweepOptions;
  * docs/ROBUSTNESS.md):
@@ -46,8 +47,8 @@
  * positive, --wakeup-ns and --config-timeout not negative, --fer in
  * [0, 1), and --measure-us and --wakeup-ns at most half the tick range
  * (4611686018427 us, 4611686018427387 ns), so no simulated time
- * overflows. A bad value, like an unknown flag or name, exits 2 with a
- * one-line usage message. An unwritable output path exits 1 before
+ * overflows. A bad value, like an unknown flag, name or --report
+ * section, exits 2 with a one-line usage message. An unwritable output path exits 1 before
  * anything simulates.
  *
  * Two environment variables are run inputs too, resolved into the
@@ -163,6 +164,41 @@ parsePolicy(const std::string &v)
     usage("unknown policy");
 }
 
+/** The --report sections to print, always in this order. */
+struct Report
+{
+    bool summary = false;
+    bool power = false;
+    bool modules = false;
+    bool links = false;
+};
+
+Report
+parseReport(const std::string &v)
+{
+    Report r;
+    std::size_t at = 0;
+    for (;;) {
+        const std::size_t comma = v.find(',', at);
+        const std::string s = v.substr(at, comma - at);
+        if (s == "all")
+            r = {true, true, true, true};
+        else if (s == "summary")
+            r.summary = true;
+        else if (s == "power")
+            r.power = true;
+        else if (s == "modules")
+            r.modules = true;
+        else if (s == "links")
+            r.links = true;
+        else
+            usage("unknown --report section: '" + s + "'");
+        if (comma == std::string::npos)
+            return r;
+        at = comma + 1;
+    }
+}
+
 } // namespace
 
 int
@@ -171,7 +207,7 @@ main(int argc, char **argv)
     SystemConfig cfg;
     cfg.workload = "mixA";
     cfg.topology = TopologyKind::Star;
-    std::string report = "summary";
+    Report report{.summary = true};
     SweepOptions sopts;
     int seeds = 1;
 
@@ -227,12 +263,8 @@ main(int argc, char **argv)
             cfg.interleavePages = true;
         } else if (a == "--audit") {
             cfg.audit = true;
-        } else if (a == "--partitions") {
-            cfg.partitions = number<int>(need(i), "--partitions");
-            if (cfg.partitions < 1)
-                usage("--partitions must be >= 1");
         } else if (a == "--report") {
-            report = need(i);
+            report = parseReport(need(i));
         } else if (a == "--stats-json") {
             cfg.obs.statsJsonPath = need(i);
         } else if (a == "--epoch-jsonl") {
@@ -309,18 +341,17 @@ main(int argc, char **argv)
     if (!sweep.failures().empty())
         return sweep.finish(runner); // nothing to report
     const RunResult &r = runner.get(cfg);
-    const bool all = report.find("all") != std::string::npos;
-    if (all || report.find("summary") != std::string::npos)
+    if (report.summary)
         printRunSummary(r);
-    if (all || report.find("power") != std::string::npos) {
+    if (report.power) {
         std::printf("\n");
         printPowerBreakdown(r);
     }
-    if (all || report.find("modules") != std::string::npos) {
+    if (report.modules) {
         std::printf("\n");
         printModuleReport(r);
     }
-    if (all || report.find("links") != std::string::npos) {
+    if (report.links) {
         std::printf("\n");
         printLinkHours(r);
     }

@@ -38,16 +38,6 @@ skipped(std::string_view path, const RunResult &a, const RunResult &b)
         // observatory switches, which gate their groups below.
         within(path, {"profile.wall_s", "profile.audit_checks_run",
                       "latency.enabled", "energy.enabled"}) ||
-        // Event-count and queue-shape counters describe the kernel
-        // layout: a partitioned run replays boundary crossings through
-        // pipe events the serial kernel doesn't have, so its event
-        // stream is a strict superset even when every simulated
-        // result is bit-identical.
-        (a.profile.partitions != b.profile.partitions &&
-         within(path, {"events_fired", "profile.events_fired",
-                       "profile.events_scheduled",
-                       "profile.events_descheduled",
-                       "profile.peak_queue_depth"})) ||
         // An observatory is absent only from records loaded from
         // journals written before it existed.
         (within(path, {"latency"}) &&

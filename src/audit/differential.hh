@@ -46,9 +46,8 @@ struct DiffEntry
  * Compare, exactly, every scalar the journal records for two
  * RunResults (memnet::forEachResultField), reporting journal paths
  * such as "latency.end_to_end.p99_ps". Skipped: host wall clock and
- * audit counts, kernel-layout counters when the runs used different
- * partition counts, and an observatory's group unless both runs have
- * it enabled (see the skip list in differential.cc).
+ * audit counts, and an observatory's group unless both runs have it
+ * enabled (see the skip list in differential.cc).
  * @return the mismatches (empty when the runs agree).
  */
 std::vector<DiffEntry> diffRunResults(const RunResult &a,

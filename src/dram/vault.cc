@@ -69,8 +69,6 @@ Vault::startNext()
         bank_close = std::max(bank_close, done + params.tWR);
     bankFreeAt[bank] = bank_close + params.tRP;
 
-    if (forecast)
-        forecast(current.tag, current.isRead, done);
     eq.schedule(&burstEvent, done);
 }
 

@@ -73,17 +73,6 @@ class Vault
     std::uint64_t servicedWrites() const { return nWrites; }
     std::uint64_t overflowed() const { return nOverflow; }
 
-    /**
-     * Install a service-start forecast: called from inside the
-     * scheduling event the moment an access's completion tick is
-     * fixed, with the same (tag, isRead, done) the completion callback
-     * will later deliver. The completion tick of a started access
-     * never moves, so a partitioned run can promise a posted write's
-     * retirement to the processor partition at service start — the
-     * promise message's key matches the burst event's exactly.
-     */
-    void setForecast(Callback cb) { forecast = std::move(cb); }
-
   private:
     void trySchedule();
     void startNext();
@@ -102,7 +91,6 @@ class Vault
     EventQueue &eq;
     const DramParams &params;
     Callback callback;
-    Callback forecast;
 
     Fifo<VaultRequest> readQ;
     Fifo<VaultRequest> writeQ;

@@ -77,14 +77,6 @@ class VaultSet
     const Vault &vault(int i) const { return *vaults[i]; }
     int numVaults() const { return params.vaults; }
 
-    /** Install a service-start forecast on every vault. */
-    void
-    setForecast(const Vault::Callback &cb)
-    {
-        for (auto &v : vaults)
-            v->setForecast(cb);
-    }
-
   private:
     const DramParams &params;
     std::vector<std::unique_ptr<Vault>> vaults;

@@ -61,10 +61,7 @@ struct LinkTiming
     /**
      * Host-interface SERDES: the processor-side link controller's
      * serialization FIFO between the cores and the channel root
-     * (net/boundary.hh). Every injected request crosses it, in both the
-     * serial and the partitioned kernel — in the latter it is also the
-     * processor partition's conservative lookahead, so it must stay
-     * strictly positive (docs/PERFORMANCE.md).
+     * (net/boundary.hh). Every injected request crosses it.
      */
     static constexpr Tick kHostIfPs = 3200;
     /** Link controller buffer entries. */

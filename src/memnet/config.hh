@@ -88,16 +88,7 @@ struct SystemConfig
     Tick measure = us(400);
     std::uint64_t seed = 1;
 
-    /**
-     * Event-kernel partitions (sim/partition.hh). 1 = the classic
-     * serial kernel. >1 shards the run by channel onto worker threads
-     * synchronized with conservative lookahead, bit-identical to the
-     * serial kernel: partition 0 runs the processor, the remaining
-     * partitions run the channel networks. A
-     * single-channel run has exactly one channel to offload, so any
-     * value >1 behaves as 2; multi-channel runs use up to one
-     * partition per channel.
-     */
+    /** Ignored; ROADMAP item 1's benchmark PR removes it. */
     int partitions = 1;
 
     int cores = 16;
@@ -180,26 +171,19 @@ struct ReliabilityStats
     }
 };
 
+/** Unused; ROADMAP item 1's benchmark PR removes it. */
+struct PartitionLane
+{
+    std::uint64_t eventsFired = 0;
+    std::uint64_t windows = 0;
+    std::uint64_t barrierWaitNs = 0;
+};
+
 /**
  * Simulation-rate profile of one run (whole run, warmup included).
  * wallSeconds and profPhases are the only fields that vary between
  * identical runs; everything else is simulation-determined.
  */
-/**
- * Per-partition kernel statistics of a partitioned run
- * (RunProfile::partitionLanes; empty for serial runs).
- */
-struct PartitionLane
-{
-    std::uint64_t eventsFired = 0;
-    std::uint64_t eventsScheduled = 0;
-    std::uint64_t peakQueueDepth = 0;
-    /** Synchronization windows this lane executed. */
-    std::uint64_t windows = 0;
-    /** Wall-clock nanoseconds this lane spent waiting at barriers. */
-    std::uint64_t barrierWaitNs = 0;
-};
-
 struct RunProfile
 {
     std::uint64_t eventsFired = 0;
@@ -207,9 +191,7 @@ struct RunProfile
     double wallSeconds = 0.0;
     double simSeconds = 0.0;
 
-    /** Event-kernel partitions the run executed on (1 = serial). */
-    int partitions = 1;
-    /** Per-partition kernel statistics (empty for serial runs). */
+    /** Always empty; ROADMAP item 1's benchmark PR removes it. */
     std::vector<PartitionLane> partitionLanes;
 
     /** Packets issued through the pool (whole run, warmup included). */

@@ -99,9 +99,7 @@ Runner::key(const SystemConfig &cfg)
         k.push_back(',');
         num(f.flitErrorRate);
     }
-    // Partitioned runs are bit-identical to serial, so cfg.partitions
-    // is intentionally not in the key: a journaled serial sweep resumes
-    // a partitioned one and vice versa.
+    // cfg.partitions selects nothing, so it is not in the key.
     return k;
 }
 

@@ -136,10 +136,12 @@ configFields(V &v, C &c)
     v.num("max_reads_per_core", c.maxReadsPerCore);
     v.num("max_writes_per_core", c.maxWritesPerCore);
     v.optional([&] {
-        v.num("partitions", c.partitions);
-        // Kept so journals interchange with older builds, where these
-        // members selected a second sync mode; any other value is
-        // rejected, since only this one is still simulated.
+        // Kept so journals interchange with older builds. There the
+        // first member counted event-kernel partitions, whose runs
+        // matched serial ones bit for bit, so any count reads. The
+        // other two selected a sync mode; a record of any mode but
+        // this one is rejected, since its results differ.
+        v.positive("partitions");
         v.constant("partition_sync", "barrier");
         v.constant("lax_window_ps", "10000000");
     });
@@ -338,6 +340,8 @@ class Writer
 
     void constant(std::string_view k, std::string_view lit) { str(k, lit); }
 
+    void positive(std::string_view k) { num(k, 1); }
+
     template <typename Fn>
     void
     object(std::string_view k, Fn fn)
@@ -437,15 +441,8 @@ hostFields(Writer<Spelling::Plain> &v, const RunProfile &p)
             v.num("count", ph.count);
         });
     });
-    v.list("partition_lanes", p.partitionLanes, [&](auto &l) {
-        v.object({}, [&] {
-            v.num("events_fired", l.eventsFired);
-            v.num("events_scheduled", l.eventsScheduled);
-            v.num("peak_queue_depth", l.peakQueueDepth);
-            v.num("windows", l.windows);
-            v.num("barrier_wait_ns", l.barrierWaitNs);
-        });
-    });
+    // Deprecated, and always empty since the kernel has one queue.
+    v.array("partition_lanes", 0, [](std::size_t) {});
 }
 
 /** One bench --json run: the journal record, then the host object. */
@@ -469,8 +466,7 @@ benchRun(Writer<Spelling::Plain> &w, const std::string &key,
  */
 void
 componentsFields(Writer<Spelling::Plain> &v, Network &net,
-                 const PowerManager *mgr,
-                 const std::vector<EventQueue *> &queues)
+                 const PowerManager *mgr)
 {
     v.list("links", net.allLinks(), [&](const Link *l) {
         const LinkStats &s = l->stats();
@@ -518,11 +514,8 @@ componentsFields(Writer<Spelling::Plain> &v, Network &net,
             v.hex("grant_pool_ps", mgr->grantPoolRemaining());
         });
     }
-    // Summed over the run's queues, like RunProfile's counters.
-    std::uint64_t pending = 0;
-    for (const EventQueue *q : queues)
-        pending += q->pending();
-    v.object("event_queue", [&] { v.num("pending", pending); });
+    v.object("event_queue",
+             [&] { v.num("pending", net.eventQueue().pending()); });
     v.object("net",
              [&] { v.num("injected_packets", net.injectedPackets()); });
 }
@@ -685,6 +678,16 @@ class Reader
         if (member(k) && quoted(k, &s) && s != lit)
             fail(k, "unsupported value '" + std::string(s) +
                         "' (only '" + std::string(lit) + "' is simulated)");
+    }
+
+    /** A whole number >= 1 that selects nothing: read and dropped. */
+    void
+    positive(std::string_view k)
+    {
+        std::int64_t v = 1;
+        num(k, v);
+        if (live() && v < 1)
+            fail(k, "not positive: " + std::to_string(v));
     }
 
     template <typename Fn>
@@ -1127,8 +1130,7 @@ writeBenchResultsJson(std::ostream &os, const std::string &bench,
 
 void
 writeStatsJson(std::ostream &os, const std::string &key, const RunResult &r,
-               Network &net, const PowerManager *mgr,
-               const std::vector<EventQueue *> &queues)
+               Network &net, const PowerManager *mgr)
 {
     std::string buf;
     Writer<Spelling::Plain> w(buf);
@@ -1137,7 +1139,7 @@ writeStatsJson(std::ostream &os, const std::string &key, const RunResult &r,
         w.str("bench", "stats");
         w.array("runs", 1, [&](std::size_t) { benchRun(w, key, r); });
         w.object("components",
-                 [&] { componentsFields(w, net, mgr, queues); });
+                 [&] { componentsFields(w, net, mgr); });
     });
     buf += '\n';
     os.write(buf.data(), static_cast<std::streamsize>(buf.size()));

@@ -66,7 +66,6 @@
 namespace memnet
 {
 
-class EventQueue;
 class Network;
 class PowerManager;
 struct RunFailure;
@@ -124,7 +123,8 @@ constexpr int kBenchJsonSchemaVersion = 5;
 /**
  * Bench --json output (ci/bench_schema.json): every run in key order,
  * each the journal record with plain JSON numbers, plus a "host" object
- * for the profiler phases and partition lanes no journal keeps.
+ * for the profiler phases no journal keeps (and the deprecated,
+ * always-empty partition lanes).
  */
 void writeBenchResultsJson(
     std::ostream &os, const std::string &bench,
@@ -135,15 +135,14 @@ void writeBenchResultsJson(
  * --stats-json): a bench JSON document whose one run is @p r under
  * @p key, byte for byte what writeBenchResultsJson() writes for it,
  * plus a top-level "components" object with the end-of-run counters of
- * @p net, @p mgr (null: no "mgmt" member) and @p queues that no record
- * keeps: per-link ledgers, per-module energy terms, manager and
+ * @p net, its event queue and @p mgr (null: no "mgmt" member) that no
+ * record keeps: per-link ledgers, per-module energy terms, manager and
  * event-queue state. Call after Network::energyAttribution() at the
  * run's final tick.
  */
 void writeStatsJson(std::ostream &os, const std::string &key,
                     const RunResult &r, Network &net,
-                    const PowerManager *mgr,
-                    const std::vector<EventQueue *> &queues);
+                    const PowerManager *mgr);
 
 /** What loadJournal() found, for the resume progress message. */
 struct JournalLoadStats

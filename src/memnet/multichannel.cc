@@ -1,6 +1,7 @@
 #include "memnet/multichannel.hh"
 
 #include "memnet/system.hh"
+#include "obs/prof.hh"
 #include "sim/log.hh"
 
 namespace memnet
@@ -59,10 +60,16 @@ ChannelRemap::unmap(int channel, std::uint64_t local) const
 MultiChannelResult
 runMultiChannel(const MultiChannelConfig &mcfg)
 {
+    // The same phases Simulator::run opens, so profiled stacks root at
+    // sim/run whichever entry point ran.
+    MEMNET_PROF_SCOPE("sim/run");
+    prof::Scope build{"sim/build"};
     System sys(mcfg.base, mcfg.channels, mcfg.spread);
+    build.close();
     sys.run();
     const Tick end = mcfg.base.warmup + mcfg.base.measure;
 
+    MEMNET_PROF_SCOPE("sim/collect");
     MultiChannelResult r;
     r.config = mcfg;
     const double secs = toSeconds(mcfg.base.measure);

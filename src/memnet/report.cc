@@ -113,23 +113,6 @@ printRunSummary(const RunResult &r)
                         static_cast<unsigned long long>(
                             p.eventsDescheduled));
         }
-        if (p.partitions > 1) {
-            std::printf("  partitions: %d; events/s and queue stats "
-                        "above aggregate all lanes\n",
-                        p.partitions);
-            for (std::size_t i = 0; i < p.partitionLanes.size(); ++i) {
-                const PartitionLane &l = p.partitionLanes[i];
-                std::printf("    lane %zu: %llu events, peak depth "
-                            "%llu, %llu windows, %.1f ms in barriers\n",
-                            i,
-                            static_cast<unsigned long long>(
-                                l.eventsFired),
-                            static_cast<unsigned long long>(
-                                l.peakQueueDepth),
-                            static_cast<unsigned long long>(l.windows),
-                            static_cast<double>(l.barrierWaitNs) / 1e6);
-            }
-        }
         if (!p.profPhases.empty()) {
             // Rank by self time (inclusive minus direct children), so
             // a parent whose time is all in one child doesn't shadow

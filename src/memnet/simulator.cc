@@ -84,7 +84,7 @@ collect(System &sys)
 {
     const SystemConfig &cfg = sys.cfg;
     Network &net = *sys.nets[0];
-    const Tick now = sys.procEq.now();
+    const Tick now = sys.eq.now();
     RunResult r;
     r.config = cfg;
     r.numModules = net.numModules();
@@ -187,7 +187,7 @@ Simulator::run()
     const auto wall_start = std::chrono::steady_clock::now();
     sys.run([&] {
         if (hub)
-            hub->onMeasureStart(sys.procEq.now());
+            hub->onMeasureStart(sys.eq.now());
     });
     const double wall_secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -199,28 +199,13 @@ Simulator::run()
         MEMNET_PROF_SCOPE("sim/collect");
         r = collect(sys);
     }
-    // The health counters aggregate across partition queues: rates
-    // sum and the high-water mark takes the max.
     RunProfile &p = r.profile;
-    const std::vector<EventQueue *> queues = sys.queues();
-    for (std::size_t i = 0; i < queues.size(); ++i) {
-        const EventQueue &q = *queues[i];
-        p.eventsFired += q.fired();
-        p.eventsScheduled += q.scheduledTotal();
-        p.eventsDescheduled += q.descheduledTotal();
-        p.peakQueueDepth =
-            std::max<std::uint64_t>(p.peakQueueDepth, q.peakPending());
-        if (sys.runner) {
-            const PartitionLaneStats &ls = sys.runner->laneStats()[i];
-            p.partitionLanes.push_back({q.fired(), q.scheduledTotal(),
-                                        q.peakPending(), ls.windows,
-                                        ls.barrierWaitNs});
-        }
-    }
-    if (sys.runner)
-        p.partitions = sys.runner->partitions();
+    p.eventsFired = sys.eq.fired();
+    p.eventsScheduled = sys.eq.scheduledTotal();
+    p.eventsDescheduled = sys.eq.descheduledTotal();
+    p.peakQueueDepth = sys.eq.peakPending();
     p.wallSeconds = wall_secs;
-    p.simSeconds = toSeconds(sys.procEq.now());
+    p.simSeconds = toSeconds(sys.eq.now());
     p.packetsIssued = sys.proc->packetPool().acquired();
     p.packetHeapAllocs = sys.proc->packetPool().heapAllocated();
     p.auditChecksRun =
@@ -241,7 +226,7 @@ Simulator::run()
             return r;
         }
         writeStatsJson(f, Runner::key(cfg), r, *sys.nets[0],
-                       sys.manager(0), queues);
+                       sys.manager(0));
         closeOutput(f, "stats JSON", cfg.obs.statsJsonPath);
     }
     return r;

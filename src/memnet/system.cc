@@ -15,7 +15,7 @@ namespace
 
 /** Fans injected packets out over the channels, remapping addresses
  *  into each channel's local space. Each channel target is that
- *  channel's host-interface port (or, partitioned, its outbox). */
+ *  channel's host-interface port. */
 class ChannelSwitch : public TrafficTarget
 {
   public:
@@ -30,7 +30,6 @@ class ChannelSwitch : public TrafficTarget
     void
     inject(Packet *pkt) override
     {
-        MEMNET_PROF_SCOPE("mc/fanout");
         const ChannelRemap::Target t = remap.map(pkt->addr);
         pkt->addr = t.local;
         channels[t.channel]->inject(pkt);
@@ -69,62 +68,16 @@ System::System(const SystemConfig &cfg, int channels, ChannelSpread spread)
     LinkErrorModel errors;
     errors.flitErrorRate = cfg.linkFlitErrorRate;
 
-    // Partitioned kernel (sim/partition.hh): partition 0 runs the
-    // processor, partitions 1..P-1 run the channel networks — the
-    // natural shard boundary, since channels never talk to each other.
-    // With fewer partitions than channels, channels share a partition
-    // (and its event queue) round-robin, so a one-channel run treats
-    // any cfg.partitions > 1 as 2. Serial runs put everything on
-    // procEq.
-    const int lanes =
-        cfg.partitions > 1 ? std::min(cfg.partitions - 1, channels) : 0;
-    for (int p = 0; p < lanes; ++p)
-        chanEqs.push_back(std::make_unique<EventQueue>());
-    const auto queueOf = [&](int c) -> EventQueue & {
-        return lanes ? *chanEqs[c % lanes] : procEq;
-    };
-
     for (int c = 0; c < channels; ++c)
         nets.push_back(std::make_unique<Network>(
-            queueOf(c), topo, dram, cfg.mechanism, roo, pm, amap, errors));
+            eq, topo, dram, cfg.mechanism, roo, pm, amap, errors));
 
     // Requests cross each channel's host-interface SERDES FIFO before
-    // the channel root (net/boundary.hh). Partitioned runs route
-    // through the channel's boundary twin (HostOutbox) instead.
+    // the channel root (net/boundary.hh).
     std::vector<TrafficTarget *> targets;
-    if (lanes) {
-        // Channels never exchange packets, so their mutual lookahead
-        // is unbounded (kTickMax = no edge).
-        const int parts = 1 + lanes;
-        std::vector<Tick> look(static_cast<std::size_t>(parts) * parts,
-                               kTickMax);
-        for (int p = 0; p < parts; ++p) {
-            look[p * parts + p] = 0;
-            if (p > 0) {
-                look[0 * parts + p] = PartitionedChannel::kHostLookaheadPs;
-                look[p * parts + 0] =
-                    PartitionedChannel::kChannelLookaheadPs;
-            }
-        }
-        runner = std::make_unique<PartitionRunner>(
-            queues(), std::move(look),
-            [this](int dst, BoundaryMessage &m) {
-                PartitionedChannel &ch = *chans[m.channel];
-                if (dst == 0)
-                    ch.applyAtHost(m);
-                else
-                    ch.applyAtChannel(m);
-            });
-        for (int c = 0; c < channels; ++c) {
-            chans.push_back(std::make_unique<PartitionedChannel>(
-                procEq, *nets[c], c, 1 + c % lanes, runner->mail()));
-            targets.push_back(&chans.back()->outbox());
-        }
-    } else {
-        for (int c = 0; c < channels; ++c) {
-            ports.push_back(std::make_unique<HostPort>(procEq, *nets[c]));
-            targets.push_back(ports.back().get());
-        }
+    for (int c = 0; c < channels; ++c) {
+        ports.push_back(std::make_unique<HostPort>(eq, *nets[c]));
+        targets.push_back(ports.back().get());
     }
     if (channels > 1)
         fanout = std::make_unique<ChannelSwitch>(targets, spread, total);
@@ -141,7 +94,7 @@ System::System(const SystemConfig &cfg, int channels, ChannelSpread spread)
     else if (cfg.watchdogTimeoutPs == 0 && !cfg.faults.empty())
         pp.watchdogTimeoutPs = us(300);
     proc = std::make_unique<Processor>(
-        procEq, fanout ? *fanout : *targets[0], profile, pp);
+        eq, fanout ? *fanout : *targets[0], profile, pp);
     // The ports are not Networks, so the processor can't self-wire the
     // response path; attach the host explicitly.
     for (auto &n : nets)
@@ -150,12 +103,11 @@ System::System(const SystemConfig &cfg, int channels, ChannelSpread spread)
     // Every channel runs the same fault plan; the flap streams are
     // decorrelated by offsetting the seed per channel. No injector is
     // built for an empty plan, so a default config's event stream is
-    // bit-identical to the pre-fault-model simulator. Faults degrade
-    // links, so each injector lives on its channel's partition.
+    // bit-identical to the pre-fault-model simulator.
     if (!cfg.faults.empty()) {
         for (int c = 0; c < channels; ++c) {
             injectors.push_back(std::make_unique<FaultInjector>(
-                queueOf(c), *nets[c], cfg.faults, cfg.seed + c));
+                eq, *nets[c], cfg.faults, cfg.seed + c));
             injectors.back()->start(0);
         }
     }
@@ -193,10 +145,7 @@ System::System(const SystemConfig &cfg, int channels, ChannelSpread spread)
             auditors.push_back(std::make_unique<audit::Auditor>(*nets[c]));
             // The processor's packet census is global (the pool does
             // not split by channel), so only channel 0's auditor checks
-            // it. It reads processor state from epoch events, which in
-            // a partitioned run fire in merged tick-steps — every
-            // worker parked, so the read is race-free and
-            // deterministic.
+            // it.
             if (c == 0)
                 auditors.back()->setProcessor(proc.get());
             auditors.back()->attach(manager(c));
@@ -209,19 +158,9 @@ System::System(const SystemConfig &cfg, int channels, ChannelSpread spread)
 void
 System::run(const std::function<void()> &onMeasureStart)
 {
-    // Manager epochs read link stats and (audited) processor state;
-    // aligning sync points on the epoch grid makes them fire in merged
-    // tick-steps with every partition at the same tick.
-    const Tick grid = mgrs.empty() ? 0 : cfg.epochLen;
-    const auto runUntil = [&](Tick end) {
-        if (runner)
-            runner->runUntil(end, grid);
-        else
-            procEq.runUntil(end);
-    };
     {
         MEMNET_PROF_SCOPE("sim/warmup");
-        runUntil(cfg.warmup);
+        eq.runUntil(cfg.warmup);
     }
     for (auto &n : nets)
         n->resetStats();
@@ -229,22 +168,13 @@ System::run(const std::function<void()> &onMeasureStart)
     if (onMeasureStart)
         onMeasureStart();
     for (auto &a : auditors)
-        a->onMeasureStart(procEq.now());
+        a->onMeasureStart(eq.now());
     {
         MEMNET_PROF_SCOPE("sim/measure");
-        runUntil(cfg.warmup + cfg.measure);
+        eq.runUntil(cfg.warmup + cfg.measure);
     }
     for (auto &a : auditors)
-        a->finalCheck(procEq.now());
-}
-
-std::vector<EventQueue *>
-System::queues()
-{
-    std::vector<EventQueue *> out{&procEq};
-    for (auto &q : chanEqs)
-        out.push_back(q.get());
-    return out;
+        a->finalCheck(eq.now());
 }
 
 } // namespace memnet

@@ -10,9 +10,8 @@
  * runMultiChannel builds C channels and aggregates across them.
  *
  * Construction order fixes event sequence numbers, so it is the same
- * for every channel count: networks, host ports (or the partition
- * runner and boundaries), processor, fault injectors, power managers,
- * auditors, then the processor starts. A one-channel system has no
+ * for every channel count: networks, host ports, processor, fault
+ * injectors, power managers, auditors, then the processor starts. A one-channel system has no
  * channel switch: the processor injects straight into the port.
  */
 
@@ -30,7 +29,6 @@
 #include "net/boundary.hh"
 #include "net/network.hh"
 #include "sim/event_queue.hh"
-#include "sim/partition.hh"
 #include "workload/processor.hh"
 
 namespace memnet
@@ -40,7 +38,7 @@ struct System
 {
     System(const SystemConfig &cfg, int channels, ChannelSpread spread);
 
-    // The partition runner's message callback holds this.
+    // Components hold references into this.
     System(const System &) = delete;
     System &operator=(const System &) = delete;
 
@@ -50,9 +48,6 @@ struct System
      * the reset.
      */
     void run(const std::function<void()> &onMeasureStart = {});
-
-    /** The processor's queue, then each channel partition's. */
-    std::vector<EventQueue *> queues();
 
     /** Channel @p c's power manager, or null for an unmanaged policy. */
     PowerManager *
@@ -64,16 +59,12 @@ struct System
     const SystemConfig &cfg;
 
     // Declared in build order, so teardown runs in reverse: observers
-    // go before what they observe, the runner before its queues. The
+    // go before what they observe, everything before the queue. The
     // networks and managers keep references to roo and pm.
     RooConfig roo;
     HmcPowerModel pm;
-    EventQueue procEq;
-    /** Partitioned kernel: one queue per channel partition. */
-    std::vector<std::unique_ptr<EventQueue>> chanEqs;
+    EventQueue eq;
     std::vector<std::unique_ptr<Network>> nets;
-    std::unique_ptr<PartitionRunner> runner;
-    std::vector<std::unique_ptr<PartitionedChannel>> chans;
     std::vector<std::unique_ptr<HostPort>> ports;
     /** Fans injections out over the channels (C > 1 only). */
     std::unique_ptr<TrafficTarget> fanout;

@@ -226,46 +226,6 @@ Link::onTxDone()
     if (isReadPacket(current->type))
         ++stats_.readPackets;
 
-    if (boundary_) {
-        // Partition boundary: the packet leaves this partition now,
-        // carrying the key its serial delivery event would have had,
-        // and a shadow entry replays the departure locally at the
-        // delivery tick. The SERDES + router latency is the receiving
-        // partition's conservative lookahead on this edge — serdes()
-        // never drops below the full-power latency, so the handoff is
-        // always at least kSerdesPs + kRouterPs in the future.
-        Tick deliver_at =
-            now + pstate.serdes(now) + LinkTiming::kRouterPs;
-        if (!shadow_.empty())
-            deliver_at = std::max(deliver_at, shadow_.back().due);
-        EventKey key;
-        key.when = deliver_at;
-        if (shadow_.empty()) {
-            // Serially, an empty pipe schedules the delivery from
-            // right here — inside this txDone firing.
-            key.sched = now;
-            key.parent = eq.currentParentSched();
-        } else {
-            // Serially, the delivery of the entry ahead re-arms the
-            // pipe event from inside its own firing.
-            key.sched = shadow_.back().due;
-            key.parent = shadow_.back().armSched;
-        }
-        // Pre-stamp the serialization component the serial kernel adds
-        // at delivery: nothing touches latSerStart or latSerPs while a
-        // packet sits in the pipe, so the final value is identical.
-        current->latSerPs += deliver_at - current->latSerStart;
-        const bool was_empty = shadow_.empty();
-        shadow_.push_back({current->type, current->linkArrival,
-                           deliver_at, key.sched});
-        boundary_->handoff(current, key);
-        current = nullptr;
-        if (was_empty)
-            eq.schedule(&deliverEvent, deliver_at);
-        tryStart();
-        return;
-    }
-
     // Last flit still crosses SERDES and the downstream router pipeline.
     Tick deliver_at = now + pstate.serdes(now) + LinkTiming::kRouterPs;
     if (!pipe.empty())
@@ -302,26 +262,6 @@ Link::admitRetry(Packet *retry)
 void
 Link::onDeliver()
 {
-    if (boundary_) {
-        // Shadow replay of a handed-off packet's departure: the
-        // manager's observer reads only the packet's type and link
-        // arrival (onReadDeparture bookkeeping), both preserved in the
-        // shadow entry, and the natural (re)arm keys of this event
-        // match the serial pipe event's exactly, so every channel-side
-        // effect lands in the serial order.
-        memnet_assert(!shadow_.empty(), "delivery with empty pipe");
-        const ShadowEntry e = shadow_.front();
-        shadow_.pop_front();
-        const Tick now = eq.now();
-        Packet scratch;
-        scratch.type = e.type;
-        scratch.linkArrival = e.linkArrival;
-        observer->onDepart(*this, scratch, now);
-        if (!shadow_.empty())
-            eq.schedule(&deliverEvent, shadow_.front().due);
-        return;
-    }
-
     memnet_assert(!pipe.empty(), "delivery with empty pipe");
     auto [pkt, at] = pipe.front();
     pipe.pop_front();

@@ -42,23 +42,6 @@ class PacketSink
     virtual void accept(Packet *pkt, Tick now) = 0;
 };
 
-/**
- * Partition boundary of a link (sim/partition.hh). When one is
- * attached, a packet leaves this partition at serialization end
- * (onTxDone) instead of at delivery: handoff() receives the packet
- * together with the compound key the serial kernel's delivery event
- * would have carried, and the link keeps a shadow of its SERDES/router
- * pipe so local observers still see every departure at the exact
- * delivery tick. Only the root response link of a partitioned channel
- * ever has a boundary (net/boundary.hh).
- */
-class LinkBoundary
-{
-  public:
-    virtual ~LinkBoundary() = default;
-    virtual void handoff(Packet *pkt, const EventKey &key) = 0;
-};
-
 /** Request links flow away from the processor; response links toward. */
 enum class LinkType : std::uint8_t
 {
@@ -332,15 +315,6 @@ class Link
     void setObserver(LinkObserver *obs);
 
     /**
-     * Attach a partition boundary (nullptr detaches). With a boundary,
-     * delivered packets are handed off instead of reaching the sink;
-     * everything on this side of the link — queues, power states,
-     * energy accounting, observer callbacks — is bit-identical to the
-     * serial kernel (the shadow pipe replays departures locally).
-     */
-    void setBoundary(LinkBoundary *b) { boundary_ = b; }
-
-    /**
      * Attach a passive power-trace sink (src/obs). Null (the default)
      * disables tracing; every hook is gated on a single pointer check.
      */
@@ -348,9 +322,7 @@ class Link
 
     /**
      * Waiting-queue occupancy since resetStats() (energy observatory):
-     * every push records the post-push depth. Purely passive. A link's
-     * events all run on its home partition, so partitioned recording
-     * is race-free.
+     * every push records the post-push depth. Purely passive.
      */
     const obs::QuantileSketch &occupancy() const { return occupancy_; }
 
@@ -442,26 +414,6 @@ class Link
 
     /** In-flight deliveries (SERDES + router pipeline). */
     Fifo<std::pair<Packet *, Tick>> pipe;
-
-    /** Partition boundary (null on every serially-delivering link). */
-    LinkBoundary *boundary_ = nullptr;
-
-    /**
-     * Boundary mode's stand-in for `pipe`: the packet itself crossed
-     * the partition at serialization end, so delivery keeps only what
-     * the local observers need (packet type and link arrival for the
-     * manager's departure bookkeeping) plus the arm-key recurrence
-     * state ((due, armSched) of the pipe event that serially would
-     * re-arm the next delivery — see onTxDone).
-     */
-    struct ShadowEntry
-    {
-        PacketType type;
-        Tick linkArrival;
-        Tick due;
-        Tick armSched;
-    };
-    Fifo<ShadowEntry> shadow_;
 
     /** When the current idle interval started (valid when idle). */
     Tick idleStart = 0;

@@ -54,12 +54,6 @@ void
 Module::onVaultDone(std::uint64_t tag, bool is_read, Tick now)
 {
     if (!is_read) {
-        // Partitioned: the write was already promised to the processor
-        // side at service start (vault forecast), and by now the
-        // processor may have retired and recycled the packet — the tag
-        // must not be dereferenced on this thread.
-        if (net.writeHandoff())
-            return;
         net.host()->writeRetired(reinterpret_cast<Packet *>(tag), now);
         return;
     }

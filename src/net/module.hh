@@ -74,12 +74,6 @@ class Module : public PacketSink
 
     void setObserver(ModuleObserver *o) { observer = o; }
 
-    /**
-     * Install a service-start forecast on every vault (partitioned
-     * write promises; see Vault::setForecast).
-     */
-    void setVaultForecast(Vault::Callback cb) { vaults.setForecast(cb); }
-
     const VaultSet &vaultSet() const { return vaults; }
 
   private:

@@ -164,34 +164,6 @@ class Network : public TrafficTarget, public FaultTarget
     /** Attach the runtime invariant auditor's inject hook (null detaches). */
     void setAuditHook(NetworkAuditHook *h) { audit_ = h; }
 
-    // -- Partition boundary (net/boundary.hh, sim/partition.hh) ------------
-
-    /**
-     * Complete a read at the processor side: latency decomposition,
-     * packet-life trace, and host notification — exactly the root
-     * response link's delivery tail. Public so a partitioned run's
-     * ingress pipe can replay it on the processor partition with the
-     * serial delivery key.
-     */
-    void
-    completeRead(Packet *pkt, Tick now)
-    {
-        recordLatency(*pkt, now);
-        if (trace_)
-            trace_->packetLife(*pkt, pkt->issued, now);
-        host_->readCompleted(pkt, now);
-    }
-
-    /**
-     * Partitioned write retirement: when set, modules do not notify
-     * the host of completed writes (and never touch the packet, which
-     * the processor partition may already have recycled) — the vault
-     * forecast's write promise retires it on the processor side at the
-     * same tick instead.
-     */
-    void setWriteHandoff(bool on) { writeHandoff_ = on; }
-    bool writeHandoff() const { return writeHandoff_; }
-
     // -- Latency observatory -----------------------------------------------
 
     /** Component sketches over completed reads since resetStats(). */
@@ -232,6 +204,20 @@ class Network : public TrafficTarget, public FaultTarget
   private:
     friend class Module;
 
+    /**
+     * Complete a read at the processor side: latency decomposition,
+     * packet-life trace, and host notification (the root response
+     * link's delivery tail).
+     */
+    void
+    completeRead(Packet *pkt, Tick now)
+    {
+        recordLatency(*pkt, now);
+        if (trace_)
+            trace_->packetLife(*pkt, pkt->issued, now);
+        host_->readCompleted(pkt, now);
+    }
+
     /** Sink adapter delivering module 0's responses to the host. */
     class ProcessorPort : public PacketSink
     {
@@ -266,7 +252,6 @@ class Network : public TrafficTarget, public FaultTarget
     /** Decompose a completed read into the component sketches. */
     void recordLatency(const Packet &pkt, Tick now);
 
-    bool writeHandoff_ = false;
     obs::LatencySketches lat_;
 
     Average hops;

@@ -24,10 +24,9 @@
  * the emitted traceEvents array is time-ordered even though span events
  * are reported at span end.
  *
- * Sink callbacks are thread-safe: a partitioned run (sim/partition.hh)
- * reports packet lifetimes from the host lane and link spans from
- * channel lanes concurrently, so the event buffer and track maps are
- * mutex-guarded. writeTo() is for after the run, on one thread.
+ * The event buffer and track maps are mutex-guarded, a leftover of the
+ * deleted partitioned kernel, whose lanes reported concurrently; a run
+ * now calls the sink from one thread. writeTo() is for after the run.
  */
 
 #ifndef MEMNET_OBS_CHROME_TRACE_HH

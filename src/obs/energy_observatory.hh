@@ -17,7 +17,7 @@
  *    (link -> module -> channel -> system) regardless of fabric size,
  *    plus two QuantileSketches for the per-link utilization/occupancy
  *    distributions, so thousands of links stay affordable;
- *  - merges (multichannel, partition lanes) are exact: attribution adds
+ *  - merges (multichannel) are exact: attribution adds
  *    field-wise in channel order, sketches merge bucket-wise.
  *
  * The ledger itself (EnergyAttribution, power/power_breakdown.hh) is
@@ -47,9 +47,7 @@ namespace obs
  * Congestion telemetry sketches. Utilization holds one sample per link
  * per collection (parts-per-million of full bandwidth over the measure
  * window); occupancy holds the waiting-queue depth at every enqueue,
- * recorded by each link into its own sketch (a link's events all run
- * on its home partition, so partitioned recording is race-free and
- * bit-identical to serial).
+ * recorded by each link into its own sketch.
  */
 struct EnergySketches
 {

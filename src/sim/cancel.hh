@@ -33,9 +33,6 @@ namespace memnet
  * Events dispatched between polls of the cooperative stop flag. At the
  * kernel's ~10M events/s this is a cancellation latency well under a
  * millisecond while keeping the poll off the per-event hot path.
- * Shared by the serial dispatch loop (EventQueue::runUntil) and the
- * partitioned kernel's window loop (sim/partition.cc), so both honor
- * the same cancellation latency contract.
  */
 constexpr std::uint64_t kCancelPollInterval = 4096;
 

@@ -135,33 +135,4 @@ EventQueue::runUntil(Tick limit)
     return n;
 }
 
-std::uint64_t
-EventQueue::runUntilBefore(Tick limit)
-{
-    // No prof scope here: the partitioned window loop calls this once
-    // per window (hundreds of thousands of times per run) and attributes
-    // the whole loop from the worker instead. The stop-flag poll at
-    // n == 0 guarantees at least one poll per window, so partitioned
-    // runs observe a watchdog cancellation within one window.
-    const std::atomic<bool> *cancel = cancelFlag();
-    std::uint64_t n = 0;
-    while (_front) {
-        if (cancel && (n & kCancelPollMask) == 0 &&
-            cancel->load(std::memory_order_relaxed))
-            throwCancelled(*this);
-        if (_front->_when >= limit)
-            break;
-        dispatchFront();
-        ++n;
-    }
-    return n;
-}
-
-void
-EventQueue::fireFront()
-{
-    memnet_assert(_front, "fireFront on an empty queue");
-    dispatchFront();
-}
-
 } // namespace memnet

@@ -6,12 +6,24 @@
  * Event subclasses (no per-firing allocation on the hot path); ad-hoc
  * one-shot work can be scheduled with a callable via schedule().
  *
- * Events fire in EventKey order, (when, sched, parent, ctr): by tick,
- * and at one tick in scheduling order (FIFO), which keeps runs
- * deterministic for a fixed seed. The FIFO order is realized with this
- * compound key rather than a single global sequence number so the
- * partitioned kernel (sim/partition.hh) can reproduce the serial firing
- * order across several queues.
+ * Events fire in (when, sched, parent, ctr) order: by tick, and at
+ * one tick in scheduling order (FIFO), which keeps runs deterministic
+ * for a fixed seed. The key's pieces are
+ *
+ *  - when:   the firing tick;
+ *  - sched:  the queue's now() at the schedule()/reschedule() call;
+ *  - parent: the sched of the event that was firing when this one was
+ *            scheduled (kTickInvalid when scheduled outside the
+ *            dispatch loop, i.e. during construction);
+ *  - ctr:    a monotone counter breaking remaining ties.
+ *
+ * Inside the dispatch loop this is FIFO order: sched is monotone
+ * non-decreasing in ctr (time never goes backwards), and events firing
+ * at one tick fire in ctr order, so their scheds, the parents of what
+ * they schedule, are also non-decreasing in ctr. It is not (when, ctr)
+ * order in general: a schedule made outside the loop (parent
+ * kTickInvalid) after runUntil() stopped at a tick where events fired
+ * sorts before the events they scheduled for the same tick.
  *
  * The queue is a calendar queue (R. Brown, "Calendar Queues", CACM
  * 31(10), 1988):
@@ -25,8 +37,7 @@
  *  - a two-level occupancy bitmap (one bit per slot, one summary bit
  *    per bitmap word) that finds the next non-empty slot in two
  *    count-trailing-zeros steps;
- *  - a cached pointer to the front event, so a pop, frontKey() and
- *    nextTick() never search.
+ *  - a cached pointer to the front event, so a pop never searches.
  *
  * deschedule() and reschedule() unlink the event at once, so there are
  * never stale entries to filter.
@@ -48,56 +59,6 @@ namespace memnet
 {
 
 class EventQueue;
-
-/**
- * Total firing order of an event, portable across queues.
- *
- * Serially, same-tick FIFO order could be kept with one global sequence
- * number; a partitioned run has no global counter, so the order is
- * decomposed into pieces each partition can compute locally:
- *
- *  - when:   the firing tick;
- *  - sched:  the queue's now() at the schedule()/reschedule() call;
- *  - parent: the sched of the event that was firing when this one was
- *            scheduled (kTickInvalid when scheduled outside the
- *            dispatch loop, i.e. during construction);
- *  - ctr:    a per-queue monotone counter breaking remaining ties.
- *
- * On a single queue, lexicographic (when, sched, parent, ctr) order is
- * exactly the legacy (when, seq) FIFO order: sched is monotone
- * non-decreasing in seq (time never goes backwards), events firing at
- * one tick fire in seq order so their scheds — the parents of what they
- * schedule — are also non-decreasing in seq, and ctr is seq itself.
- * Cross-partition messages carry the (sched, parent) their serial
- * counterpart would have had, which is what lets the deterministic
- * partitioned mode replay the serial interleaving (sim/partition.hh);
- * their ctr sorts after all local events (kRemoteCtrBit) — full
- * (when, sched, parent) collisions across a partition boundary are the
- * one place the parallel order may deviate from the serial one, which
- * the differential tests bound.
- */
-struct EventKey
-{
-    Tick when = 0;
-    Tick sched = 0;
-    Tick parent = kTickInvalid;
-    std::uint64_t ctr = 0;
-
-    /** Set on message ctrs so remote ties sort after local events. */
-    static constexpr std::uint64_t kRemoteCtrBit = 1ULL << 63;
-
-    bool
-    operator<(const EventKey &o) const
-    {
-        if (when != o.when)
-            return when < o.when;
-        if (sched != o.sched)
-            return sched < o.sched;
-        if (parent != o.parent)
-            return parent < o.parent;
-        return ctr < o.ctr;
-    }
-};
 
 /**
  * Base class for schedulable events. An Event may be scheduled on at most
@@ -140,7 +101,7 @@ class Event
     Tick _schedTick = 0;
     /** _schedTick of the event firing when this one was scheduled. */
     Tick _parentTick = kTickInvalid;
-    /** Per-queue tie-break counter (the legacy sequence number). */
+    /** Tie-break counter (the key's ctr). */
     std::uint64_t _seq = 0;
     /** Neighbours in the ring slot's circular list. */
     Event *_prev = nullptr;
@@ -215,30 +176,6 @@ class EventQueue
             _peakDepth = pending();
     }
 
-    /**
-     * Schedule with an explicit firing key instead of the natural local
-     * one. Used by the partitioned kernel to apply cross-partition
-     * messages with the key their serial counterpart would have carried;
-     * never needed on the serial path.
-     */
-    void
-    scheduleWithKey(Event *ev, const EventKey &key)
-    {
-        memnet_assert(!ev->_scheduled, "event double-scheduled");
-        memnet_assert(key.when >= _now, "message applied in the past: ",
-                      key.when, " < ", _now);
-        ev->_scheduled = true;
-        ev->_when = key.when;
-        ev->_schedTick = key.sched;
-        ev->_parentTick = key.parent;
-        ev->_seq = key.ctr;
-        ev->_queue = this;
-        insert(ev);
-        ++_scheduledTotal;
-        if (pending() > _peakDepth)
-            _peakDepth = pending();
-    }
-
     /** Schedule a one-shot callable at an absolute tick. */
     template <typename F>
     void
@@ -288,61 +225,8 @@ class EventQueue
      */
     std::uint64_t runUntil(Tick limit);
 
-    /**
-     * Run events strictly before @p limit (the partitioned kernel's
-     * window dispatch: events exactly at a window horizon belong to the
-     * next window or to a merged tick-step). Unlike runUntil, now() is
-     * left at the last fired event — messages due at or after @p limit
-     * may still be applied before time formally advances.
-     */
-    std::uint64_t runUntilBefore(Tick limit);
-
     /** Run everything. */
     std::uint64_t run() { return runUntil(kTickMax); }
-
-    /**
-     * Fire exactly the front event (merged tick-step dispatch). The
-     * caller has already checked the front's key; the same per-dispatch
-     * bookkeeping as runUntil applies.
-     */
-    void fireFront();
-
-    /**
-     * The front event's firing key, or a key with when == kTickMax for
-     * an empty queue (so min-scans can treat empty as "never").
-     */
-    EventKey
-    frontKey() const
-    {
-        if (!_front)
-            return EventKey{kTickMax, 0, kTickInvalid, 0};
-        return EventKey{_front->_when, _front->_schedTick,
-                        _front->_parentTick, _front->_seq};
-    }
-
-    /** Earliest pending tick (kTickMax when empty). */
-    Tick nextTick() const { return _front ? _front->_when : kTickMax; }
-
-    /**
-     * Advance now() to @p t without dispatching (must not skip pending
-     * events). The partitioned kernel uses this at sync points so
-     * phase-boundary accounting (resetStats, energyAttribution) sees the
-     * same now() the serial runUntil(limit) would have left.
-     */
-    void
-    advanceTo(Tick t)
-    {
-        memnet_assert(t >= _now, "advanceTo went backwards");
-        memnet_assert(t <= nextTick(), "advanceTo skipped events");
-        _now = t;
-    }
-
-    /**
-     * The _schedTick of the event currently firing (kTickInvalid outside
-     * the dispatch loop). Cross-partition messages capture this as the
-     * parent component of their key.
-     */
-    Tick currentParentSched() const { return _curParentSched; }
 
     /** Number of scheduled events. */
     std::uint64_t pending() const { return _size; }
@@ -383,7 +267,7 @@ class EventQueue
     static constexpr std::size_t kWords = kBuckets / 64;
     static_assert(kWords <= 64, "one summary word covers the bitmap");
 
-    /** Firing order among events at one tick (see EventKey). */
+    /** Firing order among events at one tick (see the file comment). */
     static bool
     tieBefore(const Event *a, const Event *b)
     {

@@ -2,9 +2,9 @@
  * @file
  * The one queue type of the simulator: a ring-buffer FIFO.
  *
- * Every first-in first-out queue in the simulator is a Fifo: the link read/write queues
- * and SERDES pipe, the vault queues, the management full-power
- * backlog, the host port and the partition boundary pipes. Their
+ * Every first-in first-out queue in the simulator is a Fifo: the link
+ * read/write queues and SERDES pipe, the vault queues, the management
+ * full-power backlog and the host port. Their
  * elements are small plain records, the queues are short, and the hot
  * path is push_back/front/pop_front, so a power-of-two ring indexed by
  * a mask beats a deque's chunk map: nothing is allocated before the

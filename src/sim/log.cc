@@ -114,16 +114,9 @@ informImpl(const std::string &msg)
 
 } // namespace detail
 
-bool
-fatalThrows()
+ScopedFatalThrows::ScopedFatalThrows() : prev_(detail::threadFatalThrows)
 {
-    return detail::threadFatalThrows;
-}
-
-ScopedFatalThrows::ScopedFatalThrows(bool enable)
-    : prev_(detail::threadFatalThrows)
-{
-    detail::threadFatalThrows = enable;
+    detail::threadFatalThrows = true;
 }
 
 ScopedFatalThrows::~ScopedFatalThrows()

@@ -304,8 +304,8 @@ TEST(Differential, EveryJournaledScalarIsComparedOrSkipped)
             EXPECT_EQ(diffFields(diffs), std::vector<std::string>{paths[k]})
                 << audit::describeDiffs(diffs);
     }
-    // Only the skip list's paths go unreported (the kernel counters
-    // are compared here: both runs used one partition).
+    // Only the skip list's paths go unreported; the kernel counters
+    // are always compared.
     EXPECT_EQ(skipped, (std::vector<std::string>{
                            "latency.enabled", "energy.enabled",
                            "profile.wall_s", "profile.audit_checks_run"}));

@@ -5,8 +5,7 @@
  * folding, the derived identities, exact merge — plus the congestion
  * sketches (src/obs/energy_observatory.hh), the stats dump's
  * per-module terms, the Chrome-trace counter renderer, and what a
- * whole run reports. The run-level guarantees (partitioned == serial,
- * mutation-tested auditor check) live in test_partition.cc /
+ * whole run reports. The mutation-tested auditor check lives in
  * test_audit.cc.
  */
 
@@ -149,7 +148,7 @@ TEST_F(EnergyObservatoryNet, StatsDumpCarriesEachModulesTerms)
     eq.runUntil(us(10));
     net->energyAttribution(eq.now());
     std::ostringstream os;
-    writeStatsJson(os, "k", RunResult{}, *net, nullptr, {&eq});
+    writeStatsJson(os, "k", RunResult{}, *net, nullptr);
     obs::json::Value doc;
     std::string err;
     ASSERT_TRUE(obs::json::parse(os.str(), &doc, &err)) << err;
@@ -169,6 +168,22 @@ TEST_F(EnergyObservatoryNet, StatsDumpCarriesEachModulesTerms)
     }
     // No manager, no mgmt member.
     EXPECT_EQ(c.find("mgmt"), nullptr);
+}
+
+TEST_F(EnergyObservatoryNet, StatsDumpCountsThePendingEventsOfTheNetsQueue)
+{
+    eq.runUntil(us(10));
+    eq.schedule(us(20), [] {});
+    eq.schedule(us(30), [] {});
+    ASSERT_GE(eq.pending(), 2u);
+    std::ostringstream os;
+    writeStatsJson(os, "k", RunResult{}, *net, nullptr);
+    obs::json::Value doc;
+    std::string err;
+    ASSERT_TRUE(obs::json::parse(os.str(), &doc, &err)) << err;
+    const obs::json::Value &q =
+        *doc.find("components")->find("event_queue");
+    EXPECT_EQ(q.find("pending")->number, static_cast<double>(eq.pending()));
 }
 
 /** Host that frees what the network hands back. */

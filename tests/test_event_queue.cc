@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -208,46 +209,32 @@ struct RecordingEvent : public Event
 };
 
 // ---------------------------------------------------------------------
-// Keyed messages: a partition message may carry a sched later than the
-// receiving queue's now(), so it can sort after a local event scheduled
-// afterwards at the same tick.
-// ---------------------------------------------------------------------
-
-TEST(EventQueueKeyed, MessageFromAheadSortsAfterLaterLocalEvent)
-{
-    EventQueue eq;
-    eq.runUntil(ns(10));
-    std::vector<int> order;
-    RecordingEvent spacer, local, message;
-    for (RecordingEvent *ev : {&spacer, &local, &message})
-        ev->log = &order;
-    spacer.id = 0;
-    local.id = 1;
-    message.id = 2;
-    const Tick t = ns(30);
-    // Sent by a lane already at 20 ns: sched 20 ns > now() = 10 ns.
-    eq.scheduleWithKey(&message, EventKey{t, ns(20), ns(19),
-                                          EventKey::kRemoteCtrBit});
-    // Keeps the front away from t while the local event is filed.
-    eq.schedule(&spacer, ns(20));
-    // Fires at now() and schedules the local event at t, keyed
-    // (t, 10 ns, 10 ns, ctr): it sorts before the message.
-    eq.schedule(ns(10), [&] { eq.schedule(&local, t); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-// ---------------------------------------------------------------------
 // Randomized stress test against a reference model
 // ---------------------------------------------------------------------
 
 /** One turn of the queue's ring (a "year"): 4,096 days of 256 ps. */
 constexpr Tick kYear = 4096 * 256;
 
+/** The documented firing key, (when, sched, parent, ctr). */
+struct RefKey
+{
+    Tick when;
+    Tick sched;
+    Tick parent;
+    std::uint64_t ctr;
+
+    bool
+    operator<(const RefKey &o) const
+    {
+        return std::tie(when, sched, parent, ctr) <
+               std::tie(o.when, o.sched, o.parent, o.ctr);
+    }
+};
+
 /** One scheduled entry mirrored outside the queue. */
 struct RefEntry
 {
-    EventKey key;
+    RefKey key;
     int id;
 };
 
@@ -262,11 +249,7 @@ struct StressCase
     Tick grid;
     /** Schedule delays are grid * U[0, maxSteps]. */
     int maxSteps;
-    /**
-     * Every 40 ops the queue runs grid * U[0, runSteps] ahead; every
-     * 120 ops it then also advanceTo()s up to that far, stopping at the
-     * next pending tick.
-     */
+    /** Every 40 ops the queue runs grid * U[0, runSteps] ahead. */
     int runSteps;
     /**
      * Every timerEvery-th event is a far-future timer (0: none): armed
@@ -274,24 +257,17 @@ struct StressCase
      * rather than moved when picked while armed.
      */
     int timerEvery;
-    /**
-     * One schedule in remoteEvery goes through scheduleWithKey with a
-     * partition-message key (0: none): arbitrary sched (up to 40 ns
-     * past now()) and parent, ctr tagged with EventKey::kRemoteCtrBit.
-     */
-    int remoteEvery;
     /** Depth the run must reach. */
     std::size_t minPeak;
 };
 
 /**
- * Drives one queue through a random mix of schedule / scheduleWithKey /
- * deschedule / reschedule / runUntil / runUntilBefore / advanceTo, and
- * mirrors each in a brute-force model ordered by the documented
- * EventKey. Every firing must be the model's least key within the run
- * limit, and one firing in three itself schedules, reschedules or
- * deschedules a random event, so local keys are made inside the
- * dispatch loop as well as outside it.
+ * Drives one queue through a random mix of schedule / deschedule /
+ * reschedule / runUntil, and mirrors each in a brute-force model
+ * ordered by the documented key (RefKey). Every firing must be the
+ * model's least key within the run limit, and one firing in three
+ * itself schedules, reschedules or deschedules a random event, so keys
+ * are made inside the dispatch loop as well as outside it.
  */
 class StressDriver
 {
@@ -306,64 +282,39 @@ class StressDriver
 
     /** One random operation on a random event. */
     void
-    randomOp(int op, bool inFire)
+    randomOp()
     {
         ModelEvent &ev = events[uniform(0, c.events - 1)];
         const int action = uniform(0, 9);
         const bool timer = isTimer(ev.id);
         if (!ev.scheduled()) {
             const Tick when = eq.now() + delay(ev.id);
-            // Messages are applied between windows, never from fire().
-            if (!inFire && c.remoteEvery != 0 && op % c.remoteEvery == 0) {
-                const Tick sched = c.grid * uniform(0, 8) + eq.now() -
-                                   std::min(eq.now(), ns(40));
-                const Tick parent = std::max(
-                    kTickInvalid, sched - c.grid * uniform(0, 2) - 1);
-                const EventKey key{when, sched, parent,
-                                   EventKey::kRemoteCtrBit | remoteCtr++};
-                eq.scheduleWithKey(&ev, key);
-                model.push_back({key, ev.id});
-            } else {
-                eq.schedule(&ev, when);
-                model.push_back({localKey(when), ev.id});
-            }
+            eq.schedule(&ev, when);
+            model.push_back({keyAt(when), ev.id});
         } else if (action < (timer ? 9 : 2)) {
             eq.deschedule(&ev);
             model.erase(modelFind(ev.id));
         } else if (action < 8 || timer) {
             const Tick when = eq.now() + delay(ev.id);
             eq.reschedule(&ev, when);
-            modelFind(ev.id)->key = localKey(when);
+            modelFind(ev.id)->key = keyAt(when);
         }
         peak = std::max(peak, model.size());
     }
 
-    /**
-     * Run to @p limit, inclusive (runUntil) or not (runUntilBefore),
-     * and check the queue against the model.
-     */
+    /** Run to @p limit, inclusive, and check the queue against the model. */
     void
-    runTo(Tick limit, bool before)
+    runTo(Tick limit)
     {
         limit_ = limit;
-        before_ = before;
-        if (before)
-            eq.runUntilBefore(limit);
-        else
-            eq.runUntil(limit);
+        eq.runUntil(limit);
         ASSERT_EQ(diverged, "");
         ASSERT_EQ(eq.fired(), fired);
         ASSERT_EQ(eq.pending(), model.size());
-        if (model.empty())
-            return;
-        const EventKey front = least()->key;
-        ASSERT_TRUE(before ? front.when >= limit : front.when > limit)
-            << "an event due by the limit did not fire";
-        const EventKey got = eq.frontKey();
-        ASSERT_EQ(got.when, front.when);
-        ASSERT_EQ(got.sched, front.sched);
-        ASSERT_EQ(got.parent, front.parent);
-        ASSERT_EQ(got.ctr, front.ctr);
+        if (!model.empty()) {
+            ASSERT_GT(least()->key.when, limit)
+                << "an event due by the limit did not fire";
+        }
     }
 
     const StressCase &c;
@@ -384,17 +335,19 @@ class StressDriver
         if (!diverged.empty())
             return;
         const auto it = least();
-        if (it->id != id || (before_ ? it->key.when >= limit_
-                                     : it->key.when > limit_)) {
+        if (it->id != id || it->key.when > limit_) {
             diverged = "event " + std::to_string(id) + " fired at " +
                        std::to_string(eq.now()) + "; expected event " +
                        std::to_string(it->id);
             return;
         }
+        // What this firing schedules takes its sched as parent.
+        parent = it->key.sched;
         model.erase(it);
         ++fired;
         if (uniform(0, 2) == 0)
-            randomOp(0, true);
+            randomOp();
+        parent = kTickInvalid;
     }
 
     bool
@@ -417,10 +370,11 @@ class StressDriver
         return c.grid * uniform(0, c.maxSteps);
     }
 
-    EventKey
-    localKey(Tick when)
+    /** The key of a schedule made now, for tick @p when. */
+    RefKey
+    keyAt(Tick when)
     {
-        return EventKey{when, eq.now(), eq.currentParentSched(), seq++};
+        return RefKey{when, eq.now(), parent, seq++};
     }
 
     std::vector<RefEntry>::iterator
@@ -441,11 +395,11 @@ class StressDriver
     std::vector<ModelEvent> events;
     std::vector<RefEntry> model;
     std::uint64_t seq = 0; // mirrors the queue's sequence counter
-    std::uint64_t remoteCtr = 0;
+    /** Sched of the event firing now (kTickInvalid outside fire()). */
+    Tick parent = kTickInvalid;
     std::uint64_t fired = 0;
     std::string diverged;
     Tick limit_ = kTickMax;
-    bool before_ = false;
     std::mt19937 rng{20170205}; // fixed: the run must be reproducible
 };
 
@@ -453,8 +407,8 @@ class StressDriver
  * The inputs cover the simulator's shallow queue, a queue several
  * hundred events deep, many ticks per ring bucket, a coarse tick grid
  * where many events share a tick, a population of far-future sleep
- * timers that are mostly cancelled, partition messages carrying foreign
- * keys, and delays and time jumps of up to three years (ring turns),
+ * timers that are mostly cancelled, and delays and time jumps of up to
+ * three years (ring turns),
  * which file events into the slots of nearer days and make the front
  * search pass over them or, when nothing lies within a year, take the
  * least head.
@@ -462,14 +416,13 @@ class StressDriver
 TEST(EventQueueStress, RandomOpsMatchReferenceModel)
 {
     const StressCase cases[] = {
-        {"shallow", 48, 5000, ns(1), 400, 400, 0, 0, 0},
-        {"deep", 512, 30000, ns(1), 1000, 50, 0, 0, 256},
-        {"sub-bucket", 128, 20000, 40, 400, 400, 0, 0, 64},
-        {"coarse-ticks", 256, 20000, ns(100), 8, 8, 0, 0, 129},
-        {"sleep-timers", 512, 30000, ns(1), 400, 400, 2, 0, 129},
-        {"remote-keys", 256, 20000, ns(10), 40, 40, 0, 3, 0},
+        {"shallow", 48, 5000, ns(1), 400, 400, 0, 0},
+        {"deep", 512, 30000, ns(1), 1000, 50, 0, 256},
+        {"sub-bucket", 128, 20000, 40, 400, 400, 0, 64},
+        {"coarse-ticks", 256, 20000, ns(100), 8, 8, 0, 120},
+        {"sleep-timers", 512, 30000, ns(1), 400, 400, 2, 129},
         {"past-horizon", 256, 20000, 640, 3 * kYear / 640,
-         2 * kYear / 640, 4, 5, 64},
+         2 * kYear / 640, 4, 64},
     };
     for (const StressCase &c : cases) {
         SCOPED_TRACE(c.name);
@@ -479,27 +432,18 @@ TEST(EventQueueStress, RandomOpsMatchReferenceModel)
             return std::uniform_int_distribution<int>(lo, hi)(rng);
         };
         for (int op = 0; op < c.ops; ++op) {
-            d.randomOp(op, false);
+            d.randomOp();
             if (op % 40 != 39)
                 continue;
-            // Alternate the inclusive serial limit with the partitioned
-            // kernel's exclusive one.
-            const Tick limit =
-                d.eq.now() + c.grid * uniform(0, c.runSteps);
-            d.runTo(limit, op % 80 == 79);
+            d.runTo(d.eq.now() + c.grid * uniform(0, c.runSteps));
             if (HasFatalFailure())
                 FAIL() << "diverged at op " << op;
-            if (op % 120 == 119) {
-                const Tick jump =
-                    d.eq.now() + c.grid * uniform(0, c.runSteps);
-                d.eq.advanceTo(std::min(jump, d.eq.nextTick()));
-            }
         }
         EXPECT_EQ(d.eq.peakPending(), d.peak);
         EXPECT_GE(d.peak, c.minPeak);
 
         // Drain: everything left fires in model order.
-        d.runTo(kTickMax, false);
+        d.runTo(kTickMax);
         EXPECT_EQ(d.eq.pending(), 0u);
     }
 }
@@ -557,6 +501,98 @@ TEST(EventQueueStress, DyingOwnerRemovesItsPendingEvents)
     eq.run();
     EXPECT_EQ(later.fired, 1);
     EXPECT_EQ(eq.fired(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// The documented firing key, case by case: the stress test above
+// checks it on random inputs, these pin each rule by name.
+// ---------------------------------------------------------------------
+
+/** A one-shot that appends @p id to @p log. */
+auto
+logs(std::vector<int> &log, int id)
+{
+    return [&log, id] { log.push_back(id); };
+}
+
+TEST(EventQueueOrder, RescheduleToTheSameTickMovesBehindItsPeers)
+{
+    // A move takes a fresh key, as deschedule()+schedule() would.
+    EventQueue eq;
+    std::vector<int> log;
+    RecordingEvent ev[3];
+    for (int i = 0; i < 3; ++i) {
+        ev[i].log = &log;
+        ev[i].id = i;
+        eq.schedule(&ev[i], ns(10));
+    }
+    eq.reschedule(&ev[0], ns(10));
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{1, 2, 0}));
+}
+
+TEST(EventQueueOrder, ZeroDelayScheduleFiresAfterItsTicksPendingPeers)
+{
+    // Scheduled at tick 10 for tick 10, event 2 has a later sched than
+    // event 1, which was scheduled at 0, so it fires last.
+    EventQueue eq;
+    std::vector<int> log;
+    eq.schedule(ns(10), [&] {
+        log.push_back(0);
+        eq.schedule(eq.now(), logs(log, 2));
+    });
+    eq.schedule(ns(10), logs(log, 1));
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EventQueueOrder, OutsideScheduleSortsBeforeLoopSchedulesAtOneTick)
+{
+    // The one case the file comment names where firing order is not
+    // (when, ctr): both events are scheduled at tick 10 for tick 20,
+    // event 1 from inside the loop (parent 0) and event 0 after
+    // runUntil returned (no parent), so event 0 fires first.
+    EventQueue eq;
+    std::vector<int> log;
+    eq.schedule(ns(10), [&] { eq.schedule(ns(20), logs(log, 1)); });
+    eq.runUntil(ns(10));
+    eq.schedule(ns(20), logs(log, 0));
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{0, 1}));
+}
+
+TEST(EventQueueOrder, TicksAYearApartShareASlotYetFireInTickOrder)
+{
+    // Ticks whole years apart file into one ring slot; each fires at
+    // its own tick, and events at one tick stay FIFO.
+    EventQueue eq;
+    std::vector<int> log;
+    eq.schedule(2 * kYear + 5, logs(log, 0));
+    eq.schedule(5, logs(log, 1));
+    eq.schedule(2 * kYear + 5, logs(log, 2));
+    eq.schedule(kYear + 5, logs(log, 3));
+    eq.schedule(5, logs(log, 4));
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{1, 4, 3, 0, 2}));
+}
+
+TEST(EventQueueOrder, DescheduleLeavesTheTicksOtherEventsInOrder)
+{
+    // Unlinking the front and a middle event of one tick's list keeps
+    // the rest in FIFO order; the front event then rejoins at the back.
+    EventQueue eq;
+    std::vector<int> log;
+    RecordingEvent ev[4];
+    for (int i = 0; i < 4; ++i) {
+        ev[i].log = &log;
+        ev[i].id = i;
+        eq.schedule(&ev[i], ns(10));
+    }
+    eq.deschedule(&ev[0]);
+    eq.deschedule(&ev[2]);
+    eq.schedule(&ev[0], ns(10));
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{1, 3, 0}));
 }
 
 } // namespace

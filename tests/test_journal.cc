@@ -190,7 +190,8 @@ tempPath(const std::string &name)
  * inserted deleted again, and lines 5-6 are lines 0-1 without the
  * members today's writer no longer emits (CRCs recomputed):
  *   0  fancyResult(), with the retired dispatch-rate series
- *   1  a real run: mixA, star, aware, VWL+ROO, 5 + 20 us, 2 partitions
+ *   1  a real run: mixA, star, aware, VWL+ROO, 5 + 20 us, written by a
+ *      build whose partitioned kernel ran it on 2 partitions
  *   2  line 1 without "energy"                      (pre-energy)
  *   3  line 2 without partitions/partition_sync/lax_window_ps
  *                                                   (pre-partition)
@@ -209,6 +210,25 @@ fixtureLines()
     while (std::getline(is, line))
         lines.push_back(line + "\n");
     return lines;
+}
+
+/**
+ * @p line with the first @p from in its record replaced by @p to and
+ * the CRC recomputed, so the edit reaches the parser.
+ */
+std::string
+editedLine(const std::string &line, const std::string &from,
+           const std::string &to)
+{
+    std::string p = line.substr(line.find("\"record\":") + 9);
+    p.resize(p.size() - 2); // "}\n"
+    const std::size_t at = p.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    p.replace(at, from.size(), to);
+    char crc[9];
+    std::snprintf(crc, sizeof crc, "%08x", crc32(p.data(), p.size()));
+    return std::string("{\"journal_version\":1,\"crc32\":\"") + crc +
+           "\",\"record\":" + p + "}\n";
 }
 
 TEST(HexDouble, RoundTripsSpecialValues)
@@ -493,12 +513,16 @@ TEST(JournalFixture, WriterReproducesFixtureBytes)
 
     // The real run cannot be re-simulated bit for bit (wall_s), so it
     // goes through the reader: load, write, same bytes. A record with
-    // the retired members loads and is written without them.
+    // the retired members loads and is written without them, and the
+    // real run's partition count, which selects nothing any more, is
+    // written as 1.
+    const std::string real1 = editedLine(lines[6], "\"partitions\":\"2\"",
+                                         "\"partitions\":\"1\"");
     for (const std::size_t i : {0u, 1u, 5u, 6u}) {
         std::string k, err;
         RunResult r;
         ASSERT_TRUE(parseJournalLine(lines[i], &k, &r, &err)) << err;
-        EXPECT_EQ(journalRecordLine(k, r), lines[i < 5 ? i + 5 : i])
+        EXPECT_EQ(journalRecordLine(k, r), i % 5 == 0 ? lines[5] : real1)
             << "line " << i;
     }
     std::string k, err;
@@ -507,7 +531,6 @@ TEST(JournalFixture, WriterReproducesFixtureBytes)
     EXPECT_TRUE(real.latency.enabled);
     EXPECT_TRUE(real.energy.enabled);
     EXPECT_GT(real.latency.endToEnd.samples, 0u);
-    EXPECT_EQ(real.config.partitions, 2);
 }
 
 TEST(JournalFixture, OlderShapesLoadWithTodaysDefaults)
@@ -519,15 +542,11 @@ TEST(JournalFixture, OlderShapesLoadWithTodaysDefaults)
     ASSERT_TRUE(parseJournalLine(lines[1], &key, &full, &err)) << err;
 
     RunResult expected = full;
-    const SystemConfig defaults;
     for (std::size_t i = 2; i < 5; ++i) {
-        if (i == 2) {
+        if (i == 2)
             expected.energy = EnergySummary{};
-        } else if (i == 3) {
-            expected.config.partitions = defaults.partitions;
-        } else {
+        else if (i == 4)
             expected.latency = LatencyBreakdown{};
-        }
         std::string k;
         RunResult old;
         ASSERT_TRUE(parseJournalLine(lines[i], &k, &old, &err))
@@ -536,7 +555,6 @@ TEST(JournalFixture, OlderShapesLoadWithTodaysDefaults)
         EXPECT_EQ(journalRecordLine(k, old), journalRecordLine(k, expected))
             << "line " << i;
         EXPECT_FALSE(old.energy.enabled);
-        EXPECT_EQ(old.config.partitions, i >= 3 ? 1 : 2) << "line " << i;
         EXPECT_EQ(old.latency.enabled, i < 4) << "line " << i;
     }
 
@@ -548,7 +566,9 @@ TEST(JournalFixture, OlderShapesLoadWithTodaysDefaults)
     EXPECT_EQ(stats.records, 7u);
     EXPECT_EQ(stats.corrupt, 0u);
     EXPECT_EQ(stats.loaded, 2u);
-    EXPECT_EQ(journalRecordLine(key, pool.at(key)), lines[6]);
+    EXPECT_EQ(journalRecordLine(key, pool.at(key)),
+              editedLine(lines[6], "\"partitions\":\"2\"",
+                         "\"partitions\":\"1\""));
 }
 
 TEST(JournalRecord, RejectsOutOfRangeEnums)
@@ -603,25 +623,6 @@ TEST(JournalRecord, RejectsOutOfRangeEnums)
     EXPECT_TRUE(parseJournalLine(journalRecordLine(Runner::key(r.config), r),
                                  &k, &out, &err))
         << err;
-}
-
-/**
- * @p line with the first @p from in its record replaced by @p to and
- * the CRC recomputed, so the edit reaches the parser.
- */
-std::string
-editedLine(const std::string &line, const std::string &from,
-           const std::string &to)
-{
-    std::string p = line.substr(line.find("\"record\":") + 9);
-    p.resize(p.size() - 2); // "}\n"
-    const std::size_t at = p.find(from);
-    EXPECT_NE(at, std::string::npos) << from;
-    p.replace(at, from.size(), to);
-    char crc[9];
-    std::snprintf(crc, sizeof crc, "%08x", crc32(p.data(), p.size()));
-    return std::string("{\"journal_version\":1,\"crc32\":\"") + crc +
-           "\",\"record\":" + p + "}\n";
 }
 
 TEST(JournalRecord, ErrorsNameThePathOfTheBadMember)
@@ -682,6 +683,18 @@ TEST(JournalRecord, ErrorsNameThePathOfTheBadMember)
               "result.profile: unexpected member");
     EXPECT_EQ(errorFor("\"id\":\"5\"", "\"id\":\"2147483648\""),
               "result.modules[0].id: out of int range");
+    // Any partition count >= 1 reads (older builds ran several).
+    const std::string parts = "\"partitions\":\"1\"";
+    EXPECT_EQ(errorFor(parts, "\"partitions\":\"0\""),
+              "config.partitions: not positive: 0");
+    EXPECT_EQ(errorFor(parts, "\"partitions\":\"-2\""),
+              "config.partitions: not positive: -2");
+    std::string k, err;
+    RunResult out;
+    EXPECT_TRUE(parseJournalLine(
+        editedLine(line, parts, "\"partitions\":\"64\""), &k, &out, &err))
+        << err;
+    EXPECT_EQ(journalRecordLine(k, out), line);
 }
 
 TEST(JournalRecord, LaxRecordsAreRejectedAndResumeReRunsThem)
@@ -692,7 +705,6 @@ TEST(JournalRecord, LaxRecordsAreRejectedAndResumeReRunsThem)
     // Neither is simulated any more, so both are skipped on load and a
     // resume re-runs the config.
     SystemConfig cfg = sweepConfigs()[0];
-    cfg.partitions = 2;
     const std::string key = Runner::key(cfg);
     Runner reference;
     const RunResult &real = reference.get(cfg);
@@ -1238,7 +1250,6 @@ TEST(SchemaDrift, JournalAndBenchJsonMatchTheirSchemas)
     // JSON's host object) without its schema fails here, not in CI.
     RunResult r = fancyResult();
     r.profile.profPhases.push_back({"sim/run", 1500, 1});
-    r.profile.partitionLanes.resize(2);
     const std::string key = Runner::key(r.config);
     std::vector<std::string> drift;
 
@@ -1257,6 +1268,13 @@ TEST(SchemaDrift, JournalAndBenchJsonMatchTheirSchemas)
                 "bench", &drift);
     // Only a stats dump writes "components": the document below.
     EXPECT_EQ(std::erase(drift, "bench.components: not written"), 1u);
+    // Deprecated, yet still written (always empty) until the benchmark
+    // stops reading RunProfile::partitionLanes; here and in the dump.
+    const auto eraseLanes = [&drift](const std::string &doc) {
+        return std::erase(drift, doc + ".runs[0].host.partition_lanes: "
+                                       "not in the schema");
+    };
+    EXPECT_EQ(eraseLanes("bench"), 1u);
 
     // A stats dump of a managed policy writes every member of the
     // schema, "mgmt" included.
@@ -1272,6 +1290,7 @@ TEST(SchemaDrift, JournalAndBenchJsonMatchTheirSchemas)
     ASSERT_TRUE(stats.find("components")->find("mgmt"));
     schemaDrift(parseFile(MEMNET_CI_DIR "/bench_schema.json"), stats,
                 "stats", &drift);
+    EXPECT_EQ(eraseLanes("stats"), 1u);
     EXPECT_TRUE(drift.empty()) << ::testing::PrintToString(drift);
 
     // The bench run is the journal record's members, plus "host".

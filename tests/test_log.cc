@@ -46,6 +46,25 @@ TEST(Log, ThrowOnErrorHookThrowsInstead)
     EXPECT_THROW(memnet_fatal("thrown"), std::runtime_error);
 }
 
+TEST(Log, FatalExitsAgainOnceTheScopeEnds)
+{
+    {
+        const ScopedFatalThrows scopedFatal;
+    }
+    EXPECT_EXIT(memnet_fatal("after the scope"),
+                ::testing::ExitedWithCode(1), "fatal: after the scope");
+}
+
+TEST(Log, InnerScopeEndingKeepsTheOuterScopeThrowing)
+{
+    const ScopedFatalThrows outer;
+    {
+        const ScopedFatalThrows inner;
+        EXPECT_THROW(memnet_fatal("inner"), std::runtime_error);
+    }
+    EXPECT_THROW(memnet_fatal("outer"), std::runtime_error);
+}
+
 TEST(Log, MessageFormatterConcatenatesMixedTypes)
 {
     EXPECT_EQ(detail::formatMessage("a=", 1, " b=", 2.5, " c"),

@@ -78,7 +78,7 @@ TEST(MultiChannel, ScalingChannelsScalesThroughput)
     EXPECT_GT(four.readsPerSec, 2.0 * one.readsPerSec);
 }
 
-TEST(MultiChannel, ManagementSavesMoreOnPartitionedChannels)
+TEST(MultiChannel, ManagementSavesMoreWithPartitionSpread)
 {
     MultiChannelConfig fp = baseConfig(4, ChannelSpread::Partition);
     MultiChannelConfig managed = fp;

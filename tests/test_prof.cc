@@ -10,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "memnet/multichannel.hh"
 #include "memnet/parallel.hh"
 #include "memnet/simulator.hh"
 #include "obs/prof.hh"
@@ -205,6 +208,58 @@ TEST_F(ProfTest, ParallelRunnerWorkerPhasesSurviveJoin)
         EXPECT_EQ(r.profile.profPhases.front().path, "sim/run");
         EXPECT_EQ(r.profile.profPhases.front().count, 1u);
     }
+}
+
+/** The names of @p t's children, sorted. */
+std::vector<std::string>
+childNames(const prof::PhaseTree &t)
+{
+    std::vector<std::string> names;
+    for (const prof::PhaseTree &c : t.children)
+        names.push_back(c.name);
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
+/** Whether a phase named @p name lies anywhere under @p t. */
+bool
+hasPhase(const prof::PhaseTree &t, const std::string &name)
+{
+    for (const prof::PhaseTree &c : t.children)
+        if (c.name == name || hasPhase(c, name))
+            return true;
+    return false;
+}
+
+TEST_F(ProfTest, MultiChannelRunOpensTheSimulatorsPhases)
+{
+    // Both entry points root every stack at sim/run and open the same
+    // phases under it; no scope sits on the per-packet channel fan-out.
+    SystemConfig cfg;
+    cfg.workload = "mixE";
+    cfg.topology = TopologyKind::Star;
+    cfg.policy = Policy::Aware;
+    cfg.mechanism = BwMechanism::Vwl;
+    cfg.warmup = us(20);
+    cfg.measure = us(50);
+    Simulator(cfg).run();
+    const prof::PhaseTree single = prof::snapshot();
+
+    prof::reset();
+    MultiChannelConfig mc;
+    mc.base = cfg;
+    mc.channels = 2;
+    runMultiChannel(mc);
+    const prof::PhaseTree multi = prof::snapshot();
+
+    ASSERT_EQ(childNames(single), std::vector<std::string>{"sim/run"});
+    ASSERT_EQ(childNames(multi), std::vector<std::string>{"sim/run"});
+    EXPECT_EQ(childNames(*multi.child("sim/run")),
+              childNames(*single.child("sim/run")));
+    EXPECT_EQ(childNames(*multi.child("sim/run")),
+              (std::vector<std::string>{"sim/build", "sim/collect",
+                                        "sim/measure", "sim/warmup"}));
+    EXPECT_FALSE(hasPhase(multi, "mc/fanout"));
 }
 
 // The exporters consume a value-type tree, so they are testable with
